@@ -67,10 +67,10 @@ chaos:
 # bench-smoke compiles and runs every benchmark for exactly one
 # iteration — the CI guard against benchmark bit-rot — plus one
 # multi-threaded pass of the scheduler-contention benchmarks (their
-# serial/pooled/sharded comparison is meaningless single-threaded).
+# serial/pooled comparison is meaningless single-threaded).
 bench-smoke:
 	$(GO) test -run=NoSuchTest -bench=. -benchtime=1x ./...
-	$(GO) test -run=NoSuchTest -bench='MemoContention|ShardedSweep' -benchtime=1x -cpu 4 ./internal/runner
+	$(GO) test -run=NoSuchTest -bench='MemoContention|Sweep$$' -benchtime=1x -cpu 4 ./internal/runner
 
 # bench-baseline records the current figure + store + remote + engine
 # + scheduler benchmark numbers into BENCH_PR9.json under the "pr9"

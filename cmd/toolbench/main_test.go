@@ -104,15 +104,11 @@ var runArgsTable = []struct {
 	{"zero -j", []string{"-j", "0", "fig2"}, true},
 	{"negative -j", []string{"-j", "-2", "fig2"}, true},
 	{"non-numeric -j", []string{"-j", "many", "fig2"}, true},
-	// Sharded backend flag.
-	{"sharded", []string{"-shards", "4", "-j", "8", "-scale", "0.05", "fig2"}, false},
-	{"single shard", []string{"-shards", "1", "-scale", "0.05", "fig3"}, false},
-	{"zero shards is single pool", []string{"-shards", "0", "-scale", "0.05", "fig4"}, false},
-	{"negative shards", []string{"-shards", "-2", "fig2"}, true},
-	{"non-numeric shards", []string{"-shards", "many", "fig2"}, true},
 	// Remote backend flag.
-	{"workers conflict with shards", []string{"-workers", "localhost:1", "-shards", "2", "fig2"}, true},
 	{"workers unreachable", []string{"-workers", "127.0.0.1:1", "-scale", "0.05", "fig2"}, true},
+	{"duplicate workers", []string{"-workers", "127.0.0.1:1,127.0.0.1:1", "-scale", "0.05", "fig2"}, true},
+	{"duplicate workers after trim", []string{"-workers", "127.0.0.1:1, 127.0.0.1:1", "fig2"}, true},
+	{"removed shards flag", []string{"-shards", "4", "fig2"}, true},
 	// Report format flag.
 	{"json report", []string{"-scale", "0.05", "-format", "json", "report"}, false},
 	{"json all", []string{"-scale", "0.05", "-format", "json", "all"}, false},
@@ -313,12 +309,12 @@ func killAfter(n int64) func(http.Handler) http.Handler {
 
 // TestAllOutputIdenticalAcrossParallelism is the CLI-level determinism
 // acceptance: a full `all` sweep must emit byte-identical stdout and
-// byte-identical .dat artifacts serially, at -j 8, through the sharded
-// backend (-shards 4 -j 8), distributed across remote workers
-// (-workers), and distributed with one worker dying mid-sweep.
+// byte-identical .dat artifacts serially, at -j 8, distributed across
+// remote workers (-workers), and distributed with one worker dying
+// mid-sweep.
 func TestAllOutputIdenticalAcrossParallelism(t *testing.T) {
 	if testing.Short() {
-		t.Skip("five full small-scale sweeps")
+		t.Skip("four full small-scale sweeps")
 	}
 	w1 := startTestWorker(t, nil)
 	w2 := startTestWorker(t, nil)
@@ -329,7 +325,6 @@ func TestAllOutputIdenticalAcrossParallelism(t *testing.T) {
 	}{
 		{"serial", []string{"-j", "1"}},
 		{"j8", []string{"-j", "8"}},
-		{"sharded", []string{"-shards", "4", "-j", "8"}},
 		{"remote", []string{"-j", "8", "-workers", w1.URL + "," + w2.URL}},
 		{"remote-chaos", []string{"-j", "8", "-workers", doomed.URL + "," + w1.URL + "," + w2.URL}},
 	}

@@ -12,8 +12,7 @@ import (
 // implementation (selected by default, configured with
 // [WithParallelism] and [WithCache]) is an in-process bounded worker
 // pool over a memoization [Cache]; [WithExecutor] swaps in another
-// implementation — a sharded pool, a remote fleet — without the
-// Session layer changing.
+// implementation without the Session layer changing.
 //
 // See the method contracts on the interface definition. The invariants
 // an implementation must keep are: Memo is single-flight per [Cell]
@@ -45,12 +44,15 @@ type QuotaError = runner.QuotaError
 
 // WithExecutor makes the session schedule through x instead of the
 // built-in worker pool. The executor owns parallelism, so
-// [WithParallelism] is ignored when this option is present;
-// [WithCacheCapacity] still applies (NewSession forwards it to the
-// executor's cache via SetCapacity), and combining [WithCache] or
-// [WithShardedExecutor] with this option makes NewSession panic — both
-// would silently contradict the executor the caller already built.
-// Quota options still apply — budgets wrap any executor.
+// [WithParallelism] is ignored when this option is present. Everything
+// else layers onto x as it would onto the built-in pool:
+// [WithCacheCapacity] bounds x's cache, [WithResultStore] attaches its
+// tier to x's cache, quota budgets wrap x, and [WithRemoteExecutor]
+// distributes the cells x would have computed.
+//
+// Combining [WithCache] with this option makes NewSession panic: x
+// already owns its cache, and a second one cannot be installed after
+// the fact. Build x over the shared cache instead.
 //
 // An Executor instance must be dedicated to one session: NewSession
 // installs the session's cell observer on it, so handing the same
@@ -60,37 +62,17 @@ func WithExecutor(x Executor) Option {
 	return func(c *sessionConfig) { c.executor = x }
 }
 
-// WithShardedExecutor makes the session schedule through a sharded
-// in-process backend: n independent worker pools hash-partitioned by
-// cell key over one striped memoization cache, instead of a single
-// pool funneling every cell through one semaphore and one cache lock.
-// Virtual time keeps every cell deterministic, so results are
-// bit-identical to the single-pool (and serial) sweep — only lock and
-// semaphore contention changes.
-//
-// [WithParallelism] sets the total worker count, divided evenly across
-// the shards (rounded up, so the effective bound reported by
-// [Session.Parallelism] may exceed it by up to n-1). [WithCache] and
-// [WithCacheCapacity] compose as usual; for contention relief the
-// shared cache should be a striped one. n <= 0 keeps the default
-// single pool.
-func WithShardedExecutor(n int) Option {
-	return func(c *sessionConfig) {
-		if n > 0 {
-			c.shards = n
-		}
-	}
-}
-
 // WithRemoteExecutor distributes the session's sweep across worker
 // daemons (`toolbench-worker`) at the given addresses ("host:port" or
 // http:// URLs). Each cell is routed to a worker by rendezvous-hashing
-// its content key — the same FNV hash that picks cache stripes and
-// shards — and the worker recomputes it from the key alone; cells are
-// pure functions of their keys, so a distributed sweep is
-// byte-identical to a local one. Memoization, the optional
-// [WithResultStore] tier, quota budgets, and event observers all stay
-// on the coordinator; [WithParallelism] bounds the in-flight RPCs.
+// its content key — the same FNV hash that picks cache stripes — and
+// the worker recomputes it from the key alone; cells are pure
+// functions of their keys, so a distributed sweep is byte-identical to
+// a local one. The local executor (the built-in pool, or the one given
+// to [WithExecutor]) stays on the coordinator and keeps memoization,
+// the optional [WithResultStore] tier, quota budgets, and event
+// observers; its concurrency bound ([WithParallelism] for the built-in
+// pool) bounds the in-flight RPCs.
 //
 // Worker loss is survived mid-sweep: a failing node's cells fail over
 // to the next node in their rendezvous order, and after a few
@@ -100,9 +82,10 @@ func WithShardedExecutor(n int) Option {
 // mismatch fails the sweep with a [*RemoteVersionError] — never a
 // result computed under the wrong engine.
 //
-// Combining this option with [WithExecutor], [WithShardedExecutor], or
-// [WithTool] makes NewSession panic (custom tool factories exist only
-// in this process and cannot be evaluated remotely).
+// NewSession panics when this option is combined with [WithTool]
+// (custom tool factories exist only in this process and cannot be
+// evaluated remotely), and when the address list holds a blank or
+// duplicate address.
 func WithRemoteExecutor(nodes ...string) Option {
 	return func(c *sessionConfig) {
 		c.workers = append([]string(nil), nodes...)
@@ -147,17 +130,18 @@ func WithMaxVirtualTime(d time.Duration) Option {
 // n cells, evicting the least recently used when full. Evicted cells
 // are re-simulated on the next request — correct, since cells are
 // deterministic. Combined with [WithCache] it (re)configures the
-// shared cache; without it, it bounds the session's private cache.
-// n <= 0 means unbounded (the default — one evaluation matrix is
-// finite, so eviction only matters for long-lived shared caches).
+// shared cache; with [WithExecutor] it bounds the executor's cache;
+// otherwise it bounds the session's private cache. n <= 0 means
+// unbounded (the default — one evaluation matrix is finite, so
+// eviction only matters for long-lived shared caches).
 //
-// On a striped cache ([NewStripedCache], or the one a
-// [WithShardedExecutor] session builds) the bound is approximate: n is
-// divided evenly across the stripes (rounded up), each stripe runs its
-// own LRU over its share, and eviction order is per stripe rather than
-// global — the cache may hold up to stripes-1 cells more than n, and a
-// stripe whose keys cluster may evict while the whole cache is under
-// n. Single-stripe caches (the default) keep the exact global bound.
+// On a striped cache ([NewStripedCache]) the bound is approximate: n
+// is divided evenly across the stripes (rounded up), each stripe runs
+// its own LRU over its share, and eviction order is per stripe rather
+// than global — the cache may hold up to stripes-1 cells more than n,
+// and a stripe whose keys cluster may evict while the whole cache is
+// under n. Single-stripe caches (the default) keep the exact global
+// bound.
 func WithCacheCapacity(n int) Option {
 	return func(c *sessionConfig) {
 		c.cacheCap, c.cacheCapSet = n, true

@@ -9,25 +9,17 @@ import (
 	"tooleval/internal/mpt"
 	"tooleval/internal/mpt/tools"
 	"tooleval/internal/platform"
-	"tooleval/internal/runner"
 )
-
-// freshShardedHarness builds an isolated harness over the sharded
-// executor (its own striped cache), for pinning the second backend
-// against the serial sweep.
-func freshShardedHarness(shards, workersPerShard int) *Harness {
-	return NewHarness(runner.NewSharded(shards, workersPerShard))
-}
 
 // TestTPLDeterministicUnderParallelism is the core determinism
 // guarantee of the scheduler: for every tool on every platform that
 // ports it, each TPL benchmark produces bit-identical curves whether
-// the cells run strictly serially (-j 1), fanned out over four
-// workers, or hash-partitioned over four shards of two workers each.
-// Virtual time makes each cell a pure function of its key; this test
-// proves neither fan-out topology perturbs the simulations or reorders
-// their assembly. Each harness starts from an empty cache (a shared
-// cache would let the later sweeps trivially replay the first).
+// the cells run strictly serially (-j 1) or fanned out over four
+// workers. Virtual time makes each cell a pure function of its key;
+// this test proves the fan-out neither perturbs the simulations nor
+// reorders their assembly. Each harness starts from an empty cache (a
+// shared cache would let the parallel sweep trivially replay the
+// serial one).
 func TestTPLDeterministicUnderParallelism(t *testing.T) {
 	sizes := []int{0, 1 << 10, 4 << 10}
 	vecs := []int{100, 1000}
@@ -63,30 +55,25 @@ func TestTPLDeterministicUnderParallelism(t *testing.T) {
 				tool := tool
 				t.Run(fmt.Sprintf("%s/%s/%s", bm.name, pf.Key, tool), func(t *testing.T) {
 					serial, serialErr := bm.run(freshHarness(1), pf, tool, procs)
-					for mode, h := range map[string]*Harness{
-						"parallel": freshHarness(4),
-						"sharded":  freshShardedHarness(4, 2),
-					} {
-						par, parErr := bm.run(h, pf, tool, procs)
-						if (serialErr == nil) != (parErr == nil) {
-							t.Fatalf("error mismatch: serial=%v %s=%v", serialErr, mode, parErr)
+					par, parErr := bm.run(freshHarness(4), pf, tool, procs)
+					if (serialErr == nil) != (parErr == nil) {
+						t.Fatalf("error mismatch: serial=%v parallel=%v", serialErr, parErr)
+					}
+					if serialErr != nil {
+						// PVM has no global operation (Table 1): both modes
+						// must agree on the failure too.
+						if !errors.Is(serialErr, mpt.ErrNotSupported) {
+							t.Fatalf("unexpected error: %v", serialErr)
 						}
-						if serialErr != nil {
-							// PVM has no global operation (Table 1): all modes
-							// must agree on the failure too.
-							if !errors.Is(serialErr, mpt.ErrNotSupported) {
-								t.Fatalf("unexpected error: %v", serialErr)
-							}
-							continue
-						}
-						if len(serial) != len(par) {
-							t.Fatalf("length mismatch: serial %d, %s %d", len(serial), mode, len(par))
-						}
-						for i := range serial {
-							if serial[i] != par[i] {
-								t.Fatalf("point %d differs: serial %v, %s %v (curves %v vs %v)",
-									i, serial[i], mode, par[i], serial, par)
-							}
+						return
+					}
+					if len(serial) != len(par) {
+						t.Fatalf("length mismatch: serial %d, parallel %d", len(serial), len(par))
+					}
+					for i := range serial {
+						if serial[i] != par[i] {
+							t.Fatalf("point %d differs: serial %v, parallel %v (curves %v vs %v)",
+								i, serial[i], par[i], serial, par)
 						}
 					}
 				})
@@ -96,8 +83,7 @@ func TestTPLDeterministicUnderParallelism(t *testing.T) {
 }
 
 // TestAPLDeterministicUnderParallelism extends the bit-identical
-// guarantee to the application sweeps (one curve per figure line),
-// across both fan-out topologies.
+// guarantee to the application sweeps (one curve per figure line).
 func TestAPLDeterministicUnderParallelism(t *testing.T) {
 	pf, err := platform.Get("sun-ethernet")
 	if err != nil {
@@ -109,60 +95,20 @@ func TestAPLDeterministicUnderParallelism(t *testing.T) {
 		tool := tool
 		t.Run(tool, func(t *testing.T) {
 			serial, serialErr := freshHarness(1).RunAPL(bgCtx, pf, tool, "montecarlo", procs, scale)
-			for mode, h := range map[string]*Harness{
-				"parallel": freshHarness(4),
-				"sharded":  freshShardedHarness(4, 1),
-			} {
-				par, parErr := h.RunAPL(bgCtx, pf, tool, "montecarlo", procs, scale)
-				if serialErr != nil || parErr != nil {
-					t.Fatalf("errors: serial=%v %s=%v", serialErr, mode, parErr)
-				}
-				if len(serial.Seconds) != len(par.Seconds) {
-					t.Fatalf("length mismatch: %d vs %d", len(serial.Seconds), len(par.Seconds))
-				}
-				for i := range serial.Seconds {
-					if serial.Seconds[i] != par.Seconds[i] || serial.Procs[i] != par.Procs[i] {
-						t.Fatalf("point %d differs: serial (%d, %v), %s (%d, %v)",
-							i, serial.Procs[i], serial.Seconds[i], mode, par.Procs[i], par.Seconds[i])
-					}
+			par, parErr := freshHarness(4).RunAPL(bgCtx, pf, tool, "montecarlo", procs, scale)
+			if serialErr != nil || parErr != nil {
+				t.Fatalf("errors: serial=%v parallel=%v", serialErr, parErr)
+			}
+			if len(serial.Seconds) != len(par.Seconds) {
+				t.Fatalf("length mismatch: %d vs %d", len(serial.Seconds), len(par.Seconds))
+			}
+			for i := range serial.Seconds {
+				if serial.Seconds[i] != par.Seconds[i] || serial.Procs[i] != par.Procs[i] {
+					t.Fatalf("point %d differs: serial (%d, %v), parallel (%d, %v)",
+						i, serial.Procs[i], serial.Seconds[i], par.Procs[i], par.Seconds[i])
 				}
 			}
 		})
-	}
-}
-
-// TestShardedEvaluateMemoizesAcrossSweeps repeats the `toolbench all`
-// → report cache property through the sharded backend: the striped
-// cache must coalesce the report's cells onto the sweep's exactly like
-// the single-stripe cache does.
-func TestShardedEvaluateMemoizesAcrossSweeps(t *testing.T) {
-	const scale = 0.05
-	h := freshShardedHarness(4, 2)
-	if _, err := h.Table3(bgCtx); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := h.Fig2(bgCtx, 4); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := h.Fig3(bgCtx, 4); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := h.Fig4(bgCtx, 4); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := h.APLFigure(bgCtx, ExpFig8, scale); err != nil {
-		t.Fatal(err)
-	}
-	after := h.Executor().Stats()
-	if after.Misses == 0 {
-		t.Fatal("sharded sweep simulated nothing — stats wiring broken")
-	}
-	if _, err := h.Evaluate(bgCtx, core.EndUserProfile(), scale); err != nil {
-		t.Fatal(err)
-	}
-	final := h.Executor().Stats()
-	if final.Misses != after.Misses {
-		t.Fatalf("Evaluate re-simulated %d cells that were already in the striped cache", final.Misses-after.Misses)
 	}
 }
 

@@ -1,9 +1,9 @@
 // Package remote distributes the evaluation sweep across worker
-// daemons. It is the third execution backend behind the
-// runner.Executor seam (after the bounded pool and the sharded
-// executor): the coordinator-side Remote routes each cell to a worker
-// by rendezvous-hashing the same FNV content hash that already picks
-// cache stripes and shards, and the worker recomputes the cell from
+// daemons. It is the second execution backend behind the
+// runner.Executor seam (after the in-process bounded pool): the
+// coordinator-side Remote routes each cell to a worker by
+// rendezvous-hashing the same FNV content hash that already picks
+// cache stripes, and the worker recomputes the cell from
 // its key alone — cells are pure functions of their content key, so
 // results are location-transparent and a distributed sweep is
 // byte-identical to a serial one.

@@ -374,25 +374,51 @@ func (p *flakyProxy) ServeHTTP(rw http.ResponseWriter, r *http.Request) {
 // switch takes one worker down mid-sweep, and every cell must still be
 // computed exactly once on a surviving worker, with values identical
 // to a no-failure run.
+//
+// Rendezvous ownership hashes the worker addresses, and httptest ports
+// are random, so each worker's share of the keys varies run to run.
+// Every worker therefore sits behind a disarmed proxy and the kill
+// switch is armed on the one that owns the most keys: with 120 keys
+// over three workers that share is at least 40, so the switch always
+// fires (40 > 13) and the doomed node always sees enough failures to
+// be ejected. At most 7 successes still in flight (the coordinator
+// bounds RPCs at 8) can reset the breaker's streak, and at least 27
+// failures cannot be split by 7 resets into streaks all shorter than
+// the threshold of 2.
 func TestChaosWorkerLoss(t *testing.T) {
-	keys := testKeys(60)
+	keys := testKeys(120)
 	for _, seed := range []int64{1, 3, 7, 13} {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			cc := newCountingCompute()
-			// Three workers; the one behind the proxy dies after `seed`
-			// cell RPCs.
-			proxy := &flakyProxy{backend: NewWorker(runner.New(4), cc.compute).Handler()}
-			proxy.after.Store(seed)
-			doomed := httptest.NewServer(proxy)
-			defer doomed.Close()
-			s1 := startWorker(t, cc.compute)
-			s2 := startWorker(t, cc.compute)
+			proxies := make(map[string]*flakyProxy, 3)
+			urls := make([]string, 0, 3)
+			for i := 0; i < 3; i++ {
+				p := &flakyProxy{backend: NewWorker(runner.New(4), cc.compute).Handler()}
+				ts := httptest.NewServer(p)
+				defer ts.Close()
+				proxies[ts.URL] = p
+				urls = append(urls, ts.URL)
+			}
 
-			r, err := New([]string{doomed.URL, s1.URL, s2.URL}, runner.New(8),
+			r, err := New(urls, runner.New(8),
 				WithNodeBreaker(2, time.Hour, time.Hour)) // ejected stays ejected for the test's lifetime
 			if err != nil {
 				t.Fatal(err)
 			}
+			share := make(map[string]int, len(urls))
+			for _, owner := range owners(r, keys) {
+				share[owner]++
+			}
+			doomedURL := urls[0]
+			for _, u := range urls[1:] {
+				if share[u] > share[doomedURL] {
+					doomedURL = u
+				}
+			}
+			// The most-loaded worker dies after `seed` cell RPCs.
+			proxy := proxies[doomedURL]
+			proxy.after.Store(seed)
+
 			var wg sync.WaitGroup
 			errs := make([]error, len(keys))
 			vals := make([]float64, len(keys))
@@ -424,7 +450,7 @@ func TestChaosWorkerLoss(t *testing.T) {
 			// The doomed node's ejection is visible in the stats.
 			var sawEjected bool
 			for _, ns := range r.NodeStats() {
-				if ns.Node == doomed.URL {
+				if ns.Node == doomedURL {
 					sawEjected = ns.Ejected >= 1
 				}
 			}

@@ -17,8 +17,8 @@ import (
 type ComputeFunc func(runner.Key) (runner.CellResult, error)
 
 // Worker is the daemon-side half of the remote executor: an HTTP
-// handler that resolves cell RPCs through a local Executor (pooled or
-// sharded, optionally store-backed), so a worker deduplicates repeated
+// handler that resolves cell RPCs through a local Executor (a worker
+// pool, optionally store-backed), so a worker deduplicates repeated
 // keys through the same memoization every local sweep uses.
 type Worker struct {
 	x       runner.Executor

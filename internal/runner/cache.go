@@ -26,8 +26,8 @@ type entry struct {
 
 // stripe is one independently locked segment of a Cache: its own map,
 // recency list, and capacity share. Striping is what keeps a cache
-// shared by many worker pools (the sharded executor) off a single hot
-// mutex — two cells in different stripes never contend.
+// shared by many sessions off a single hot mutex — two cells in
+// different stripes never contend.
 type stripe struct {
 	mu       sync.Mutex
 	m        map[Key]*entry
@@ -95,7 +95,7 @@ func NewCache() *Cache { return NewStripedCache(1) }
 // NewStripedCache returns an empty, unbounded cache split into n
 // independently locked stripes. n < 1 selects a default (16). A
 // striped cache trades exact global LRU order for per-stripe LRU and
-// uncontended access — the right shape in front of a sharded executor.
+// uncontended access — the right shape for a cache many sessions share.
 func NewStripedCache(n int) *Cache {
 	if n < 1 {
 		n = defaultStripes
@@ -126,14 +126,7 @@ func (c *Cache) stripeFor(key Key) *stripe {
 	if len(c.stripes) == 1 {
 		return c.stripes[0]
 	}
-	return c.stripeAt(key.Hash())
-}
-
-// stripeAt picks the segment for a precomputed key hash, so callers
-// that already hashed the key (the sharded executor routes and stripes
-// off one hash) do not hash it twice.
-func (c *Cache) stripeAt(h uint64) *stripe {
-	return c.stripes[bucket(h, len(c.stripes))]
+	return c.stripes[bucket(key.Hash(), len(c.stripes))]
 }
 
 // bucket reduces a hash to [0, n) with a multiply-shift instead of a
@@ -144,8 +137,8 @@ func bucket(h uint64, n int) int {
 }
 
 // fnv-1a over the canonical key fields. The same hash partitions keys
-// over cache stripes and over the sharded executor's pools, so a key's
-// stripe and shard are both pure functions of its content.
+// over cache stripes and remote workers, so a key's stripe and worker
+// are both pure functions of its content.
 const (
 	fnvOffset64 = 14695981039346656037
 	fnvPrime64  = 1099511628211
@@ -172,9 +165,8 @@ func fnvUint64(h, v uint64) uint64 {
 }
 
 // Hash is FNV-1a over the canonical key fields. One hash is the
-// content address everywhere: it partitions keys over cache stripes and
-// the sharded executor's pools, and the durable store records it per
-// cell as the key's fingerprint.
+// content address everywhere: it partitions keys over cache stripes,
+// and the durable store records it per cell as the key's fingerprint.
 func (k Key) Hash() uint64 {
 	h := uint64(fnvOffset64)
 	h = fnvString(h, k.Platform)

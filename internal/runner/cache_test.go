@@ -215,3 +215,28 @@ func TestCacheCapacityStatsCountEvictedRecompute(t *testing.T) {
 		t.Fatalf("Stats = %+v, want 4 misses / 0 hits under thrashing", st)
 	}
 }
+
+func TestKeyHashStable(t *testing.T) {
+	// Routing must be a pure function of the key's content: equal keys
+	// hash equal, and distinct fields actually reach the hash.
+	a := Key{Platform: "sun-ethernet", Tool: "p4", Bench: "pingpong", Procs: 2, Size: 1024}
+	if a.Hash() != a.Hash() {
+		t.Fatal("hash is not deterministic")
+	}
+	distinct := []Key{
+		a,
+		{Platform: "sun-atm-lan", Tool: "p4", Bench: "pingpong", Procs: 2, Size: 1024},
+		{Platform: "sun-ethernet", Tool: "pvm", Bench: "pingpong", Procs: 2, Size: 1024},
+		{Platform: "sun-ethernet", Tool: "p4", Bench: "ring", Procs: 2, Size: 1024},
+		{Platform: "sun-ethernet", Tool: "p4", Bench: "pingpong", Procs: 4, Size: 1024},
+		{Platform: "sun-ethernet", Tool: "p4", Bench: "pingpong", Procs: 2, Size: 2048},
+		{Platform: "sun-ethernet", Tool: "p4", Bench: "pingpong", Procs: 2, Size: 1024, Scale: 0.5},
+	}
+	hashes := map[uint64]Key{}
+	for _, k := range distinct {
+		if prev, dup := hashes[k.Hash()]; dup {
+			t.Fatalf("hash collision between %v and %v", prev, k)
+		}
+		hashes[k.Hash()] = k
+	}
+}

@@ -1,43 +1,37 @@
 package runner
 
 import (
-	"runtime"
 	"sync/atomic"
 	"testing"
 )
 
-// BenchmarkMemoContention measures the scheduler overhead the sharded
-// executor exists to remove: many goroutines resolving cells through
-// one executor. The cells themselves are trivial, so the benchmark is
-// dominated by what the paper's matrix never should be dominated by —
-// cache lock and pool semaphore traffic. Mostly hits (the steady state
-// of a sweep whose report replays memoized curves) with a fresh miss
-// every 16th call to keep the insert/evict path and the semaphore hot.
+// BenchmarkMemoContention measures the scheduler overhead of many
+// goroutines resolving cells through one executor. The cells
+// themselves are trivial, so the benchmark is dominated by what the
+// paper's matrix never should be dominated by — cache lock and pool
+// semaphore traffic. Mostly hits (the steady state of a sweep whose
+// report replays memoized curves) with a fresh miss every 16th call to
+// keep the insert/evict path and the semaphore hot.
 //
-//   - serial:  one worker, single-stripe cache — every call through one
-//     mutex (the pre-PR 5 shape at -j 1).
-//   - pooled:  GOMAXPROCS workers, still one cache mutex (the pre-PR 5
+//   - serial: one worker — every call through one mutex (the shape at
+//     -j 1).
+//   - pooled: GOMAXPROCS workers over the same single-stripe cache (the
 //     shape at high -j).
-//   - sharded: NewSharded(4, ...) — per-shard semaphores over a striped
-//     cache.
 //
 // Recorded in BENCH_PR5.json via scripts/record_bench.sh pr5.
 func BenchmarkMemoContention(b *testing.B) {
-	per := runtime.GOMAXPROCS(0)/4 + 1
 	for _, tc := range []struct {
 		name string
 		mk   func() Executor
 	}{
 		{"serial", func() Executor { return New(1) }},
 		{"pooled", func() Executor { return New(0) }},
-		{"sharded", func() Executor { return NewSharded(4, per) }},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
 			benchMemoContention(b, tc.mk())
 		})
 	}
 }
-
 func benchMemoContention(b *testing.B, x Executor) {
 	const warm = 512
 	compute := func() (CellResult, error) { return CellResult{Value: 1}, nil }
@@ -65,35 +59,23 @@ func benchMemoContention(b *testing.B, x Executor) {
 	})
 }
 
-// BenchmarkShardedSweep exercises the whole executor contract the way
-// the harness does — Map fan-out over a synthetic matrix of memoized
-// cells — comparing the single pool and the sharded backend end to
-// end.
-func BenchmarkShardedSweep(b *testing.B) {
+// BenchmarkSweep exercises the whole executor contract the way the
+// harness does — Map fan-out over a synthetic matrix of memoized cells
+// through the GOMAXPROCS pool.
+func BenchmarkSweep(b *testing.B) {
 	const cells = 256
-	per := runtime.GOMAXPROCS(0)/4 + 1
-	for _, tc := range []struct {
-		name string
-		mk   func() Executor
-	}{
-		{"pooled", func() Executor { return New(0) }},
-		{"sharded", func() Executor { return NewSharded(4, per) }},
-	} {
-		b.Run(tc.name, func(b *testing.B) {
-			x := tc.mk()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				err := x.Map(bg, cells, func(j int) error {
-					_, err := x.Memo(bg, Key{Bench: "sweep", Size: j}, func() (CellResult, error) {
-						return CellResult{Value: float64(j)}, nil
-					})
-					return err
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
+	x := New(0)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		err := x.Map(bg, cells, func(j int) error {
+			_, err := x.Memo(bg, Key{Bench: "sweep", Size: j}, func() (CellResult, error) {
+				return CellResult{Value: float64(j)}, nil
+			})
+			return err
 		})
+		if err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -6,6 +6,20 @@ import (
 	"testing"
 )
 
+// keysInBucket returns n distinct keys that all hash-route to bucket
+// index want out of buckets — the in-package way to aim load at one
+// cache stripe.
+func keysInBucket(buckets, want, n int) []Key {
+	keys := make([]Key, 0, n)
+	for size := 0; len(keys) < n; size++ {
+		k := Key{Bench: "pin", Size: size}
+		if bucket(k.Hash(), buckets) == want {
+			keys = append(keys, k)
+		}
+	}
+	return keys
+}
+
 func TestStripedCacheDefaults(t *testing.T) {
 	if got := NewCache().Stripes(); got != 1 {
 		t.Fatalf("NewCache().Stripes() = %d, want 1 (exact global LRU)", got)
@@ -187,7 +201,7 @@ func TestStripedCacheConcurrentCapacityResetMemo(t *testing.T) {
 	const stripes, capacity = 8, 32
 	c := NewStripedCache(stripes)
 	c.SetCapacity(capacity)
-	s := NewSharded(4, 2, WithCache(c))
+	s := New(8, WithCache(c))
 	var wg sync.WaitGroup
 	for g := 0; g < 6; g++ {
 		wg.Add(1)

@@ -60,9 +60,6 @@ type Config struct {
 	// Parallelism bounds each tenant session's concurrent simulations
 	// (0 = GOMAXPROCS).
 	Parallelism int
-	// Shards selects the sharded executor for tenant sessions (0 =
-	// single pool per tenant).
-	Shards int
 	// CacheStripes splits the shared cell cache into independently
 	// locked segments (0 = a sensible default for many tenants).
 	CacheStripes int

@@ -94,9 +94,6 @@ func (s *Server) buildTenant(id string, gen int64) *tenant {
 	if s.cfg.Parallelism > 0 {
 		opts = append(opts, tooleval.WithParallelism(s.cfg.Parallelism))
 	}
-	if s.cfg.Shards > 0 {
-		opts = append(opts, tooleval.WithShardedExecutor(s.cfg.Shards))
-	}
 	if tier.MaxCells > 0 {
 		opts = append(opts, tooleval.WithMaxCells(int(tier.MaxCells)))
 	}

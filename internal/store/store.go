@@ -20,7 +20,7 @@
 //
 // All fixed-width integers are little-endian. The key hash is
 // runner.Key.Hash over the canonical fields — the same content address
-// that routes cache stripes and executor shards — recorded per cell and
+// that routes cache stripes and remote workers — recorded per cell and
 // re-verified on load.
 //
 // # Recovery, not rejection

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"net/http/httptest"
 	"reflect"
+	"sync"
 	"testing"
 
 	"tooleval"
@@ -93,20 +94,15 @@ func TestWithRemoteExecutorConflicts(t *testing.T) {
 		name string
 		opts []tooleval.Option
 	}{
-		{"with executor", []tooleval.Option{
-			tooleval.WithExecutor(runner.New(2)),
-			tooleval.WithRemoteExecutor("localhost:1"),
-		}},
-		{"with sharded", []tooleval.Option{
-			tooleval.WithShardedExecutor(4),
-			tooleval.WithRemoteExecutor("localhost:1"),
-		}},
 		{"with custom tool", []tooleval.Option{
 			tooleval.WithTool("mine", nil),
 			tooleval.WithRemoteExecutor("localhost:1"),
 		}},
 		{"blank node", []tooleval.Option{
 			tooleval.WithRemoteExecutor(""),
+		}},
+		{"duplicate node", []tooleval.Option{
+			tooleval.WithRemoteExecutor("localhost:1", "localhost:1"),
 		}},
 	}
 	for _, tt := range cases {
@@ -118,5 +114,80 @@ func TestWithRemoteExecutorConflicts(t *testing.T) {
 			}()
 			tooleval.NewSession(tt.opts...)
 		})
+	}
+}
+
+// countingExecutor is a caller-built local executor: the built-in pool
+// underneath, plus a record of every cell key its Memo resolves.
+type countingExecutor struct {
+	runner.Executor
+	mu   sync.Mutex
+	seen map[tooleval.Cell]int
+}
+
+func newCountingExecutor(workers int) *countingExecutor {
+	return &countingExecutor{Executor: runner.New(workers), seen: map[tooleval.Cell]int{}}
+}
+
+func (c *countingExecutor) Memo(ctx context.Context, key tooleval.Cell, compute func() (tooleval.CellResult, error)) (float64, error) {
+	c.mu.Lock()
+	c.seen[key]++
+	c.mu.Unlock()
+	return c.Executor.Memo(ctx, key, compute)
+}
+
+// TestWithExecutorComposesWithRemoteExecutor: the remote backend
+// layers on top of a caller-built executor exactly as on the built-in
+// pool. The caller's executor keeps memoization — its Memo resolves
+// every cell of the sweep — while the cells themselves are computed on
+// the workers, and the output matches a serial local session.
+func TestWithExecutorComposesWithRemoteExecutor(t *testing.T) {
+	ctx := context.Background()
+	var mu sync.Mutex
+	serialCells := map[tooleval.Cell]bool{}
+	serial := tooleval.NewSession(
+		tooleval.WithParallelism(1),
+		tooleval.WithProgress(func(ev tooleval.CellEvent) {
+			mu.Lock()
+			serialCells[ev.Cell] = true
+			mu.Unlock()
+		}),
+	)
+	want, err := serial.Fig2(ctx, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	x := newCountingExecutor(4)
+	w1, w2 := startBenchWorker(t), startBenchWorker(t)
+	rem := tooleval.NewSession(tooleval.WithExecutor(x), tooleval.WithRemoteExecutor(w1.URL, w2.URL))
+	defer rem.Close()
+	got, err := rem.Fig2(ctx, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Render() != want.Render() || got.DatFile() != want.DatFile() {
+		t.Fatalf("remote over a custom executor differs from serial:\nserial:\n%s\nremote:\n%s", want.Render(), got.Render())
+	}
+
+	x.mu.Lock()
+	defer x.mu.Unlock()
+	if len(x.seen) != len(serialCells) {
+		t.Fatalf("custom executor's Memo saw %d distinct cells, the serial sweep resolved %d", len(x.seen), len(serialCells))
+	}
+	for cell := range serialCells {
+		if x.seen[cell] == 0 {
+			t.Fatalf("custom executor's Memo never saw cell %v", cell)
+		}
+	}
+	if rem.Cache() != x.Cache() {
+		t.Fatal("session does not memoize into the custom executor's cache")
+	}
+	var completed int64
+	for _, ns := range rem.NodeStats() {
+		completed += ns.Completed
+	}
+	if _, misses := rem.Stats(); misses == 0 || completed != misses {
+		t.Fatalf("workers completed %d RPCs for %d misses — every miss should be computed remotely", completed, misses)
 	}
 }

@@ -13,7 +13,7 @@
 # anything after it) writes BENCH_PR9.json, seeded from the PR 6
 # ledger — each file carries the full seed..prN progression.
 #
-# The contention benchmarks run at -cpu 4 so the serial/pooled/sharded
+# The contention benchmarks run at -cpu 4 so the serial/pooled
 # comparison actually contends even when GOMAXPROCS defaults low.
 #
 # Usage, from the repository root:
@@ -56,6 +56,6 @@ go test -run=NoSuchTest -bench='Table|Fig|ADL|Store|Remote' -benchmem -benchtime
 echo "record_bench: sim microbenchmarks (-benchtime=$count)" >&2
 go test -run=NoSuchTest -bench=. -benchmem -benchtime="$count" ./internal/sim >>"$tmp"
 echo "record_bench: scheduler contention benchmarks (-cpu 4)" >&2
-go test -run=NoSuchTest -bench='MemoContention|ShardedSweep' -benchmem -benchtime=2s -cpu 4 ./internal/runner >>"$tmp"
+go test -run=NoSuchTest -bench='MemoContention|Sweep$' -benchmem -benchtime=2s -cpu 4 ./internal/runner >>"$tmp"
 
 go run ./scripts/benchjson -label "$label" -out "$out" <"$tmp"

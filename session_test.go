@@ -100,40 +100,6 @@ func TestSessionCancelledBeforeStart(t *testing.T) {
 	}
 }
 
-// TestSetParallelismAtomicSwap: concurrent SetParallelism calls racing
-// with in-flight deprecated wrappers must be safe (-race) and leave a
-// coherent default session behind.
-func TestSetParallelismAtomicSwap(t *testing.T) {
-	// Leave a fresh default session behind for other tests.
-	//lint:ignore SA1019 the deprecated swap is this test's subject
-	defer tooleval.SetParallelism(0)
-	var wg sync.WaitGroup
-	for i := 0; i < 4; i++ {
-		i := i
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for k := 0; k < 3; k++ {
-				//lint:ignore SA1019 the deprecated swap is this test's subject
-				tooleval.SetParallelism(i%2 + 1)
-			}
-		}()
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			//lint:ignore SA1019 the deprecated wrapper is this test's subject
-			ms, err := tooleval.PingPong("sun-ethernet", "p4", []int{512 * i})
-			if err != nil || len(ms) != 1 {
-				t.Errorf("PingPong during swap: %v, %v", ms, err)
-			}
-		}()
-	}
-	wg.Wait()
-	if got := tooleval.DefaultSession().Parallelism(); got < 1 {
-		t.Fatalf("default session parallelism = %d after swaps", got)
-	}
-}
-
 // TestBenchmarkMethodsEnforcePortMatrix: every session method taking a
 // tool name applies the same §3.1 port gate — a TPL sweep must not
 // fabricate timings for a port that never existed.

@@ -21,10 +21,10 @@ import (
 type ResultStore = store.Store
 
 // Tier is the interface a second-tier result store implements; a
-// [ResultStore] is the built-in implementation. Attach one to a shared
-// [Cache] with its SetTier method when building a custom [Executor]
-// over the cache yourself — [WithResultStore] does exactly that for the
-// built-in backends.
+// [ResultStore] is the built-in implementation. Attach one to a
+// [Cache] with its SetTier method to share one store across sessions
+// or executors — [WithResultStore] does exactly that for the session's
+// own cache.
 type Tier = runner.Tier
 
 // OpenResultStore opens (creating if needed) the durable result store
@@ -43,16 +43,17 @@ func OpenResultStore(dir string) (*ResultStore, error) {
 // Results are deterministic functions of their keys, so replayed cells
 // are byte-identical to re-simulated ones at any parallelism.
 //
+// The store attaches to whichever cache the session's local executor
+// carries — the built-in pool's, the shared [WithCache] one, or the
+// cache of the executor given to [WithExecutor].
+//
 // The session owns the opened store: call [Session.Close] to sync and
 // close it (and surface any write error). NewSession panics if the
 // store cannot be opened or created (a damaged store is recovered, not
-// an error), if the option is combined with [WithExecutor] (the
-// executor owns its cache — open the store with [OpenResultStore] and
-// attach it via the cache's SetTier before building the executor), or
-// if the session's cache already has a tier attached (two sessions
-// pointing one shared [WithCache] cache at different stores would be a
-// configuration bug; attach the store to the shared cache once,
-// outside the sessions, instead).
+// an error), or if the session's cache already has a tier attached
+// (two sessions pointing one shared [WithCache] cache at different
+// stores would be a configuration bug; attach the store to the shared
+// cache once, outside the sessions, instead).
 func WithResultStore(dir string) Option {
 	return func(c *sessionConfig) { c.storeDir = dir }
 }

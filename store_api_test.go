@@ -69,8 +69,9 @@ func TestSessionCloseWithoutStore(t *testing.T) {
 	}
 }
 
-// TestWithResultStoreConflictsPanic: the option combinations that would
-// silently mis-wire the durable tier must fail loudly at construction.
+// TestWithResultStoreConflictsPanic: a store that cannot be opened, or
+// one that would silently mis-wire the durable tier, must fail loudly
+// at construction.
 func TestWithResultStoreConflictsPanic(t *testing.T) {
 	mustPanicStore := func(name, wantSub string, build func()) {
 		t.Helper()
@@ -85,9 +86,14 @@ func TestWithResultStoreConflictsPanic(t *testing.T) {
 		}()
 		build()
 	}
-	dir := t.TempDir()
-	mustPanicStore("WithResultStore+WithExecutor", "WithResultStore", func() {
-		tooleval.NewSession(tooleval.WithExecutor(runner.New(1)), tooleval.WithResultStore(dir))
+	// A regular file where the store directory should be is a real IO
+	// error, not damage the store could recover from.
+	file := filepath.Join(t.TempDir(), "not-a-dir")
+	if err := os.WriteFile(file, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	mustPanicStore("store path is a file", "WithResultStore", func() {
+		tooleval.NewSession(tooleval.WithResultStore(file))
 	})
 	// A shared cache that already carries a tier must not be silently
 	// pointed at a second store by another session.
@@ -99,9 +105,49 @@ func TestWithResultStoreConflictsPanic(t *testing.T) {
 	})
 }
 
-// TestOpenResultStoreWithCustomExecutor is the escape hatch the
-// WithExecutor panic points at: open the store yourself and attach it
-// to the executor's cache.
+// TestWithExecutorComposesWithResultStore: the durable tier attaches
+// to a caller-built executor's cache, so a second such session over the
+// same directory replays every cell from disk.
+func TestWithExecutorComposesWithResultStore(t *testing.T) {
+	ctx := context.Background()
+	dir := t.TempDir()
+	sizes := []int{128, 2 << 10, 16 << 10}
+
+	x := runner.New(2)
+	cold := tooleval.NewSession(tooleval.WithExecutor(x), tooleval.WithResultStore(dir))
+	want, err := cold.PingPong(ctx, "sun-ethernet", "p4", sizes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if x.Cache().Tier() == nil {
+		t.Fatal("WithResultStore did not attach the store to the executor's cache")
+	}
+	if _, misses := cold.Stats(); misses != int64(len(sizes)) {
+		t.Fatalf("cold run simulated %d cells, want %d", misses, len(sizes))
+	}
+	if err := cold.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	warm := tooleval.NewSession(tooleval.WithExecutor(runner.New(2)), tooleval.WithResultStore(dir))
+	defer warm.Close()
+	got, err := warm.PingPong(ctx, "sun-ethernet", "p4", sizes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hits, misses := warm.Stats(); misses != 0 || hits != int64(len(sizes)) {
+		t.Fatalf("warm run = %d hits / %d misses, want %d/0 (all replayed from the store)", hits, misses, len(sizes))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("size %d: warm %v != cold %v", sizes[i], got[i], want[i])
+		}
+	}
+}
+
+// TestOpenResultStoreWithCustomExecutor: a store opened by hand and
+// attached to an executor's cache persists cells exactly like one the
+// session opens itself.
 func TestOpenResultStoreWithCustomExecutor(t *testing.T) {
 	ctx := context.Background()
 	dir := t.TempDir()

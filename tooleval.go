@@ -40,15 +40,10 @@
 // heterogeneous sweep declared as data and yields results in spec
 // order as each completes ([Session.Submit] and [Session.SubmitAll]
 // are its fail-fast and drain-everything consumers); [WithEvents]
-// exposes the sweep's progress as a typed event stream. The
-// package-level functions mirroring Session methods are deprecated
-// compatibility wrappers over a lazily-built default session.
+// exposes the sweep's progress as a typed event stream.
 package tooleval
 
 import (
-	"context"
-	"sync/atomic"
-
 	"tooleval/internal/bench"
 	"tooleval/internal/core"
 	"tooleval/internal/mpt"
@@ -144,156 +139,3 @@ func RenderEvaluation(ev *Evaluation) string { return core.RenderEvaluation(ev) 
 // MarshalReport renders an evaluation as indented JSON for downstream
 // tooling (dashboards, regression tracking).
 func MarshalReport(ev *Evaluation) ([]byte, error) { return core.MarshalReport(ev) }
-
-// The process-wide default session backing the deprecated package-level
-// wrappers below. Built lazily on first use; swapped atomically by
-// SetParallelism, so the wrappers are safe to call concurrently with a
-// swap (in-flight calls finish on the session they started on).
-var defaultSession atomic.Pointer[Session]
-
-// DefaultSession returns the lazily-built session the deprecated
-// package-level functions delegate to. New code should build its own
-// [Session]; this accessor exists so legacy call sites can migrate
-// incrementally (e.g. to read Stats or hand the session around).
-func DefaultSession() *Session {
-	if s := defaultSession.Load(); s != nil {
-		return s
-	}
-	s := NewSession()
-	if defaultSession.CompareAndSwap(nil, s) {
-		return s
-	}
-	return defaultSession.Load()
-}
-
-// SetParallelism bounds how many independent simulations the default
-// session's scheduler runs at once (n < 1 selects GOMAXPROCS) by
-// atomically installing a fresh default session. The swap drops the
-// previous default session's memoization cache: cells computed before
-// the call are re-simulated if requested again. Calls already in
-// flight are unaffected — they complete on the session they started
-// on, with its cache and stats. Virtual time keeps every cell
-// deterministic, so results are identical at any parallelism; n == 1
-// reproduces the strictly serial sweep order.
-//
-// Deprecated: build an isolated [Session] with [WithParallelism]
-// instead of reconfiguring the shared default.
-func SetParallelism(n int) {
-	defaultSession.Store(NewSession(WithParallelism(n)))
-}
-
-// SchedulerStats reports the default session's memoization counters:
-// cells served from cache (hits) and cells actually simulated (misses).
-//
-// Deprecated: use [Session.Stats].
-func SchedulerStats() (hits, misses int64) {
-	return DefaultSession().Stats()
-}
-
-// Run executes body as an SPMD program under the named tool on the named
-// platform. All timing in the result is deterministic virtual time.
-//
-// Deprecated: use [Session.Run], which takes a context and an isolated
-// scheduler.
-func Run(platformKey, tool string, cfg RunConfig, body func(*Ctx) (any, error)) (*RunResult, error) {
-	return DefaultSession().Run(context.Background(), platformKey, tool, cfg, body)
-}
-
-// RunWithFactory is Run for a user-supplied tool implementation — the
-// methodology's second objective is serving as "a unified platform for
-// PDC tool developers".
-//
-// Deprecated: use [Session.RunWithFactory], or register the factory
-// with [WithTool] to enable the benchmark methods too.
-func RunWithFactory(platformKey string, factory Factory, cfg RunConfig, body func(*Ctx) (any, error)) (*RunResult, error) {
-	return DefaultSession().RunWithFactory(context.Background(), platformKey, factory, cfg, body)
-}
-
-// submitOne routes a deprecated wrapper through the default session's
-// batch surface: every legacy entry point is one ExperimentSpec
-// streamed through the same scheduler as a declarative sweep, so the
-// old API cannot drift from the new one.
-//
-// One legacy quirk is preserved deliberately: an empty size list was a
-// no-op sweep (empty curve, nil error) in the pre-spec API, while
-// ExperimentSpec validation rejects it — the TPL wrappers short-circuit
-// that case before building a spec. Other degenerate inputs the legacy
-// path silently simulated (e.g. a collective at Procs < 2) now return
-// the spec validation error.
-func submitOne(spec ExperimentSpec) (Result, error) {
-	results, err := DefaultSession().Submit(context.Background(), []ExperimentSpec{spec})
-	if err != nil {
-		return Result{Spec: spec}, err
-	}
-	return results[0], nil
-}
-
-// PingPong measures the send/receive round trip (Table 3's benchmark)
-// and returns milliseconds per message size.
-//
-// Deprecated: use [Session.PingPong], or declare the sweep as an
-// [ExperimentSpec] for [Session.Stream].
-func PingPong(platformKey, tool string, sizes []int) ([]float64, error) {
-	if len(sizes) == 0 {
-		return []float64{}, nil // legacy no-op sweep
-	}
-	res, err := submitOne(ExperimentSpec{Kind: KindPingPong, Platform: platformKey, Tool: tool, Sizes: sizes})
-	return res.Times, err
-}
-
-// Broadcast measures the collective broadcast (Figure 2's benchmark).
-//
-// Deprecated: use [Session.Broadcast], or declare the sweep as an
-// [ExperimentSpec] for [Session.Stream].
-func Broadcast(platformKey, tool string, procs int, sizes []int) ([]float64, error) {
-	if len(sizes) == 0 {
-		return []float64{}, nil // legacy no-op sweep
-	}
-	res, err := submitOne(ExperimentSpec{Kind: KindBroadcast, Platform: platformKey, Tool: tool, Procs: procs, Sizes: sizes})
-	return res.Times, err
-}
-
-// Ring measures the ring/loop benchmark (Figure 3).
-//
-// Deprecated: use [Session.Ring], or declare the sweep as an
-// [ExperimentSpec] for [Session.Stream].
-func Ring(platformKey, tool string, procs int, sizes []int) ([]float64, error) {
-	if len(sizes) == 0 {
-		return []float64{}, nil // legacy no-op sweep
-	}
-	res, err := submitOne(ExperimentSpec{Kind: KindRing, Platform: platformKey, Tool: tool, Procs: procs, Sizes: sizes})
-	return res.Times, err
-}
-
-// GlobalSum measures the integer-vector global summation (Figure 4).
-//
-// Deprecated: use [Session.GlobalSum], or declare the sweep as an
-// [ExperimentSpec] for [Session.Stream].
-func GlobalSum(platformKey, tool string, procs int, vectorLens []int) ([]float64, error) {
-	if len(vectorLens) == 0 {
-		return []float64{}, nil // legacy no-op sweep
-	}
-	res, err := submitOne(ExperimentSpec{Kind: KindGlobalSum, Platform: platformKey, Tool: tool, Procs: procs, Sizes: vectorLens})
-	return res.Times, err
-}
-
-// RunApp executes a suite application ("jpeg", "fft2d", "montecarlo",
-// "psrs") over a processor sweep and returns its execution-time curve.
-// scale shrinks the paper-scale workload (1.0 reproduces the paper).
-//
-// Deprecated: use [Session.RunApp], or declare the sweep as an
-// [ExperimentSpec] for [Session.Stream].
-func RunApp(platformKey, tool, app string, procsList []int, scale float64) (AppMeasurement, error) {
-	res, err := submitOne(ExperimentSpec{Kind: KindApp, Platform: platformKey, Tool: tool, App: app, ProcsList: procsList, Scale: scale})
-	return res.App, err
-}
-
-// Evaluate runs the complete multi-level methodology on the default
-// session (see [Session.Evaluate]). It cannot route through submitOne:
-// ExperimentSpec names its profile, while this wrapper accepts a full
-// WeightProfile value that may be custom-built and unnamed.
-//
-// Deprecated: use [Session.Evaluate].
-func Evaluate(profile WeightProfile, scale float64) (*Evaluation, error) {
-	return DefaultSession().Evaluate(context.Background(), profile, scale)
-}

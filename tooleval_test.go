@@ -125,40 +125,3 @@ func TestProfileByName(t *testing.T) {
 		t.Fatal("unknown profile should error")
 	}
 }
-
-// TestDeprecatedWrappersStillWork keeps the compatibility surface
-// honest: the package-level functions must keep serving legacy callers
-// through the default session.
-func TestDeprecatedWrappersStillWork(t *testing.T) {
-	//lint:ignore SA1019 the deprecated wrappers are this test's subject
-	ms, err := tooleval.PingPong("sun-ethernet", "p4", []int{1 << 10})
-	if err != nil || len(ms) != 1 {
-		t.Fatalf("PingPong wrapper = %v, %v", ms, err)
-	}
-	//lint:ignore SA1019 the deprecated wrappers are this test's subject
-	res, err := tooleval.Run("sun-ethernet", "pvm", tooleval.RunConfig{Procs: 2},
-		func(c *tooleval.Ctx) (any, error) { return c.Rank(), nil })
-	if err != nil || res.Value.(int) != 0 {
-		t.Fatalf("Run wrapper = %+v, %v", res, err)
-	}
-	//lint:ignore SA1019 the deprecated wrappers are this test's subject
-	if hits, misses := tooleval.SchedulerStats(); hits < 0 || misses < 1 {
-		t.Fatalf("SchedulerStats = %d, %d; the wrapper calls above must have simulated", hits, misses)
-	}
-}
-
-// TestDeprecatedWrappersEmptySweep pins the legacy no-op contract: an
-// empty size list is an empty curve, not a validation error, even now
-// that the wrappers route through the ExperimentSpec batch surface.
-func TestDeprecatedWrappersEmptySweep(t *testing.T) {
-	//lint:ignore SA1019 the deprecated wrappers are this test's subject
-	ms, err := tooleval.PingPong("sun-ethernet", "p4", nil)
-	if err != nil || ms == nil || len(ms) != 0 {
-		t.Fatalf("PingPong(nil sizes) = %v, %v; want empty curve, nil error", ms, err)
-	}
-	//lint:ignore SA1019 the deprecated wrappers are this test's subject
-	ms, err = tooleval.GlobalSum("sun-ethernet", "p4", 4, []int{})
-	if err != nil || ms == nil || len(ms) != 0 {
-		t.Fatalf("GlobalSum(no lens) = %v, %v; want empty curve, nil error", ms, err)
-	}
-}
