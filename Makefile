@@ -40,10 +40,17 @@ examples:
 	@set -e; for d in examples/*/; do echo "==> $$d"; $(GO) run "./$$d" > /dev/null; done
 
 # toolbenchd-smoke is the local mirror of CI's toolbenchd job: build
-# the daemon, run the server suite under the race detector, and stream
-# the short-mode concurrent-tenant load test.
+# the daemon, check that a bad config (a negative size, an unknown
+# flag) exits non-zero before listening, run the server suite under the
+# race detector, and stream the short-mode concurrent-tenant load test.
 toolbenchd-smoke:
 	$(GO) build -o /tmp/toolbenchd ./cmd/toolbenchd
+	@for args in "-j -1" "-cache-stripes 4"; do \
+		rc=0; timeout 10 /tmp/toolbenchd -addr 127.0.0.1:0 $$args || rc=$$?; \
+		if [ "$$rc" -eq 0 ] || [ "$$rc" -eq 124 ]; then \
+			echo "toolbenchd $$args started (exit $$rc), want a startup error" >&2; exit 1; \
+		fi; \
+	done
 	$(GO) test -race ./internal/server
 	$(GO) test -race -short -run TestLoadManyConcurrentTenants -v ./internal/server
 
@@ -73,8 +80,9 @@ bench-smoke:
 	$(GO) test -run=NoSuchTest -bench='MemoContention|Sweep$$' -benchtime=1x -cpu 4 ./internal/runner
 
 # bench-baseline records the current figure + store + remote + engine
-# + scheduler benchmark numbers into BENCH_PR9.json under the "pr9"
-# label, carrying the seed/pr3/pr5/pr6 history forward (see
-# scripts/record_bench.sh).
+# + scheduler benchmark numbers into BENCH_LEDGER.json under the
+# required LABEL, keeping every other recorded label (see
+# scripts/record_bench.sh). Usage: make bench-baseline LABEL=name
 bench-baseline:
-	./scripts/record_bench.sh pr9
+	@test -n "$(LABEL)" || { echo "usage: make bench-baseline LABEL=name" >&2; exit 2; }
+	./scripts/record_bench.sh "$(LABEL)"

@@ -46,9 +46,10 @@ type QuotaError = runner.QuotaError
 // built-in worker pool. The executor owns parallelism, so
 // [WithParallelism] is ignored when this option is present. Everything
 // else layers onto x as it would onto the built-in pool:
-// [WithCacheCapacity] bounds x's cache, [WithResultStore] attaches its
-// tier to x's cache, quota budgets wrap x, and [WithRemoteExecutor]
-// distributes the cells x would have computed.
+// [WithResultStore] attaches its tier to x's cache, quota budgets wrap
+// x, and [WithRemoteExecutor] distributes the cells x would have
+// computed. To bound x's cache, call SetCapacity on it (or on
+// [Session.Cache] afterwards).
 //
 // Combining [WithCache] with this option makes NewSession panic: x
 // already owns its cache, and a second one cannot be installed after
@@ -65,14 +66,14 @@ func WithExecutor(x Executor) Option {
 // WithRemoteExecutor distributes the session's sweep across worker
 // daemons (`toolbench-worker`) at the given addresses ("host:port" or
 // http:// URLs). Each cell is routed to a worker by rendezvous-hashing
-// its content key — the same FNV hash that picks cache stripes — and
-// the worker recomputes it from the key alone; cells are pure
-// functions of their keys, so a distributed sweep is byte-identical to
-// a local one. The local executor (the built-in pool, or the one given
-// to [WithExecutor]) stays on the coordinator and keeps memoization,
-// the optional [WithResultStore] tier, quota budgets, and event
-// observers; its concurrency bound ([WithParallelism] for the built-in
-// pool) bounds the in-flight RPCs.
+// its content key — the same FNV hash the durable store fingerprints
+// cells by — and the worker recomputes it from the key alone; cells
+// are pure functions of their keys, so a distributed sweep is
+// byte-identical to a local one. The local executor (the built-in
+// pool, or the one given to [WithExecutor]) stays on the coordinator
+// and keeps memoization, the optional [WithResultStore] tier, quota
+// budgets, and event observers; its concurrency bound
+// ([WithParallelism] for the built-in pool) bounds the in-flight RPCs.
 //
 // Worker loss is survived mid-sweep: a failing node's cells fail over
 // to the next node in their rendezvous order, and after a few
@@ -124,26 +125,4 @@ func WithMaxCells(n int) Option {
 // virtual-time report through the executor). d <= 0 means unlimited.
 func WithMaxVirtualTime(d time.Duration) Option {
 	return func(c *sessionConfig) { c.limits.MaxVirtualTime = d }
-}
-
-// WithCacheCapacity bounds the session's memoization cache to at most
-// n cells, evicting the least recently used when full. Evicted cells
-// are re-simulated on the next request — correct, since cells are
-// deterministic. Combined with [WithCache] it (re)configures the
-// shared cache; with [WithExecutor] it bounds the executor's cache;
-// otherwise it bounds the session's private cache. n <= 0 means
-// unbounded (the default — one evaluation matrix is finite, so
-// eviction only matters for long-lived shared caches).
-//
-// On a striped cache ([NewStripedCache]) the bound is approximate: n
-// is divided evenly across the stripes (rounded up), each stripe runs
-// its own LRU over its share, and eviction order is per stripe rather
-// than global — the cache may hold up to stripes-1 cells more than n,
-// and a stripe whose keys cluster may evict while the whole cache is
-// under n. Single-stripe caches (the default) keep the exact global
-// bound.
-func WithCacheCapacity(n int) Option {
-	return func(c *sessionConfig) {
-		c.cacheCap, c.cacheCapSet = n, true
-	}
 }

@@ -2,11 +2,11 @@
 // daemons. It is the second execution backend behind the
 // runner.Executor seam (after the in-process bounded pool): the
 // coordinator-side Remote routes each cell to a worker by
-// rendezvous-hashing the same FNV content hash that already picks
-// cache stripes, and the worker recomputes the cell from
-// its key alone — cells are pure functions of their content key, so
-// results are location-transparent and a distributed sweep is
-// byte-identical to a serial one.
+// rendezvous-hashing the FNV content hash of its key (runner.Key.Hash),
+// and the worker recomputes the cell from its key alone — cells are
+// pure functions of their content key, so results are
+// location-transparent and a distributed sweep is byte-identical to a
+// serial one.
 //
 // The wire protocol is deliberately small JSON-over-HTTP: one POST per
 // cell carrying the canonical key fields plus the coordinator's

@@ -15,10 +15,10 @@ import (
 //
 //   - serial: one worker — every call through one mutex (the shape at
 //     -j 1).
-//   - pooled: GOMAXPROCS workers over the same single-stripe cache (the
-//     shape at high -j).
+//   - pooled: GOMAXPROCS workers over the same cache (the shape at
+//     high -j).
 //
-// Recorded in BENCH_PR5.json via scripts/record_bench.sh pr5.
+// Recorded in BENCH_LEDGER.json via scripts/record_bench.sh.
 func BenchmarkMemoContention(b *testing.B) {
 	for _, tc := range []struct {
 		name string

@@ -147,12 +147,9 @@ type Runner struct {
 
 var _ Executor = (*Runner)(nil)
 
-// execConfig is New's option state: which cache to memoize into and
-// what bound to put on it.
+// execConfig is New's option state: which cache to memoize into.
 type execConfig struct {
-	cache       *Cache
-	cacheCap    int
-	cacheCapSet bool
+	cache *Cache
 }
 
 // Option configures a Runner under construction (see New).
@@ -169,16 +166,6 @@ func WithCache(c *Cache) Option {
 	}
 }
 
-// WithCacheCapacity bounds the executor's cache to at most n memoized
-// cells with LRU eviction (see Cache.SetCapacity). It applies to
-// whichever cache the executor ends up with — combined with WithCache
-// it (re)configures the shared cache.
-func WithCacheCapacity(n int) Option {
-	return func(cfg *execConfig) {
-		cfg.cacheCap, cfg.cacheCapSet = n, true
-	}
-}
-
 // New returns a Runner executing at most workers simulations at once.
 // workers < 1 selects GOMAXPROCS.
 func New(workers int, opts ...Option) *Runner {
@@ -191,9 +178,6 @@ func New(workers int, opts ...Option) *Runner {
 	}
 	if cfg.cache == nil {
 		cfg.cache = NewCache()
-	}
-	if cfg.cacheCapSet {
-		cfg.cache.SetCapacity(cfg.cacheCap)
 	}
 	return &Runner{
 		workers: workers,
@@ -263,13 +247,12 @@ func (r *Runner) Memo(ctx context.Context, key Key, compute func() (CellResult, 
 	if err := ctx.Err(); err != nil {
 		return 0, err
 	}
-	st := c.stripeFor(key)
-	st.mu.Lock()
-	if e, ok := st.lookupLocked(key); ok {
-		st.mu.Unlock()
+	c.mu.Lock()
+	if e, ok := c.lookupLocked(key); ok {
+		c.mu.Unlock()
 		return wait(e)
 	}
-	st.mu.Unlock()
+	c.mu.Unlock()
 
 	// Acquire the pool token before committing to compute, so a queued
 	// cell can still be cancelled. Another goroutine may have published
@@ -279,14 +262,14 @@ func (r *Runner) Memo(ctx context.Context, key Key, compute func() (CellResult, 
 	case <-ctx.Done():
 		return 0, ctx.Err()
 	}
-	st.mu.Lock()
-	if e, ok := st.lookupLocked(key); ok {
-		st.mu.Unlock()
+	c.mu.Lock()
+	if e, ok := c.lookupLocked(key); ok {
+		c.mu.Unlock()
 		<-r.sem
 		return wait(e)
 	}
-	e := st.insertLocked(key)
-	st.mu.Unlock()
+	e := c.insertLocked(key)
+	c.mu.Unlock()
 
 	// This call owns the in-flight entry. Before simulating, consult the
 	// durable second tier: a stored cell is a hit — deterministic, so the
@@ -323,7 +306,7 @@ func (r *Runner) Memo(ctx context.Context, key Key, compute func() (CellResult, 
 		switch {
 		case e.err == nil:
 			// Write the completed cell through to the durable tier —
-			// behind the stripe lock's critical section, so a disk append
+			// outside the cache lock's critical section, so a disk append
 			// never extends any lock hold.
 			if tier != nil {
 				tier.Fill(key, res)
@@ -334,7 +317,7 @@ func (r *Runner) Memo(ctx context.Context, key Key, compute func() (CellResult, 
 			// nothing about the cell — retract the entry so the next
 			// request re-simulates, and wake the coalesced waiters with
 			// the error. Nothing reaches the durable tier either.
-			st.remove(key, e)
+			c.remove(key, e)
 		}
 		<-r.sem
 		close(e.done)

@@ -18,7 +18,7 @@ package runner
 //     the memory tier for the life of the process, and context errors
 //     are not cached anywhere (see Executor.Memo).
 //   - Both methods must be safe for concurrent use. They are called
-//     outside the cache's stripe locks, from whichever goroutine
+//     outside the cache lock, from whichever goroutine
 //     resolved the cell.
 type Tier interface {
 	// Lookup returns the stored result for key, if present.

@@ -9,7 +9,7 @@
 //
 // Each tenant gets its own tooleval.Session under a configured quota
 // tier (cell and virtual-time budgets, concurrent-job limit), while
-// every session memoizes into one shared striped cache — optionally
+// every session memoizes into one shared cache — optionally
 // backed by the durable result store — so concurrent tenants
 // requesting overlapping matrices deduplicate the simulation work.
 // Content-keyed memoization makes the sharing tenant-transparent:
@@ -60,11 +60,8 @@ type Config struct {
 	// Parallelism bounds each tenant session's concurrent simulations
 	// (0 = GOMAXPROCS).
 	Parallelism int
-	// CacheStripes splits the shared cell cache into independently
-	// locked segments (0 = a sensible default for many tenants).
-	CacheStripes int
-	// CacheCapacity bounds the shared cache to n cells with LRU
-	// eviction (0 = unbounded).
+	// CacheCapacity bounds the shared cache to exactly n cells with
+	// LRU eviction (0 = unbounded).
 	CacheCapacity int
 	// StoreDir attaches the durable result store in this directory to
 	// the shared cache ("" = memory only). The server owns the store
@@ -109,24 +106,40 @@ type Config struct {
 	Logf func(format string, args ...any)
 }
 
-// Normalize fills defaults in place and validates the tier wiring.
+// Normalize validates c and fills defaults in place. A negative size,
+// count or timeout is an error naming the field — zero selects the
+// default — except ResumeWindow, where negative means "cancel on
+// disconnect".
 func (c *Config) Normalize() error {
-	if c.DrainTimeout <= 0 {
+	for _, f := range []struct {
+		name     string
+		negative bool
+		v        any
+	}{
+		{"Parallelism", c.Parallelism < 0, c.Parallelism},
+		{"CacheCapacity", c.CacheCapacity < 0, c.CacheCapacity},
+		{"DrainTimeout", c.DrainTimeout < 0, c.DrainTimeout},
+		{"MaxJobsRetained", c.MaxJobsRetained < 0, c.MaxJobsRetained},
+		{"MaxSpecsPerJob", c.MaxSpecsPerJob < 0, c.MaxSpecsPerJob},
+		{"EventBuffer", c.EventBuffer < 0, c.EventBuffer},
+	} {
+		if f.negative {
+			return fmt.Errorf("server: %s is negative (%v); use 0 for the default", f.name, f.v)
+		}
+	}
+	if c.DrainTimeout == 0 {
 		c.DrainTimeout = 30 * time.Second
 	}
-	if c.CacheStripes <= 0 {
-		c.CacheStripes = 16
-	}
-	if c.MaxJobsRetained <= 0 {
+	if c.MaxJobsRetained == 0 {
 		c.MaxJobsRetained = 64
 	}
-	if c.MaxSpecsPerJob <= 0 {
+	if c.MaxSpecsPerJob == 0 {
 		c.MaxSpecsPerJob = 1024
 	}
 	if c.ResumeWindow == 0 {
 		c.ResumeWindow = 15 * time.Second
 	}
-	if c.EventBuffer <= 0 {
+	if c.EventBuffer == 0 {
 		c.EventBuffer = 4096
 	}
 	if c.DefaultTier != "" {

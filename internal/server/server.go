@@ -12,7 +12,7 @@ import (
 	"tooleval"
 )
 
-// Server is the toolbenchd state: the shared striped cache (optionally
+// Server is the toolbenchd state: the shared cache (optionally
 // backed by the durable store), the tenant registry, the job index,
 // and the drain machinery. Build one with New, expose it with Handler
 // (tests) or run it with ListenAndServe/Serve (the daemon).
@@ -52,10 +52,8 @@ func New(cfg Config) (*Server, error) {
 	if err := cfg.Normalize(); err != nil {
 		return nil, err
 	}
-	cache := tooleval.NewStripedCache(cfg.CacheStripes)
-	if cfg.CacheCapacity > 0 {
-		cache.SetCapacity(cfg.CacheCapacity)
-	}
+	cache := tooleval.NewCache()
+	cache.SetCapacity(cfg.CacheCapacity)
 	s := &Server{cfg: cfg, cache: cache, started: time.Now()}
 	if cfg.StoreDir != "" {
 		open := cfg.OpenStore

@@ -711,6 +711,30 @@ func TestStoreDurability(t *testing.T) {
 	}
 }
 
+// TestSharedCacheBoundIsExact: the shared cache holds no more cells
+// than CacheCapacity once a sweep over many more distinct cells is done.
+func TestSharedCacheBoundIsExact(t *testing.T) {
+	const capacity = 4
+	s, ts := newTestServer(t, Config{CacheCapacity: capacity})
+	sizes := make([]int, 24)
+	for i := range sizes {
+		sizes[i] = i * 64
+	}
+	batch := []tooleval.ExperimentSpec{{Kind: tooleval.KindPingPong, Platform: "sun-ethernet", Tool: "p4", Sizes: sizes}}
+	resp := postJob(t, ts.URL, "alice", batch)
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d: %s", resp.StatusCode, body)
+	}
+	if st := s.Cache().Stats(); st.Misses < int64(len(sizes)) {
+		t.Fatalf("resolved %d distinct cells, want >= %d", st.Misses, len(sizes))
+	}
+	if got := s.Cache().Len(); got > capacity {
+		t.Fatalf("shared cache holds %d cells, want <= CacheCapacity %d", got, capacity)
+	}
+}
+
 // TestConfigParsing covers the tier flag grammar and Normalize's
 // validation.
 func TestConfigParsing(t *testing.T) {
@@ -744,6 +768,26 @@ func TestConfigParsing(t *testing.T) {
 	}
 	if _, err := New(Config{TenantTiers: map[string]string{"a": "ghost"}}); err == nil {
 		t.Fatal("unknown tenant tier accepted")
+	}
+
+	// A negative size is a configuration error naming its field, not a
+	// silent default; ResumeWindow alone gives negative a meaning.
+	for field, bad := range map[string]Config{
+		"Parallelism":     {Parallelism: -4},
+		"CacheCapacity":   {CacheCapacity: -1},
+		"DrainTimeout":    {DrainTimeout: -time.Second},
+		"MaxJobsRetained": {MaxJobsRetained: -1},
+		"MaxSpecsPerJob":  {MaxSpecsPerJob: -1},
+		"EventBuffer":     {EventBuffer: -1},
+	} {
+		if _, err := New(bad); err == nil || !strings.Contains(err.Error(), field) {
+			t.Fatalf("New with negative %s = %v, want an error naming the field", field, err)
+		}
+	}
+	if s, err := New(Config{ResumeWindow: -1}); err != nil {
+		t.Fatalf("negative ResumeWindow (cancel on disconnect) rejected: %v", err)
+	} else {
+		s.Close()
 	}
 
 	cfg := Config{Tiers: map[string]QuotaTier{"free": {Name: "free"}}, TenantTiers: map[string]string{"a": "free"}}

@@ -20,7 +20,7 @@ import (
 //
 // All benchmarks use virtual time only and are bit-deterministic, so
 // ns/op and allocs/op are comparable across commits; scripts/record_bench.sh
-// snapshots them into BENCH_PR3.json.
+// snapshots them into BENCH_LEDGER.json.
 
 // runStorm is the shared sleep-storm workload: procs processes each
 // performing sleeps short sleeps with distinct periods, forcing constant

@@ -1,5 +1,5 @@
 // Command benchjson converts `go test -bench` output on stdin into a
-// labeled section of a JSON benchmark ledger (BENCH_PR3.json): for each
+// labeled section of the JSON benchmark ledger (BENCH_LEDGER.json): for each
 // benchmark it records ns/op, B/op and allocs/op. Labeled sections let
 // one file hold a before/after pair (e.g. "seed" vs "pr3") so perf PRs
 // ship with their measured evidence.
@@ -7,7 +7,7 @@
 // Usage:
 //
 //	go test -run=NoSuchTest -bench=. -benchmem ./... | \
-//	    go run ./scripts/benchjson -label pr3 -out BENCH_PR3.json
+//	    go run ./scripts/benchjson -label baseline
 //
 // The output file is read-modify-written: other labels are preserved,
 // the given label is replaced wholesale.
@@ -32,7 +32,7 @@ type Metrics struct {
 
 func main() {
 	label := flag.String("label", "", "section name to write (e.g. seed, pr3)")
-	out := flag.String("out", "BENCH_PR3.json", "JSON ledger to update")
+	out := flag.String("out", "BENCH_LEDGER.json", "JSON ledger to update")
 	flag.Parse()
 	if *label == "" {
 		fmt.Fprintln(os.Stderr, "benchjson: -label is required")

@@ -21,6 +21,11 @@ import (
 // Cache pool their results: a cell simulated by one is a cache hit for
 // the other. The hit/miss counters travel with the cache.
 //
+// A cache grows without bound by default. SetCapacity(n) bounds it to
+// exactly n cells with least-recently-used eviction — call it before
+// [WithCache], or later on [Session.Cache]; evicted cells re-simulate
+// on their next request.
+//
 // Sessions sharing a Cache must agree on what every tool name means:
 // two sessions registering different factories under the same custom
 // name would memoize conflicting results under equal keys.
@@ -28,12 +33,6 @@ type Cache = runner.Cache
 
 // NewCache returns an empty cell cache for use with WithCache.
 func NewCache() *Cache { return runner.NewCache() }
-
-// NewStripedCache returns an empty cell cache split into n
-// independently locked segments (n < 1 selects a default). Same
-// sharing contract as NewCache; prefer it when many sessions hammer
-// one shared cache, where a single cache lock would serialize them.
-func NewStripedCache(n int) *Cache { return runner.NewStripedCache(n) }
 
 // Cell identifies one memoized simulation cell — one entry of the
 // paper's evaluation matrix.
@@ -82,8 +81,6 @@ type Session struct {
 type sessionConfig struct {
 	parallelism int
 	cache       *Cache
-	cacheCap    int
-	cacheCapSet bool
 	tools       map[string]Factory
 	sinks       []func(Event)
 	executor    Executor
@@ -184,10 +181,6 @@ func NewSession(opts ...Option) *Session {
 		// cache cannot be installed after the fact, so combining the two
 		// options is a configuration bug, not a preference to drop.
 		panic("tooleval: WithCache conflicts with WithExecutor — the executor owns its cache; build the executor over the shared cache instead")
-	}
-	// A capacity bound applies to whatever cache the executor carries.
-	if cfg.cacheCapSet {
-		x.Cache().SetCapacity(cfg.cacheCap)
 	}
 	if len(cfg.workers) > 0 && len(cfg.tools) > 0 {
 		// A custom factory exists only in this process's registry; a

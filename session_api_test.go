@@ -107,8 +107,9 @@ func TestQuotaAppliesToDirectRuns(t *testing.T) {
 	}
 }
 
-func TestWithCacheCapacityBoundsSessionCache(t *testing.T) {
-	sess := tooleval.NewSession(tooleval.WithParallelism(1), tooleval.WithCacheCapacity(2))
+func TestSetCapacityBoundsSessionCache(t *testing.T) {
+	sess := tooleval.NewSession(tooleval.WithParallelism(1))
+	sess.Cache().SetCapacity(2)
 	sizes := []int{0, 1 << 10, 2 << 10, 4 << 10}
 	if _, err := sess.PingPong(context.Background(), "sun-ethernet", "p4", sizes); err != nil {
 		t.Fatal(err)
@@ -282,21 +283,6 @@ func TestWithExecutorRoutesEverything(t *testing.T) {
 	}
 }
 
-// TestWithExecutorAppliesCacheCapacity: a capacity bound must reach a
-// caller-supplied executor's cache instead of being silently dropped
-// (the executor cannot be rebuilt, but SetCapacity applies to any
-// cache).
-func TestWithExecutorAppliesCacheCapacity(t *testing.T) {
-	x := runner.New(2)
-	sess := tooleval.NewSession(tooleval.WithExecutor(x), tooleval.WithCacheCapacity(5))
-	if got := x.Cache().Capacity(); got != 5 {
-		t.Fatalf("executor cache capacity = %d, want 5 (WithCacheCapacity applied)", got)
-	}
-	if sess.Cache().Capacity() != 5 {
-		t.Fatalf("session cache capacity = %d, want 5", sess.Cache().Capacity())
-	}
-}
-
 // TestWithExecutorConflictsPanic: combining WithCache with
 // WithExecutor is a configuration bug that must fail loudly at
 // construction, not be silently ignored.
@@ -319,12 +305,12 @@ func TestWithExecutorConflictsPanic(t *testing.T) {
 	})
 }
 
-// TestPooledSessionsShareStripedCache: a shared striped cache pools
-// results between two sessions exactly like a single-stripe one — the
-// second session's sweep is all hits.
+// TestPooledSessionsShareStripedCache: one cache shared by two
+// sessions' worker pools (the shape toolbenchd runs) pools their
+// results — the second session's sweep is all hits.
 func TestPooledSessionsShareStripedCache(t *testing.T) {
 	ctx := context.Background()
-	cache := tooleval.NewStripedCache(8)
+	cache := tooleval.NewCache()
 	sizes := []int{0, 2 << 10}
 	first := tooleval.NewSession(tooleval.WithParallelism(2), tooleval.WithCache(cache))
 	want, err := first.PingPong(ctx, "sun-ethernet", "p4", sizes)
@@ -340,6 +326,6 @@ func TestPooledSessionsShareStripedCache(t *testing.T) {
 		t.Fatalf("second session over the shared cache = %v, want %v", got, want)
 	}
 	if hits, misses := second.Stats(); misses != int64(len(sizes)) || hits != int64(len(sizes)) {
-		t.Fatalf("shared striped cache stats = %d hits / %d misses, want %d/%d", hits, misses, len(sizes), len(sizes))
+		t.Fatalf("shared cache stats = %d hits / %d misses, want %d/%d", hits, misses, len(sizes), len(sizes))
 	}
 }
