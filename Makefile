@@ -5,7 +5,7 @@ GO ?= go
 # version requires.
 STATICCHECK_VERSION ?= 2025.1.1
 
-.PHONY: build test vet toolvet lint examples toolbenchd-smoke remote-smoke chaos bench-smoke bench-baseline
+.PHONY: build test vet toolvet lint examples toolbenchd-smoke remote-smoke chaos fuzz-smoke bench-smoke bench-baseline
 
 build:
 	$(GO) build ./...
@@ -70,6 +70,17 @@ remote-smoke:
 chaos:
 	$(GO) test -race -short -run TestChaos ./...
 	$(GO) test -race -run TestChaos ./...
+
+# fuzz-smoke runs every native fuzz target for FUZZTIME each — the
+# local mirror of CI's fuzz-smoke job. Each run first replays the
+# committed corpus under the package's testdata/fuzz; a crash writes
+# its reproducer there (commit it with the fix). `go test -fuzz` takes
+# one target per run, hence one line per target.
+FUZZTIME ?= 10s
+fuzz-smoke:
+	$(GO) test -run=NONE -fuzz='^FuzzXDROpaque$$' -fuzztime=$(FUZZTIME) ./internal/mpt
+	$(GO) test -run=NONE -fuzz='^FuzzCombineSum$$' -fuzztime=$(FUZZTIME) ./internal/mpt
+	$(GO) test -run=NONE -fuzz='^FuzzFragFrame$$' -fuzztime=$(FUZZTIME) ./internal/mpt/pvm
 
 # bench-smoke compiles and runs every benchmark for exactly one
 # iteration — the CI guard against benchmark bit-rot — plus one

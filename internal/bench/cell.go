@@ -113,8 +113,9 @@ func computeRing(pf platform.Platform, toolName string, factory mpt.Factory, pro
 func computeGlobalSum(pf platform.Platform, toolName string, factory mpt.Factory, procs, n int) (runner.CellResult, error) {
 	res, err := mpt.Run(pf, factory, mpt.RunConfig{Procs: procs}, func(c *mpt.Ctx) (any, error) {
 		vec := make([]int64, n)
+		me := c.Rank()
 		for i := range vec {
-			vec[i] = int64(c.Rank() + i)
+			vec[i] = int64(me + i)
 		}
 		sum, err := c.Comm.GlobalSumInt64(vec)
 		if err != nil {

@@ -23,7 +23,7 @@ func EncodeInt64s(vec []int64) []byte {
 // DecodeInt64s reverses EncodeInt64s.
 func DecodeInt64s(data []byte) ([]int64, error) {
 	if len(data)%8 != 0 {
-		return nil, fmt.Errorf("mpt: int64 payload length %d not a multiple of 8", len(data))
+		return nil, fmt.Errorf("%w: int64 payload length %d not a multiple of 8", ErrMalformed, len(data))
 	}
 	out := make([]int64, len(data)/8)
 	for i := range out {
@@ -44,7 +44,7 @@ func EncodeFloat64s(vec []float64) []byte {
 // DecodeFloat64s reverses EncodeFloat64s.
 func DecodeFloat64s(data []byte) ([]float64, error) {
 	if len(data)%8 != 0 {
-		return nil, fmt.Errorf("mpt: float64 payload length %d not a multiple of 8", len(data))
+		return nil, fmt.Errorf("%w: float64 payload length %d not a multiple of 8", ErrMalformed, len(data))
 	}
 	out := make([]float64, len(data)/8)
 	for i := range out {
@@ -64,32 +64,35 @@ func EncodeUint32(dst []byte, v uint32) []byte {
 // DecodeUint32 reads a big-endian uint32 at off.
 func DecodeUint32(src []byte, off int) (uint32, error) {
 	if off+4 > len(src) {
-		return 0, fmt.Errorf("mpt: short header: need 4 bytes at %d, have %d", off, len(src))
+		return 0, fmt.Errorf("%w: short header: need 4 bytes at %d, have %d", ErrMalformed, off, len(src))
 	}
 	return binary.BigEndian.Uint32(src[off:]), nil
 }
 
-// XDROpaque encodes data as an XDR opaque: 4-byte big-endian length,
-// payload, zero padding to a 4-byte boundary. This is the real pass PVM
-// makes over every outgoing buffer; the simulation both performs it (the
-// bytes on the simulated wire are XDR bytes) and charges CPU time for it.
-func XDROpaque(data []byte) []byte {
-	padded := (len(data) + 3) &^ 3
-	out := make([]byte, 4+padded)
-	binary.BigEndian.PutUint32(out, uint32(len(data)))
-	copy(out[4:], data)
-	return out
+// AppendXDROpaque appends data to dst as an XDR opaque: 4-byte
+// big-endian length, payload, zero padding to a 4-byte boundary. This is
+// the real pass PVM makes over every outgoing buffer; the simulation both
+// performs it (the bytes on the simulated wire are XDR bytes) and charges
+// CPU time for it. Appending lets a sender write its envelope and the
+// encoding into one buffer: size dst with XDROpaqueSize to avoid a grow.
+func AppendXDROpaque(dst, data []byte) []byte {
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(data)))
+	dst = append(dst, data...)
+	return append(dst, xdrPad[:(4-len(data)%4)%4]...)
 }
 
-// XDROpaqueDecode reverses XDROpaque.
+var xdrPad [3]byte
+
+// XDROpaqueDecode reverses AppendXDROpaque. It returns a fresh copy of
+// the payload: this is the modelled unpack into the user's buffer.
 func XDROpaqueDecode(enc []byte) ([]byte, error) {
 	if len(enc) < 4 {
-		return nil, fmt.Errorf("mpt: XDR opaque too short: %d bytes", len(enc))
+		return nil, fmt.Errorf("%w: XDR opaque too short: %d bytes", ErrMalformed, len(enc))
 	}
 	n := binary.BigEndian.Uint32(enc)
 	padded := (int(n) + 3) &^ 3
 	if len(enc) < 4+padded {
-		return nil, fmt.Errorf("mpt: XDR opaque truncated: header says %d, have %d", n, len(enc)-4)
+		return nil, fmt.Errorf("%w: XDR opaque truncated: header says %d, have %d", ErrMalformed, n, len(enc)-4)
 	}
 	out := make([]byte, n)
 	copy(out, enc[4:4+n])

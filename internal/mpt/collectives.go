@@ -1,8 +1,10 @@
 package mpt
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 )
 
 // Reusable collective algorithms, parameterized over a tool's point-to-
@@ -46,10 +48,6 @@ func BinomialBcast(c Comm, root, tag int, data []byte) ([]byte, error) {
 				return nil, fmt.Errorf("binomial bcast send to %d: %w", dst, err)
 			}
 		}
-		if me >= mask && me < mask<<1 {
-			// Already received above; nothing further this round.
-			continue
-		}
 	}
 	return data, nil
 }
@@ -82,7 +80,10 @@ func LinearBcast(c Comm, root, tag int, data []byte) ([]byte, error) {
 
 // TreeReduce folds every rank's contribution to rank root over a binomial
 // tree. combine must be associative and commutative; it receives the
-// accumulated local value and a peer's encoded contribution.
+// accumulated local value and a peer's encoded contribution, may write
+// the result into acc and return it, and must leave peer unchanged. The
+// reduction owns its accumulator, so local must be a buffer the caller
+// hands over (a fresh encoding), never one it still reads.
 func TreeReduce(c Comm, root, tag int, local []byte, combine func(acc, peer []byte) ([]byte, error)) ([]byte, error) {
 	n := c.Size()
 	if err := validRank(n, root); err != nil {
@@ -125,42 +126,43 @@ func TreeBarrier(c Comm, tag int) error {
 }
 
 // CombineSumInt64 is the element-wise int64 vector sum used by the
-// global-summation primitive (Figure 4's benchmark).
+// global-summation primitive (Figure 4's benchmark). It adds peer into
+// acc in encoded form and returns acc: one pass, no allocation.
 func CombineSumInt64(acc, peer []byte) ([]byte, error) {
-	a, err := DecodeInt64s(acc)
-	if err != nil {
+	if err := checkCombine("int64", acc, peer); err != nil {
 		return nil, err
 	}
-	b, err := DecodeInt64s(peer)
-	if err != nil {
-		return nil, err
+	for i := 0; i < len(acc); i += 8 {
+		a := binary.LittleEndian.Uint64(acc[i:])
+		binary.LittleEndian.PutUint64(acc[i:], a+binary.LittleEndian.Uint64(peer[i:]))
 	}
-	if len(a) != len(b) {
-		return nil, fmt.Errorf("mpt: global sum length mismatch: %d vs %d", len(a), len(b))
-	}
-	for i := range a {
-		a[i] += b[i]
-	}
-	return EncodeInt64s(a), nil
+	return acc, nil
 }
 
 // CombineSumFloat64 is the float64 variant of CombineSumInt64.
 func CombineSumFloat64(acc, peer []byte) ([]byte, error) {
-	a, err := DecodeFloat64s(acc)
-	if err != nil {
+	if err := checkCombine("float64", acc, peer); err != nil {
 		return nil, err
 	}
-	b, err := DecodeFloat64s(peer)
-	if err != nil {
-		return nil, err
+	for i := 0; i < len(acc); i += 8 {
+		a := math.Float64frombits(binary.LittleEndian.Uint64(acc[i:]))
+		b := math.Float64frombits(binary.LittleEndian.Uint64(peer[i:]))
+		binary.LittleEndian.PutUint64(acc[i:], math.Float64bits(a+b))
 	}
-	if len(a) != len(b) {
-		return nil, fmt.Errorf("mpt: global sum length mismatch: %d vs %d", len(a), len(b))
+	return acc, nil
+}
+
+// checkCombine validates the operands of an element-wise 8-byte combine.
+func checkCombine(elem string, acc, peer []byte) error {
+	for _, b := range [2][]byte{acc, peer} {
+		if len(b)%8 != 0 {
+			return fmt.Errorf("%w: %s payload length %d not a multiple of 8", ErrMalformed, elem, len(b))
+		}
 	}
-	for i := range a {
-		a[i] += b[i]
+	if len(acc) != len(peer) {
+		return fmt.Errorf("%w: global sum length mismatch: %d vs %d", ErrMalformed, len(acc)/8, len(peer)/8)
 	}
-	return EncodeFloat64s(a), nil
+	return nil
 }
 
 // GlobalSumViaTree implements the combine primitive (reduce to rank 0,

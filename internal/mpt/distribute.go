@@ -73,14 +73,19 @@ func Gather(c Comm, root, tag int, mine []byte) ([][]byte, error) {
 	}
 	out := make([][]byte, n)
 	out[root] = CloneData(mine)
+	// Arrivals are tracked apart from out: an empty contribution is
+	// delivered as nil, so out[src] != nil cannot tell it was seen.
+	seen := make([]bool, n)
+	seen[root] = true
 	for i := 0; i < n-1; i++ {
 		msg, err := c.Recv(AnySource, mixDistTag(tag, TagGatherOp))
 		if err != nil {
 			return nil, fmt.Errorf("gather recv: %w", err)
 		}
-		if msg.Src < 0 || msg.Src >= n || out[msg.Src] != nil {
+		if msg.Src < 0 || msg.Src >= n || seen[msg.Src] {
 			return nil, fmt.Errorf("gather: duplicate or invalid contribution from %d", msg.Src)
 		}
+		seen[msg.Src] = true
 		out[msg.Src] = msg.Data
 	}
 	return out, nil

@@ -10,6 +10,22 @@
 // fixed-size packetization for Express. The paper's Tool Performance
 // Level results emerge from those mechanisms rather than from per-curve
 // constants.
+//
+// Payload ownership follows one rule at every hop, so each hop costs at
+// most one host copy:
+//
+//   - Send copies the caller's buffer once, at the tool boundary. That
+//     copy is the modelled user-to-kernel copy; the caller may reuse its
+//     buffer as soon as Send returns.
+//   - A delivered Message.Data belongs to the receiver.
+//   - Inside a tool, a payload is immutable once it has been handed on —
+//     to a daemon, a fragment stream or a reassembly buffer — and is
+//     shared there by reference, never cloned.
+//   - A reduction owns its accumulator: TreeReduce's combine adds into
+//     it in place.
+//
+// The virtual cost of a hop is computed from payload lengths alone, so
+// the host copies a tool skips change no simulated time.
 package mpt
 
 import (
@@ -39,11 +55,17 @@ const (
 // primitive (the paper's "Not Available": PVM has no global reduction).
 var ErrNotSupported = errors.New("mpt: primitive not supported by this tool")
 
+// ErrMalformed reports an encoded payload that does not decode: a
+// length that is not a whole number of elements, a truncated header, or
+// operands of a combine that disagree in length.
+var ErrMalformed = errors.New("mpt: malformed payload")
+
 // Message is a delivered user-level message.
 type Message struct {
 	// Src is the sending rank and Tag the user tag.
 	Src, Tag int
-	// Data is the payload. The receiver owns it.
+	// Data is the payload. The receiver owns it: no tool keeps a
+	// reference it will write through, and no other receiver shares it.
 	Data []byte
 	// SentAt is when the sending task issued the send; DeliveredAt is
 	// when the message became visible to the receiving task.
@@ -65,7 +87,8 @@ type Comm interface {
 	Size() int
 	// Send transmits data to rank dst with the given tag. Buffering
 	// semantics (whether Send blocks until the data is on the wire) are
-	// tool-specific; data is always safe to reuse on return.
+	// tool-specific; Send copies data once, before it returns, so data is
+	// always safe to reuse on return.
 	Send(dst, tag int, data []byte) error
 	// Recv blocks until a message matching (src, tag) is available.
 	// AnySource / AnyTag act as wildcards.

@@ -436,7 +436,7 @@ func TestPropertyCodecRoundTrips(t *testing.T) {
 // Property: XDR opaque round-trips and pads to 4-byte alignment.
 func TestPropertyXDRRoundTrip(t *testing.T) {
 	if err := quick.Check(func(data []byte) bool {
-		enc := mpt.XDROpaque(data)
+		enc := mpt.AppendXDROpaque(nil, data)
 		if len(enc)%4 != 0 {
 			return false
 		}

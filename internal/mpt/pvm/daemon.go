@@ -2,6 +2,7 @@ package pvm
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 
 	"tooleval/internal/mpt"
@@ -32,6 +33,7 @@ type daemon struct {
 	retransmits int64
 	acks        int64
 	dropped     int64
+	badFrags    int64 // malformed fragment frames dropped on arrival
 }
 
 type outStream struct {
@@ -50,15 +52,99 @@ type outStream struct {
 	dead       bool
 }
 
+// inStream reassembles one incoming message in place: fragment i lands
+// at i×FragBytes of one buffer allocated at the first arrival, and the
+// final fragment fixes the message length.
 type inStream struct {
-	srcTask int
-	dstTask int
-	tag     int
-	nfrags  int
-	got     []bool
-	chunks  [][]byte
-	count   int
+	hdr   fragHeader // the stream's identity: the first fragment's header, frag zeroed
+	got   []bool
+	buf   []byte
+	size  int
+	count int
 }
+
+// fragHeader is the decoded envelope of one daemon-to-daemon fragment.
+type fragHeader struct {
+	msgid            uint32
+	frag, nfrags     int
+	srcTask, dstTask int
+	tag              int
+}
+
+// fragHeaderLen is the size of a fragment envelope before its chunk.
+const fragHeaderLen = 25
+
+// decodeFrag parses a fragment frame and checks it is well formed on
+// its own: the chunk lies inside the frame, frag < nfrags, and every
+// chunk but the last is exactly fragBytes long (the last at most that).
+// Anything else could overwrite a neighbouring fragment on reassembly.
+func decodeFrag(data []byte, fragBytes int) (fragHeader, []byte, error) {
+	if len(data) < fragHeaderLen || data[0] != kindFrag {
+		return fragHeader{}, nil, fmt.Errorf("%w: %d-byte frame", errBadFrag, len(data))
+	}
+	h := fragHeader{
+		msgid:   binary.BigEndian.Uint32(data[1:]),
+		frag:    int(binary.BigEndian.Uint16(data[5:])),
+		nfrags:  int(binary.BigEndian.Uint16(data[7:])),
+		srcTask: int(binary.BigEndian.Uint32(data[9:])),
+		dstTask: int(binary.BigEndian.Uint32(data[13:])),
+		tag:     bitsTag(binary.BigEndian.Uint32(data[17:])),
+	}
+	paylen := uint64(binary.BigEndian.Uint32(data[21:]))
+	if paylen > uint64(len(data)-fragHeaderLen) {
+		return h, nil, fmt.Errorf("%w: chunk of %d bytes overruns a %d-byte frame", errBadFrag, paylen, len(data))
+	}
+	chunk := data[fragHeaderLen : fragHeaderLen+int(paylen)]
+	if h.frag >= h.nfrags {
+		return h, nil, fmt.Errorf("%w: fragment %d of %d", errBadFrag, h.frag, h.nfrags)
+	}
+	if last := h.frag == h.nfrags-1; len(chunk) > fragBytes || !last && len(chunk) != fragBytes {
+		return h, nil, fmt.Errorf("%w: fragment %d of %d carries %d bytes, fragments are %d", errBadFrag, h.frag, h.nfrags, len(chunk), fragBytes)
+	}
+	return h, chunk, nil
+}
+
+var errBadFrag = errors.New("pvm: malformed fragment")
+
+// newInStream starts reassembly at fragment h. The buffer has room for
+// nfrags full fragments, unless h is the final fragment — always so for a
+// one-fragment message — whose length fixes the exact size.
+func newInStream(h fragHeader, chunk []byte, fragBytes int) *inStream {
+	size := h.nfrags * fragBytes
+	if h.frag == h.nfrags-1 {
+		size = h.frag*fragBytes + len(chunk)
+	}
+	h.frag = 0
+	return &inStream{hdr: h, got: make([]bool, h.nfrags), buf: make([]byte, size)}
+}
+
+// joins reports whether fragment h belongs to this stream: it must agree
+// with the stream on everything but its fragment number.
+func (st *inStream) joins(h fragHeader) bool {
+	h.frag = 0
+	return h == st.hdr
+}
+
+// add copies a fragment into its slot; decodeFrag and joins must have
+// accepted it. It reports false for a duplicate.
+func (st *inStream) add(frag int, chunk []byte, fragBytes int) bool {
+	if st.got[frag] {
+		return false
+	}
+	st.got[frag] = true
+	copy(st.buf[frag*fragBytes:], chunk)
+	if frag == st.hdr.nfrags-1 {
+		st.size = frag*fragBytes + len(chunk)
+	}
+	st.count++
+	return true
+}
+
+// complete reports whether every fragment has arrived.
+func (st *inStream) complete() bool { return st.count == st.hdr.nfrags }
+
+// payload is the reassembled message; valid once complete.
+func (st *inStream) payload() []byte { return st.buf[:st.size] }
 
 func newDaemon(t *Tool, station int) *daemon {
 	return &daemon{
@@ -107,7 +193,7 @@ func (d *daemon) handleRoute(m *mpt.Message) {
 	dstTask := int(binary.BigEndian.Uint32(data[5:]))
 	tag := bitsTag(binary.BigEndian.Uint32(data[9:]))
 	paylen := int(binary.BigEndian.Uint32(data[13:]))
-	payload := data[17 : 17+paylen]
+	payload := data[routeHeaderLen : routeHeaderLen+paylen]
 	d.proc.Sleep(d.env().Cost(par.DaemonDispatchOps))
 	if dstTask == d.station {
 		d.deliverLocal(srcTask, dstTask, tag, payload)
@@ -149,9 +235,7 @@ func (d *daemon) deliverLocal(srcTask, dstTask, tag int, payload []byte) {
 		d.dropped++
 		return
 	}
-	env.DeliverAt(arr, env.Boxes[dstTask], &mpt.Message{
-		Src: srcTask, Tag: tag, Data: mpt.CloneData(payload),
-	})
+	env.DeliverAt(arr, env.Boxes[dstTask], &mpt.Message{Src: srcTask, Tag: tag, Data: payload})
 }
 
 func (d *daemon) enqueue(srcTask, dstTask, tag int, payload []byte) {
@@ -167,7 +251,7 @@ func (d *daemon) enqueue(srcTask, dstTask, tag int, payload []byte) {
 		dstTask:    dstTask,
 		dstStation: dstTask, // one task per station
 		tag:        tag,
-		payload:    mpt.CloneData(payload),
+		payload:    payload,
 		nfrags:     nfrags,
 		acked:      make([]bool, nfrags),
 		retries:    make([]int, nfrags),
@@ -231,53 +315,42 @@ func (d *daemon) sendFrag(s *outStream, frag int) {
 
 func (d *daemon) handleFrag(m *mpt.Message) {
 	env, par := d.env(), d.t.par
-	data := m.Data
-	msgid := binary.BigEndian.Uint32(data[1:])
-	frag := int(binary.BigEndian.Uint16(data[5:]))
-	nfrags := int(binary.BigEndian.Uint16(data[7:]))
-	srcTask := int(binary.BigEndian.Uint32(data[9:]))
-	dstTask := int(binary.BigEndian.Uint32(data[13:]))
-	tag := bitsTag(binary.BigEndian.Uint32(data[17:]))
-	paylen := int(binary.BigEndian.Uint32(data[21:]))
-	chunk := data[25 : 25+paylen]
+	h, chunk, err := decodeFrag(m.Data, par.FragBytes)
+	st := d.assembling[h.msgid]
+	if err == nil && (h.dstTask != d.station || st != nil && !st.joins(h)) {
+		err = errBadFrag
+	}
+	if err != nil {
+		// Dropped unacknowledged: nothing in a malformed frame can be
+		// trusted to name the fragment an ack would release.
+		d.badFrags++
+		return
+	}
 
 	// The daemon acknowledges every fragment — including duplicates, whose
 	// original ack may have been what got lost.
 	d.proc.Sleep(env.Cost(par.FragRecvOps))
-	ack := encodeAck(msgid, frag)
+	ack := encodeAck(h.msgid, h.frag)
 	arr, err := env.Net.Transmit(d.proc.Now(), d.station, m.Src, len(ack)+par.AckBytes)
 	if err == nil {
 		peer := d.t.daemons[m.Src]
 		env.DeliverAt(arr, peer.box, &mpt.Message{Src: d.station, Tag: kindAck, Data: ack})
 		d.acks++
 	}
-	if d.delivered[msgid] {
+	if d.delivered[h.msgid] {
 		return // duplicate of a completed message
 	}
-	st := d.assembling[msgid]
 	if st == nil {
-		st = &inStream{
-			srcTask: srcTask, dstTask: dstTask, tag: tag, nfrags: nfrags,
-			got: make([]bool, nfrags), chunks: make([][]byte, nfrags),
-		}
-		d.assembling[msgid] = st
+		st = newInStream(h, chunk, par.FragBytes)
+		d.assembling[h.msgid] = st
 	}
-	if frag >= st.nfrags || st.got[frag] {
+	if !st.add(h.frag, chunk, par.FragBytes) || !st.complete() {
 		return
 	}
-	st.got[frag] = true
-	st.chunks[frag] = mpt.CloneData(chunk)
-	st.count++
-	if st.count == st.nfrags {
-		var payload []byte
-		for _, c := range st.chunks {
-			payload = append(payload, c...)
-		}
-		delete(d.assembling, msgid)
-		d.delivered[msgid] = true
-		d.proc.Sleep(env.Cost(par.DaemonDispatchOps))
-		d.deliverLocal(st.srcTask, st.dstTask, st.tag, payload)
-	}
+	delete(d.assembling, h.msgid)
+	d.delivered[h.msgid] = true
+	d.proc.Sleep(env.Cost(par.DaemonDispatchOps))
+	d.deliverLocal(st.hdr.srcTask, st.hdr.dstTask, st.hdr.tag, st.payload())
 }
 
 func (d *daemon) handleAck(m *mpt.Message) {

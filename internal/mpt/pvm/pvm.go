@@ -178,18 +178,26 @@ func (c *comm) Send(dst, tag int, data []byte) error {
 	c.t.stats.BytesSent += int64(len(data))
 	sentAt := c.p.Now()
 	c.p.Sleep(env.Cost(par.PackFixedOps + par.PackOpsPerByte*float64(len(data))))
-	xdr := mpt.XDROpaque(data)
+	// The XDR pass is this send's one copy of data: under daemon routing
+	// it lands behind the route envelope in the buffer the daemon gets.
+	xlen := mpt.XDROpaqueSize(len(data))
+	var frame []byte
+	if par.RouteDirect {
+		frame = make([]byte, 0, xlen)
+	} else {
+		frame = routeHeader(c.rank, dst, tag, xlen)
+	}
+	frame = mpt.AppendXDROpaque(frame, data)
 	c.p.Sleep(env.Cost(par.TaskSendOps))
 
 	if par.RouteDirect {
-		return c.sendDirect(dst, tag, xdr, sentAt)
+		return c.sendDirect(dst, tag, frame, sentAt)
 	}
-	arr, err := env.Loop.Transmit(c.p.Now(), c.rank, c.rank, len(xdr)+par.HeaderBytes)
+	arr, err := env.Loop.Transmit(c.p.Now(), c.rank, c.rank, xlen+par.HeaderBytes)
 	if err != nil {
 		return fmt.Errorf("pvm_send: loopback to pvmd: %w", err)
 	}
-	route := encodeRoute(c.rank, dst, tag, xdr)
-	env.DeliverAt(arr, c.t.daemons[c.rank].box, &mpt.Message{Src: c.rank, Tag: kindRoute, Data: route, SentAt: sentAt})
+	env.DeliverAt(arr, c.t.daemons[c.rank].box, &mpt.Message{Src: c.rank, Tag: kindRoute, Data: frame, SentAt: sentAt})
 	return nil
 }
 
@@ -265,7 +273,22 @@ func (c *comm) Bcast(root, tag int, data []byte) ([]byte, error) {
 	c.t.stats.Sends++
 	c.t.stats.BytesSent += int64(len(data)) * int64(env.N-1)
 	c.p.Sleep(env.Cost(par.PackFixedOps + par.PackOpsPerByte*float64(len(data))))
-	xdr := mpt.XDROpaque(data)
+	// One XDR pass serves every destination: the frame is shared, read
+	// only, by all of them.
+	xlen := mpt.XDROpaqueSize(len(data))
+	var frame []byte
+	if par.RouteDirect {
+		frame = make([]byte, 0, xlen)
+	} else {
+		dsts := make([]int, 0, env.N-1)
+		for r := 0; r < env.N; r++ {
+			if r != root {
+				dsts = append(dsts, r)
+			}
+		}
+		frame = mcastHeader(c.rank, mtag, dsts, xlen)
+	}
+	frame = mpt.AppendXDROpaque(frame, data)
 	c.p.Sleep(env.Cost(par.TaskSendOps))
 
 	if par.RouteDirect {
@@ -273,24 +296,17 @@ func (c *comm) Bcast(root, tag int, data []byte) ([]byte, error) {
 			if r == root {
 				continue
 			}
-			if err := c.sendDirect(r, mtag, xdr, c.p.Now()); err != nil {
+			if err := c.sendDirect(r, mtag, frame, c.p.Now()); err != nil {
 				return nil, err
 			}
 		}
 		return data, nil
 	}
-	dsts := make([]int, 0, env.N-1)
-	for r := 0; r < env.N; r++ {
-		if r != root {
-			dsts = append(dsts, r)
-		}
-	}
-	arr, err := env.Loop.Transmit(c.p.Now(), c.rank, c.rank, len(xdr)+par.HeaderBytes)
+	arr, err := env.Loop.Transmit(c.p.Now(), c.rank, c.rank, xlen+par.HeaderBytes)
 	if err != nil {
 		return nil, fmt.Errorf("pvm_mcast: loopback to pvmd: %w", err)
 	}
-	mc := encodeMcast(c.rank, mtag, dsts, xdr)
-	env.DeliverAt(arr, c.t.daemons[c.rank].box, &mpt.Message{Src: c.rank, Tag: kindMcast, Data: mc})
+	env.DeliverAt(arr, c.t.daemons[c.rank].box, &mpt.Message{Src: c.rank, Tag: kindMcast, Data: frame})
 	return data, nil
 }
 
@@ -328,18 +344,23 @@ func mcastTag(user int) int {
 func tagBits(tag int) uint32 { return uint32(int32(tag)) }
 func bitsTag(b uint32) int   { return int(int32(b)) }
 
-func encodeRoute(srcTask, dstTask, tag int, payload []byte) []byte {
-	out := make([]byte, 0, 17+len(payload))
+// routeHeaderLen is the size of a route envelope before its payload.
+const routeHeaderLen = 17
+
+// routeHeader returns a task-to-daemon route envelope for a payload of
+// paylen bytes, with the capacity to append that payload in place.
+func routeHeader(srcTask, dstTask, tag, paylen int) []byte {
+	out := make([]byte, 0, routeHeaderLen+paylen)
 	out = append(out, kindRoute)
 	out = binary.BigEndian.AppendUint32(out, uint32(srcTask))
 	out = binary.BigEndian.AppendUint32(out, uint32(dstTask))
 	out = binary.BigEndian.AppendUint32(out, tagBits(tag))
-	out = binary.BigEndian.AppendUint32(out, uint32(len(payload)))
-	return append(out, payload...)
+	return binary.BigEndian.AppendUint32(out, uint32(paylen))
 }
 
-func encodeMcast(srcTask, tag int, dsts []int, payload []byte) []byte {
-	out := make([]byte, 0, 15+2*len(dsts)+len(payload))
+// mcastHeader is routeHeader for a multicast to dsts.
+func mcastHeader(srcTask, tag int, dsts []int, paylen int) []byte {
+	out := make([]byte, 0, 15+2*len(dsts)+paylen)
 	out = append(out, kindMcast)
 	out = binary.BigEndian.AppendUint32(out, uint32(srcTask))
 	out = binary.BigEndian.AppendUint32(out, tagBits(tag))
@@ -347,8 +368,7 @@ func encodeMcast(srcTask, tag int, dsts []int, payload []byte) []byte {
 	for _, d := range dsts {
 		out = binary.BigEndian.AppendUint16(out, uint16(d))
 	}
-	out = binary.BigEndian.AppendUint32(out, uint32(len(payload)))
-	return append(out, payload...)
+	return binary.BigEndian.AppendUint32(out, uint32(paylen))
 }
 
 func encodeFrag(msgid uint32, frag, nfrags int, srcTask, dstTask, tag int, chunk []byte) []byte {

@@ -2,6 +2,7 @@ package pvm
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 	"testing/quick"
 
@@ -40,17 +41,32 @@ func TestParamValidation(t *testing.T) {
 
 func TestEnvelopeRouteRoundTrip(t *testing.T) {
 	payload := []byte{1, 2, 3, 4, 5}
-	enc := encodeRoute(3, 7, -42, payload)
+	xlen := mpt.XDROpaqueSize(len(payload))
+	hdr := routeHeader(3, 7, -42, xlen)
+	if len(hdr) != routeHeaderLen || cap(hdr) != routeHeaderLen+xlen {
+		t.Fatalf("header len %d cap %d, want %d and %d", len(hdr), cap(hdr), routeHeaderLen, routeHeaderLen+xlen)
+	}
+	enc := mpt.AppendXDROpaque(hdr, payload)
+	if &enc[0] != &hdr[0] {
+		t.Fatal("appending the payload reallocated the route buffer")
+	}
 	if enc[0] != kindRoute {
 		t.Fatalf("kind = %d", enc[0])
 	}
-	// Decode by hand as the daemon does.
-	src := int(uint32(enc[1])<<24 | uint32(enc[2])<<16 | uint32(enc[3])<<8 | uint32(enc[4]))
-	if src != 3 {
+	// Decode as the daemon does.
+	if src := binary.BigEndian.Uint32(enc[1:]); src != 3 {
 		t.Fatalf("src = %d", src)
 	}
-	if !bytes.Equal(enc[17:], payload) {
-		t.Fatal("payload not appended verbatim")
+	if dst := binary.BigEndian.Uint32(enc[5:]); dst != 7 {
+		t.Fatalf("dst = %d", dst)
+	}
+	if tag := bitsTag(binary.BigEndian.Uint32(enc[9:])); tag != -42 {
+		t.Fatalf("tag = %d", tag)
+	}
+	paylen := int(binary.BigEndian.Uint32(enc[13:]))
+	got, err := mpt.XDROpaqueDecode(enc[routeHeaderLen : routeHeaderLen+paylen])
+	if err != nil || !bytes.Equal(got, payload) {
+		t.Fatalf("payload = %v, %v; want %v", got, err, payload)
 	}
 }
 
@@ -190,5 +206,50 @@ func TestDirectStillSlowerThanP4WouldBe(t *testing.T) {
 	wireMs := 54.0 // 64KB on 10 Mbit/s with framing
 	if elapsed.Milliseconds() < wireMs {
 		t.Fatalf("one-way %v ms beats the wire (%v ms) — impossible", elapsed.Milliseconds(), wireMs)
+	}
+}
+
+// TestDaemonDropsMalformedFragments: a frame that fails validation is
+// counted and dropped before the daemon acknowledges it or touches any
+// reassembly state — it never panics or lands in another message.
+func TestDaemonDropsMalformedFragments(t *testing.T) {
+	env := newTestEnv(t, 2)
+	tool, err := NewWithParams(env, DefaultParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := tool.daemons[1]
+	fb := tool.par.FragBytes
+	full := make([]byte, fb)
+	// An open three-fragment stream from task 0.
+	first := encodeFrag(5, 0, 3, 0, 1, 2, full)
+	h, chunk, err := decodeFrag(first, fb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.assembling[5] = newInStream(h, chunk, fb)
+	d.assembling[5].add(h.frag, chunk, fb)
+
+	for _, tc := range []struct {
+		name  string
+		frame []byte
+	}{
+		{"truncated header", first[:fragHeaderLen-1]},
+		{"overrunning chunk length", first[:len(first)-1]},
+		{"frag past nfrags", encodeFrag(6, 3, 3, 0, 1, 2, full)},
+		{"short middle chunk", encodeFrag(6, 0, 3, 0, 1, 2, full[:10])},
+		{"oversized final", encodeFrag(6, 2, 3, 0, 1, 2, append(full, 0))},
+		{"nfrags disagrees", encodeFrag(5, 1, 4, 0, 1, 2, full)},
+		{"tag disagrees", encodeFrag(5, 1, 3, 0, 1, 9, full)},
+		{"other station", encodeFrag(6, 0, 1, 0, 0, 2, nil)},
+	} {
+		before := d.badFrags
+		d.handleFrag(&mpt.Message{Src: 0, Tag: kindFrag, Data: tc.frame})
+		if d.badFrags != before+1 {
+			t.Errorf("%s: not counted as malformed", tc.name)
+		}
+	}
+	if d.acks != 0 || len(d.assembling) != 1 || d.assembling[5].count != 1 {
+		t.Fatalf("malformed frames changed daemon state: acks=%d %v", d.acks, d)
 	}
 }
