@@ -57,11 +57,13 @@ toolbenchd-smoke:
 # remote-smoke is the local mirror of CI's remote-smoke job: build the
 # coordinator and worker binaries, distribute a full sweep across two
 # spawned worker daemons and diff it against a serial run
-# (scripts/remote_smoke.sh), then run the remote-executor suite under
-# the race detector.
+# (scripts/remote_smoke.sh), then run the remote suite and the
+# session-level remote tests (coordinator-side memoization, quota and
+# observers over remote workers) under the race detector.
 remote-smoke:
 	./scripts/remote_smoke.sh
 	$(GO) test -race ./internal/remote
+	$(GO) test -race -run 'Remote' .
 
 # chaos is the local mirror of CI's chaos job: the seeded
 # fault-injection suite under the race detector, once with the pinned

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"tooleval/internal/apps"
 	"tooleval/internal/bench"
 	"tooleval/internal/core"
 	"tooleval/internal/mpt"
@@ -27,13 +28,15 @@ const benchScale = 0.1 // APL workload scale for benchmark iterations
 
 var benchCtx = context.Background()
 
-// newBenchHarness returns the calling benchmark's private harness:
-// iteration 1 simulates, later iterations replay its memoization cache.
-// Unlike a package-wide shared harness, a benchmark never starts with
-// cells some earlier benchmark already simulated, so first-iteration
-// numbers (scripts/record_bench.sh records with -benchtime=1x) measure
-// the simulator rather than the cache.
-func newBenchHarness() *bench.Harness { return bench.NewHarness(runner.New(0)) }
+// newBenchHarness returns a private harness with an empty memoization
+// cache, built with b's timer stopped. The figure benchmarks build one
+// per iteration, so every iteration simulates every cell: ns/op and
+// B/op measure the simulator at any -benchtime, never a cache replay.
+func newBenchHarness(b *testing.B) *bench.Harness {
+	b.StopTimer()
+	defer b.StartTimer()
+	return bench.NewHarness(runner.New(0))
+}
 
 func mustPf(b *testing.B, key string) platform.Platform {
 	b.Helper()
@@ -46,10 +49,10 @@ func mustPf(b *testing.B, key string) platform.Platform {
 
 // BenchmarkTable3 regenerates the snd/recv timing table (Table 3).
 func BenchmarkTable3(b *testing.B) {
-	h := newBenchHarness()
 	b.ReportAllocs()
 	var last *bench.Table3Result
 	for i := 0; i < b.N; i++ {
+		h := newBenchHarness(b)
 		t3, err := h.Table3(benchCtx)
 		if err != nil {
 			b.Fatal(err)
@@ -62,10 +65,10 @@ func BenchmarkTable3(b *testing.B) {
 
 // BenchmarkTable4 regenerates the primitive rankings (Table 4).
 func BenchmarkTable4(b *testing.B) {
-	h := newBenchHarness()
 	b.ReportAllocs()
 	var rankings []core.PrimitiveRanking
 	for i := 0; i < b.N; i++ {
+		h := newBenchHarness(b)
 		t3, err := h.Table3(benchCtx)
 		if err != nil {
 			b.Fatal(err)
@@ -89,10 +92,10 @@ func BenchmarkTable4(b *testing.B) {
 
 // BenchmarkFig2Broadcast regenerates the broadcast figure.
 func BenchmarkFig2Broadcast(b *testing.B) {
-	h := newBenchHarness()
 	b.ReportAllocs()
 	var fig *bench.FigureResult
 	for i := 0; i < b.N; i++ {
+		h := newBenchHarness(b)
 		var err error
 		fig, err = h.Fig2(benchCtx, 4)
 		if err != nil {
@@ -105,10 +108,10 @@ func BenchmarkFig2Broadcast(b *testing.B) {
 
 // BenchmarkFig3Ring regenerates the ring figure.
 func BenchmarkFig3Ring(b *testing.B) {
-	h := newBenchHarness()
 	b.ReportAllocs()
 	var fig *bench.FigureResult
 	for i := 0; i < b.N; i++ {
+		h := newBenchHarness(b)
 		var err error
 		fig, err = h.Fig3(benchCtx, 4)
 		if err != nil {
@@ -121,10 +124,10 @@ func BenchmarkFig3Ring(b *testing.B) {
 
 // BenchmarkFig4GlobalSum regenerates the global summation figure.
 func BenchmarkFig4GlobalSum(b *testing.B) {
-	h := newBenchHarness()
 	b.ReportAllocs()
 	var fig *bench.FigureResult
 	for i := 0; i < b.N; i++ {
+		h := newBenchHarness(b)
 		var err error
 		fig, err = h.Fig4(benchCtx, 4)
 		if err != nil {
@@ -146,10 +149,10 @@ func lastY(fig *bench.FigureResult, tool string) float64 {
 
 func benchAPLFigure(b *testing.B, figID string) {
 	b.Helper()
-	h := newBenchHarness()
 	b.ReportAllocs()
 	var fig *bench.FigureResult
 	for i := 0; i < b.N; i++ {
+		h := newBenchHarness(b)
 		var err error
 		fig, _, err = h.APLFigure(benchCtx, figID, benchScale)
 		if err != nil {
@@ -349,13 +352,13 @@ func BenchmarkAblationPVMRTO(b *testing.B) {
 // ring time per station as the segment gets busier.
 func BenchmarkAblationEthernetContention(b *testing.B) {
 	pf := mustPf(b, "sun-ethernet")
-	h := newBenchHarness()
+	h := newBenchHarness(b)
 	for _, procs := range []int{2, 4, 8} {
 		procs := procs
 		b.Run(procLabel(procs), func(b *testing.B) {
 			var ms float64
 			for i := 0; i < b.N; i++ {
-				times, err := h.Ring(benchCtx, pf, "p4", procs, []int{32 << 10})
+				times, err := h.Ring(benchCtx, pf.Key, "p4", procs, []int{32 << 10})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -368,9 +371,17 @@ func BenchmarkAblationEthernetContention(b *testing.B) {
 
 // BenchmarkAblationFDDISwitchVsRing compares the Alpha cluster's actual
 // switched FDDI with a classic shared token ring: the switch is what
-// lets the FFT's all-to-all scale (Fig 5).
+// lets the FFT's all-to-all scale (Fig 5). Both variants share the
+// platform key "alpha-fddi", so each runs its fft2d cell directly
+// rather than through a memoizing harness, which would serve the
+// token ring the switched variant's cell.
 func BenchmarkAblationFDDISwitchVsRing(b *testing.B) {
 	base := mustPf(b, "alpha-fddi")
+	app, err := apps.Get("fft2d")
+	if err != nil {
+		b.Fatal(err)
+	}
+	const procs, scale = 8, 0.5
 	variants := []struct {
 		name string
 		mk   func(int) simnet.Network
@@ -378,7 +389,6 @@ func BenchmarkAblationFDDISwitchVsRing(b *testing.B) {
 		{"switched", func(n int) simnet.Network { return simnet.NewFDDISwitched(n) }},
 		{"token-ring", func(n int) simnet.Network { return simnet.NewFDDIRing(n) }},
 	}
-	h := newBenchHarness()
 	for _, v := range variants {
 		v := v
 		pf := base
@@ -386,11 +396,23 @@ func BenchmarkAblationFDDISwitchVsRing(b *testing.B) {
 		b.Run(v.name, func(b *testing.B) {
 			var secs float64
 			for i := 0; i < b.N; i++ {
-				s, err := h.RunAPL(benchCtx, pf, "p4", "fft2d", []int{8}, 0.5)
+				res, err := mpt.Run(pf, p4.New, mpt.RunConfig{Procs: procs}, func(c *mpt.Ctx) (any, error) {
+					return app.Run(c, scale)
+				})
 				if err != nil {
 					b.Fatal(err)
 				}
-				secs = s.Seconds[0]
+				if err := app.Verify(res.Value, procs, scale); err != nil {
+					b.Fatal(err)
+				}
+				secs = res.Elapsed.Seconds()
+				// The FFT times its transform alone, excluding the
+				// verification-only scatter/gather, as Figure 5 does.
+				if t, ok := res.Value.(interface{ InnerSeconds() (float64, bool) }); ok {
+					if inner, valid := t.InnerSeconds(); valid {
+						secs = inner
+					}
+				}
 			}
 			b.ReportMetric(secs*1000, "sim-ms-fft-8procs")
 		})

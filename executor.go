@@ -47,8 +47,8 @@ type QuotaError = runner.QuotaError
 // [WithParallelism] is ignored when this option is present. Everything
 // else layers onto x as it would onto the built-in pool:
 // [WithResultStore] attaches its tier to x's cache, quota budgets wrap
-// x, and [WithRemoteExecutor] distributes the cells x would have
-// computed. To bound x's cache, call SetCapacity on it (or on
+// x, and [WithRemoteExecutor] computes on the workers the cells x
+// memoizes. To bound x's cache, call SetCapacity on it (or on
 // [Session.Cache] afterwards).
 //
 // Combining [WithCache] with this option makes NewSession panic: x
@@ -69,11 +69,14 @@ func WithExecutor(x Executor) Option {
 // its content key — the same FNV hash the durable store fingerprints
 // cells by — and the worker recomputes it from the key alone; cells
 // are pure functions of their keys, so a distributed sweep is
-// byte-identical to a local one. The local executor (the built-in
-// pool, or the one given to [WithExecutor]) stays on the coordinator
-// and keeps memoization, the optional [WithResultStore] tier, quota
-// budgets, and event observers; its concurrency bound
-// ([WithParallelism] for the built-in pool) bounds the in-flight RPCs.
+// byte-identical to a local one. The workers replace only the compute
+// step of a cache miss: the session's executor (the built-in pool, or
+// the one given to [WithExecutor]) stays on the coordinator and keeps
+// memoization, the optional [WithResultStore] tier, quota budgets,
+// and event observers; its concurrency bound ([WithParallelism] for
+// the built-in pool) bounds the in-flight RPCs. Cells of a [WithTool]
+// custom tool compute on the coordinator: the factory exists only in
+// this process, so a worker handed the key could not rebuild it.
 //
 // Worker loss is survived mid-sweep: a failing node's cells fail over
 // to the next node in their rendezvous order, and after a few
@@ -83,10 +86,8 @@ func WithExecutor(x Executor) Option {
 // mismatch fails the sweep with a [*RemoteVersionError] — never a
 // result computed under the wrong engine.
 //
-// NewSession panics when this option is combined with [WithTool]
-// (custom tool factories exist only in this process and cannot be
-// evaluated remotely), and when the address list holds a blank or
-// duplicate address.
+// NewSession panics when the address list holds a blank or duplicate
+// address — one of the four panics listed on [NewSession].
 func WithRemoteExecutor(nodes ...string) Option {
 	return func(c *sessionConfig) {
 		c.workers = append([]string(nil), nodes...)

@@ -30,22 +30,22 @@ func ProcSweep(pf platform.Platform, app apps.App) []int {
 	return out
 }
 
-// RunAPL executes one application across the processor sweep and returns
-// its curve. Results are verified against the sequential reference at
-// every point — a benchmark data point that computed the wrong answer is
-// an error, not a number. Each sweep point is an independent cell: the
-// runner fans them out and memoizes them by (platform, tool, app,
-// procs, scale).
-func (h *Harness) RunAPL(ctx context.Context, pf platform.Platform, toolName, appName string, procsList []int, scale float64) (APLSeries, error) {
-	s := APLSeries{App: appName, Platform: pf.Key, Tool: toolName}
+// RunAPL executes one application across the processor sweep on the
+// platform keyed pfKey and returns its curve. Results are verified
+// against the sequential reference at every point — a benchmark data
+// point that computed the wrong answer is an error, not a number. Each
+// sweep point is an independent cell: the runner fans them out and
+// memoizes them by (platform, tool, app, procs, scale).
+func (h *Harness) RunAPL(ctx context.Context, pfKey, toolName, appName string, procsList []int, scale float64) (APLSeries, error) {
+	s := APLSeries{App: appName, Platform: pfKey, Tool: toolName}
+	pf, err := platform.Get(pfKey)
+	if err != nil {
+		return s, err
+	}
 	if err := h.requirePort(pf, toolName); err != nil {
 		return s, err
 	}
 	app, err := apps.Get(appName)
-	if err != nil {
-		return s, err
-	}
-	factory, err := h.FactoryFor(toolName)
 	if err != nil {
 		return s, err
 	}
@@ -56,10 +56,7 @@ func (h *Harness) RunAPL(ctx context.Context, pf platform.Platform, toolName, ap
 		}
 	}
 	times, err := runner.Collect(ctx, h.x, sweep, func(procs int) (float64, error) {
-		key := runner.Key{Platform: pf.Key, Tool: toolName, Bench: APLBenchPrefix + appName, Procs: procs, Scale: scale}
-		return h.x.Memo(ctx, key, func() (runner.CellResult, error) {
-			return computeApp(pf, toolName, factory, appName, app, procs, scale)
-		})
+		return h.cell(ctx, runner.Key{Platform: pfKey, Tool: toolName, Bench: APLBenchPrefix + appName, Procs: procs, Scale: scale})
 	})
 	if err != nil {
 		return s, err

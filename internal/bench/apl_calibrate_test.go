@@ -22,7 +22,7 @@ func TestAPLCalibrationReport(t *testing.T) {
 		}
 		t.Logf("=== %s (%s) ===", fig.Figure, pf.Name)
 		for _, app := range paperdata.APLApps {
-			s, err := sharedH.RunAPL(bgCtx, pf, "p4", app, []int{1, 2, 4, 8}, 1.0)
+			s, err := sharedH.RunAPL(bgCtx, pf.Key, "p4", app, []int{1, 2, 4, 8}, 1.0)
 			if err != nil {
 				t.Fatalf("%s/%s: %v", fig.Platform, app, err)
 			}

@@ -12,7 +12,7 @@ const aplTestScale = 0.25
 func runSeries(t *testing.T, pfKey, tool, app string, procs []int) APLSeries {
 	t.Helper()
 	pf := getPlatform(t, pfKey)
-	s, err := sharedH.RunAPL(bgCtx, pf, tool, app, procs, aplTestScale)
+	s, err := sharedH.RunAPL(bgCtx, pf.Key, tool, app, procs, aplTestScale)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +37,7 @@ func TestFig5ComputeAppsScaleOnFDDI(t *testing.T) {
 // compute to amortize the exchange — so the test runs at full scale.
 func TestFig5FFTScalesOnSwitchedFDDI(t *testing.T) {
 	pf := getPlatform(t, "alpha-fddi")
-	s, err := sharedH.RunAPL(bgCtx, pf, "p4", "fft2d", []int{1, 8}, 1.0)
+	s, err := sharedH.RunAPL(bgCtx, pf.Key, "p4", "fft2d", []int{1, 8}, 1.0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +115,7 @@ func TestAPLToolOrderingCommHeavy(t *testing.T) {
 // TestAPLRejectsUnsupportedTool: Express has no NYNET port.
 func TestAPLRejectsUnsupportedTool(t *testing.T) {
 	pf := getPlatform(t, "sun-atm-wan")
-	if _, err := sharedH.RunAPL(bgCtx, pf, "express", "jpeg", []int{1}, aplTestScale); err == nil {
+	if _, err := sharedH.RunAPL(bgCtx, pf.Key, "express", "jpeg", []int{1}, aplTestScale); err == nil {
 		t.Fatal("express on NYNET should be rejected")
 	}
 }
@@ -141,7 +141,7 @@ func TestAPLFigureSpecsMatchPaper(t *testing.T) {
 // divide the grid.
 func TestProcSweepRespectsValidity(t *testing.T) {
 	pf := getPlatform(t, "alpha-fddi")
-	s, err := sharedH.RunAPL(bgCtx, pf, "p4", "fft2d", []int{1, 2, 3, 4, 5, 6, 7, 8}, aplTestScale)
+	s, err := sharedH.RunAPL(bgCtx, pf.Key, "p4", "fft2d", []int{1, 2, 3, 4, 5, 6, 7, 8}, aplTestScale)
 	if err != nil {
 		t.Fatal(err)
 	}

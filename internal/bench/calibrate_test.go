@@ -26,7 +26,7 @@ func TestCalibrationReport(t *testing.T) {
 			if !ok {
 				continue
 			}
-			got, err := sharedH.PingPong(bgCtx, pf, tool, sizes)
+			got, err := sharedH.PingPong(bgCtx, pf.Key, tool, sizes)
 			if err != nil {
 				t.Fatalf("%s/%s: %v", net, tool, err)
 			}

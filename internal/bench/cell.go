@@ -14,11 +14,11 @@ import (
 
 // This file is the single home of every cell computation: one function
 // per benchmark kind, each a pure function of the cell's content-key
-// fields. The Harness sweep methods call them inside their Memo
-// closures, and ComputeCell dispatches to the same functions from a
-// bare runner.Key — which is what makes a cell location-transparent: a
-// remote worker daemon handed only the key runs exactly the code the
-// local sweep would have run, so local and distributed results are
+// fields, and computeCell, the one dispatcher from a key to them.
+// Every memoized cell reaches computeCell from its key alone — local
+// sweeps through Harness.cell, remote workers through ComputeCell — so
+// a worker daemon handed only the key runs exactly the code the local
+// sweep would have run, and local and distributed results are
 // byte-identical by construction, not by testing alone.
 
 // computePingPong is Table 3's cell: the round-trip send/receive time
@@ -160,21 +160,27 @@ func computeApp(pf platform.Platform, toolName string, factory mpt.Factory, appN
 const APLBenchPrefix = "apl/"
 
 // ComputeCell recomputes one evaluation cell from its content key
-// alone, dispatching on the Bench field to the same compute functions
-// the Harness sweep methods run. It resolves tools from the built-in
-// catalog only — a custom WithTool factory exists in one session's
-// registry and cannot be reconstructed from a name, so keys naming one
-// are an error here (the remote executor documents that restriction).
+// alone, resolving the tool from the built-in catalog. A custom WithTool
+// factory exists in one session's registry and cannot be reconstructed
+// from a name, so keys naming one are an error here; the harness
+// computes those cells in its own process instead.
 //
 // A cell is a pure function of its key, so ComputeCell is the whole
-// location-transparency contract of the distributed executor: any
-// process with the same engine version computes the same bytes.
+// location-transparency contract of the remote workers: any process
+// with the same engine version computes the same bytes.
 func ComputeCell(key runner.Key) (runner.CellResult, error) {
-	pf, err := platform.Get(key.Platform)
+	factory, err := tools.Factory(key.Tool)
 	if err != nil {
 		return runner.CellResult{}, err
 	}
-	factory, err := tools.Factory(key.Tool)
+	return computeCell(key, factory)
+}
+
+// computeCell computes the cell key names with the tool's resolved
+// factory, dispatching on the Bench field to the per-kind functions
+// above — their only caller.
+func computeCell(key runner.Key, factory mpt.Factory) (runner.CellResult, error) {
+	pf, err := platform.Get(key.Platform)
 	if err != nil {
 		return runner.CellResult{}, err
 	}

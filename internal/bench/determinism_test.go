@@ -28,16 +28,16 @@ func TestTPLDeterministicUnderParallelism(t *testing.T) {
 		run  func(h *Harness, pf platform.Platform, tool string, procs int) ([]float64, error)
 	}{
 		{"PingPong", func(h *Harness, pf platform.Platform, tool string, _ int) ([]float64, error) {
-			return h.PingPong(bgCtx, pf, tool, sizes)
+			return h.PingPong(bgCtx, pf.Key, tool, sizes)
 		}},
 		{"Broadcast", func(h *Harness, pf platform.Platform, tool string, procs int) ([]float64, error) {
-			return h.Broadcast(bgCtx, pf, tool, procs, sizes)
+			return h.Broadcast(bgCtx, pf.Key, tool, procs, sizes)
 		}},
 		{"Ring", func(h *Harness, pf platform.Platform, tool string, procs int) ([]float64, error) {
-			return h.Ring(bgCtx, pf, tool, procs, sizes)
+			return h.Ring(bgCtx, pf.Key, tool, procs, sizes)
 		}},
 		{"GlobalSum", func(h *Harness, pf platform.Platform, tool string, procs int) ([]float64, error) {
-			return h.GlobalSum(bgCtx, pf, tool, procs, vecs)
+			return h.GlobalSum(bgCtx, pf.Key, tool, procs, vecs)
 		}},
 	}
 	for _, pf := range platform.All() {
@@ -94,8 +94,8 @@ func TestAPLDeterministicUnderParallelism(t *testing.T) {
 	for _, tool := range tools.Names() {
 		tool := tool
 		t.Run(tool, func(t *testing.T) {
-			serial, serialErr := freshHarness(1).RunAPL(bgCtx, pf, tool, "montecarlo", procs, scale)
-			par, parErr := freshHarness(4).RunAPL(bgCtx, pf, tool, "montecarlo", procs, scale)
+			serial, serialErr := freshHarness(1).RunAPL(bgCtx, pf.Key, tool, "montecarlo", procs, scale)
+			par, parErr := freshHarness(4).RunAPL(bgCtx, pf.Key, tool, "montecarlo", procs, scale)
 			if serialErr != nil || parErr != nil {
 				t.Fatalf("errors: serial=%v parallel=%v", serialErr, parErr)
 			}

@@ -29,24 +29,6 @@ func (h *Harness) Evaluate(ctx context.Context, profile core.WeightProfile, scal
 	if err := h.x.Map(ctx, len(steps), func(i int) error { return steps[i]() }); err != nil {
 		return nil, err
 	}
-	tpl := t3.Measurements()
-	addSeries := func(fig *FigureResult, primitive string) {
-		for _, s := range fig.Series {
-			if s.Tool == "p4-NYNET" {
-				continue
-			}
-			m := core.PrimitiveMeasurement{Platform: s.Platform, Primitive: primitive, Tool: s.Tool}
-			for _, p := range s.Points {
-				m.Sizes = append(m.Sizes, int(p.X*1024))
-				m.TimesMs = append(m.TimesMs, p.Y)
-			}
-			tpl = append(tpl, m)
-		}
-	}
-	addSeries(fig2, "broadcast")
-	addSeries(fig3, "ring")
-	addSeries(fig4, "global sum")
-
 	adl, err := usability.Matrix()
 	if err != nil {
 		return nil, err
@@ -55,5 +37,5 @@ func (h *Harness) Evaluate(ctx context.Context, profile core.WeightProfile, scal
 	if err != nil {
 		return nil, err
 	}
-	return m.Evaluate(tpl, apl, adl)
+	return m.Evaluate(tplMeasurements(t3, fig2, fig3, fig4), apl, adl)
 }

@@ -53,10 +53,7 @@ func (h *Harness) Table3(ctx context.Context) (_ *Table3Result, err error) {
 	h.phaseStart(ctx, ExpTable3)
 	defer h.phaseDone(ctx, ExpTable3, &err)
 	res := &Table3Result{SizesBytes: StandardSizes(), TimesMs: map[string]map[string][]float64{}}
-	type job struct {
-		net, tool string
-		pf        platform.Platform
-	}
+	type job struct{ net, tool, pfKey string }
 	var jobs []job
 	for _, net := range []string{"ethernet", "atm-lan", "atm-wan"} {
 		pf, err := platform.Get(paperdata.Table3PlatformKey[net])
@@ -68,11 +65,11 @@ func (h *Harness) Table3(ctx context.Context) (_ *Table3Result, err error) {
 			if !pf.Supports(tool) {
 				continue // Express has no NYNET column
 			}
-			jobs = append(jobs, job{net: net, tool: tool, pf: pf})
+			jobs = append(jobs, job{net: net, tool: tool, pfKey: pf.Key})
 		}
 	}
 	times, err := runner.Collect(ctx, h.x, jobs, func(j job) ([]float64, error) {
-		return h.PingPong(ctx, j.pf, j.tool, res.SizesBytes)
+		return h.PingPong(ctx, j.pfKey, j.tool, res.SizesBytes)
 	})
 	if err != nil {
 		return nil, err
@@ -163,15 +160,11 @@ func (h *Harness) Fig3(ctx context.Context, procs int) (*FigureResult, error) {
 	return h.tplFigure(ctx, ExpFig3, "Ring (loop) timing", procs, StandardSizes(), h.Ring)
 }
 
-func (h *Harness) tplFigure(ctx context.Context, id, title string, procs int, sizes []int, run func(context.Context, platform.Platform, string, int, []int) ([]float64, error)) (_ *FigureResult, err error) {
+func (h *Harness) tplFigure(ctx context.Context, id, title string, procs int, sizes []int, run func(context.Context, string, string, int, []int) ([]float64, error)) (_ *FigureResult, err error) {
 	h.phaseStart(ctx, id)
 	defer h.phaseDone(ctx, id, &err)
 	fig := &FigureResult{ID: id, Title: title + " on SUN stations", XLabel: "Message Size (Kbytes)", YLabel: "Execution Time (msec)"}
-	type job struct {
-		key  string
-		tool string
-		pf   platform.Platform
-	}
+	type job struct{ key, tool string }
 	var jobs []job
 	for _, key := range []string{"sun-ethernet", "sun-atm-wan"} {
 		pf, err := platform.Get(key)
@@ -182,11 +175,11 @@ func (h *Harness) tplFigure(ctx context.Context, id, title string, procs int, si
 			if !pf.Supports(tool) {
 				continue
 			}
-			jobs = append(jobs, job{key: key, tool: tool, pf: pf})
+			jobs = append(jobs, job{key: key, tool: tool})
 		}
 	}
 	curves, err := runner.Collect(ctx, h.x, jobs, func(j job) (Series, error) {
-		times, err := run(ctx, j.pf, j.tool, procs, sizes)
+		times, err := run(ctx, j.key, j.tool, procs, sizes)
 		if err != nil {
 			return Series{}, err
 		}
@@ -213,30 +206,18 @@ func (h *Harness) Fig4(ctx context.Context, procs int) (_ *FigureResult, err err
 		XLabel: "Vector Size (# of integers)", YLabel: "Execution Time (msec)",
 	}
 	lens := VectorSizes()
-	eth, err := platform.Get("sun-ethernet")
-	if err != nil {
-		return nil, err
-	}
-	wan, err := platform.Get("sun-atm-wan")
-	if err != nil {
-		return nil, err
-	}
-	type job struct {
-		label string
-		tool  string
-		pf    platform.Platform
-	}
+	type job struct{ label, tool, pfKey string }
 	jobs := []job{
-		{label: "p4", tool: "p4", pf: eth},
-		{label: "express", tool: "express", pf: eth},
-		{label: "p4-NYNET", tool: "p4", pf: wan},
+		{label: "p4", tool: "p4", pfKey: "sun-ethernet"},
+		{label: "express", tool: "express", pfKey: "sun-ethernet"},
+		{label: "p4-NYNET", tool: "p4", pfKey: "sun-atm-wan"},
 	}
 	curves, err := runner.Collect(ctx, h.x, jobs, func(j job) (Series, error) {
-		times, err := h.GlobalSum(ctx, j.pf, j.tool, procs, lens)
+		times, err := h.GlobalSum(ctx, j.pfKey, j.tool, procs, lens)
 		if err != nil {
 			return Series{}, err
 		}
-		s := Series{Tool: j.label, Platform: j.pf.Key}
+		s := Series{Tool: j.label, Platform: j.pfKey}
 		for k, n := range lens {
 			s.Points = append(s.Points, Point{X: float64(n), Y: times[k]})
 		}
@@ -289,7 +270,7 @@ func (h *Harness) APLFigure(ctx context.Context, figID string, scale float64) (_
 		}
 	}
 	sweeps, err := runner.Collect(ctx, h.x, jobs, func(j job) (APLSeries, error) {
-		return h.RunAPL(ctx, pf, j.tool, j.app, procs, scale)
+		return h.RunAPL(ctx, pf.Key, j.tool, j.app, procs, scale)
 	})
 	if err != nil {
 		return nil, nil, err
@@ -422,24 +403,31 @@ func (h *Harness) Table4(ctx context.Context, procs int) (_ []core.PrimitiveRank
 // TPL data (send/receive from Table 3; broadcast, ring and global sum
 // from Figures 2-4).
 func Table4FromMeasurements(t3 *Table3Result, fig2, fig3, fig4 *FigureResult) []core.PrimitiveRanking {
-	var ms []core.PrimitiveMeasurement
-	ms = append(ms, t3.Measurements()...)
-	add := func(fig *FigureResult, primitive string) {
+	return core.RankPrimitives(tplMeasurements(t3, fig2, fig3, fig4))
+}
+
+// tplMeasurements converts regenerated Table 3 and Figure 2-4 data into
+// methodology input. Sizes follow core.PrimitiveMeasurement: broadcast
+// and ring x values are KB and become bytes, global-sum x values are
+// already vector lengths. The p4-NYNET curve is a separate line on
+// Figure 4, not a ranking entry.
+func tplMeasurements(t3 *Table3Result, fig2, fig3, fig4 *FigureResult) []core.PrimitiveMeasurement {
+	ms := t3.Measurements()
+	add := func(fig *FigureResult, primitive string, xScale float64) {
 		for _, s := range fig.Series {
-			tool := s.Tool
-			if tool == "p4-NYNET" {
-				continue // separate curve, not a ranking entry
+			if s.Tool == "p4-NYNET" {
+				continue
 			}
-			m := core.PrimitiveMeasurement{Platform: s.Platform, Primitive: primitive, Tool: tool}
+			m := core.PrimitiveMeasurement{Platform: s.Platform, Primitive: primitive, Tool: s.Tool}
 			for _, p := range s.Points {
-				m.Sizes = append(m.Sizes, int(p.X*1024))
+				m.Sizes = append(m.Sizes, int(p.X*xScale))
 				m.TimesMs = append(m.TimesMs, p.Y)
 			}
 			ms = append(ms, m)
 		}
 	}
-	add(fig2, "broadcast")
-	add(fig3, "ring")
-	add(fig4, "global sum")
-	return core.RankPrimitives(ms)
+	add(fig2, "broadcast", 1024)
+	add(fig3, "ring", 1024)
+	add(fig4, "global sum", 1)
+	return ms
 }

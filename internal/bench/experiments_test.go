@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -99,6 +100,30 @@ func TestFullTable4MatchesPaper(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// The methodology input records global-sum sizes as vector lengths
+// (core.PrimitiveMeasurement.Sizes), not as Figure 4's x values scaled
+// like the KB axes of the message-size figures.
+func TestGlobalSumMeasurementsCarryVectorLengths(t *testing.T) {
+	fig4, err := sharedH.Fig4(bgCtx, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	empty := &FigureResult{}
+	var seen int
+	for _, m := range tplMeasurements(&Table3Result{}, empty, empty, fig4) {
+		if m.Primitive != "global sum" {
+			t.Fatalf("unexpected %s measurement from an empty figure", m.Primitive)
+		}
+		seen++
+		if want := VectorSizes(); !slices.Equal(m.Sizes, want) {
+			t.Fatalf("%s/%s global-sum sizes = %v, want the vector lengths %v", m.Platform, m.Tool, m.Sizes, want)
+		}
+	}
+	if seen != 2 {
+		t.Fatalf("got %d global-sum measurements, want 2 (p4 and express; p4-NYNET is not ranked)", seen)
 	}
 }
 

@@ -23,6 +23,7 @@ import (
 type Harness struct {
 	x      runner.Executor
 	custom map[string]mpt.Factory
+	remote func(context.Context, runner.Key) (runner.CellResult, error)
 	hooks  Hooks
 }
 
@@ -61,6 +62,14 @@ func NewHarnessWithTools(x runner.Executor, custom map[string]mpt.Factory) *Harn
 // submitting work; the harness reads the hooks without locking.
 func (h *Harness) SetHooks(hooks Hooks) { h.hooks = hooks }
 
+// SetRemote makes the harness compute built-in-tool cells with fn — a
+// remote worker fleet's compute step — instead of in this process.
+// Custom-tool cells still compute here: their factories exist only in
+// this registry. Call it before submitting work.
+func (h *Harness) SetRemote(fn func(context.Context, runner.Key) (runner.CellResult, error)) {
+	h.remote = fn
+}
+
 // Executor exposes the harness's execution backend (for stats and
 // direct Do/Map use by the session layer).
 func (h *Harness) Executor() runner.Executor { return h.x }
@@ -78,6 +87,23 @@ func (h *Harness) phaseDone(ctx context.Context, id string, errp *error) {
 	if h.hooks.PhaseDone != nil {
 		h.hooks.PhaseDone(ctx, id, *errp)
 	}
+}
+
+// cell resolves one cell through the executor's memoization. The
+// compute step on a miss is chosen from the key alone: a custom tool
+// computes here with its registered factory, a harness with a remote
+// compute step hands the key to it, and otherwise ComputeCell
+// recomputes it from the built-in catalog.
+func (h *Harness) cell(ctx context.Context, key runner.Key) (float64, error) {
+	return h.x.Memo(ctx, key, func() (runner.CellResult, error) {
+		if factory, ok := h.custom[key.Tool]; ok {
+			return computeCell(key, factory)
+		}
+		if h.remote != nil {
+			return h.remote(ctx, key)
+		}
+		return ComputeCell(key)
+	})
 }
 
 // FactoryFor resolves a tool name: custom registrations first, then the

@@ -12,11 +12,11 @@ func TestSP1SwitchBeatsItsEthernet(t *testing.T) {
 	sw := getPlatform(t, "sp1-switch")
 	eth := getPlatform(t, "sp1-ethernet")
 	for _, tool := range []string{"p4", "pvm", "express"} {
-		s, err := sharedH.PingPong(bgCtx, sw, tool, []int{64 << 10})
+		s, err := sharedH.PingPong(bgCtx, sw.Key, tool, []int{64 << 10})
 		if err != nil {
 			t.Fatal(err)
 		}
-		e, err := sharedH.PingPong(bgCtx, eth, tool, []int{64 << 10})
+		e, err := sharedH.PingPong(bgCtx, eth.Key, tool, []int{64 << 10})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -32,11 +32,11 @@ func TestSP1DedicatedEthernetBeatsSharedForRings(t *testing.T) {
 	// even net of the CPU difference, for the wire-bound p4 case.
 	ded := getPlatform(t, "sp1-ethernet")
 	shared := getPlatform(t, "sun-ethernet")
-	d, err := sharedH.Ring(bgCtx, ded, "p4", 4, []int{32 << 10})
+	d, err := sharedH.Ring(bgCtx, ded.Key, "p4", 4, []int{32 << 10})
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := sharedH.Ring(bgCtx, shared, "p4", 4, []int{32 << 10})
+	s, err := sharedH.Ring(bgCtx, shared.Key, "p4", 4, []int{32 << 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +48,7 @@ func TestSP1DedicatedEthernetBeatsSharedForRings(t *testing.T) {
 func TestSP1AppsRunOnBothFabrics(t *testing.T) {
 	for _, pfKey := range []string{"sp1-switch", "sp1-ethernet"} {
 		pf := getPlatform(t, pfKey)
-		s, err := sharedH.RunAPL(bgCtx, pf, "pvm", "jpeg", []int{1, 4}, 0.15)
+		s, err := sharedH.RunAPL(bgCtx, pf.Key, "pvm", "jpeg", []int{1, 4}, 0.15)
 		if err != nil {
 			t.Fatalf("%s: %v", pfKey, err)
 		}

@@ -44,35 +44,18 @@ type Series struct {
 }
 
 // PingPong measures the round-trip send/receive time (Table 3's
-// benchmark): rank 0 sends size bytes to rank 1 and waits for the echo.
-// The result is the round-trip time in milliseconds for each size.
-func (h *Harness) PingPong(ctx context.Context, pf platform.Platform, toolName string, sizes []int) ([]float64, error) {
-	factory, err := h.FactoryFor(toolName)
-	if err != nil {
-		return nil, err
-	}
-	return runner.Collect(ctx, h.x, sizes, func(size int) (float64, error) {
-		key := runner.Key{Platform: pf.Key, Tool: toolName, Bench: "pingpong", Procs: 2, Size: size}
-		return h.x.Memo(ctx, key, func() (runner.CellResult, error) {
-			return computePingPong(pf, toolName, factory, size)
-		})
-	})
+// benchmark) on the platform keyed pfKey: rank 0 sends size bytes to
+// rank 1 and waits for the echo. The result is the round-trip time in
+// milliseconds for each size.
+func (h *Harness) PingPong(ctx context.Context, pfKey, toolName string, sizes []int) ([]float64, error) {
+	return h.sweep(ctx, pfKey, toolName, "pingpong", 2, sizes)
 }
 
 // Broadcast measures the collective broadcast of Figure 2: rank 0's data
 // reaching all procs ranks. The reported time is until the slowest rank
 // holds the data.
-func (h *Harness) Broadcast(ctx context.Context, pf platform.Platform, toolName string, procs int, sizes []int) ([]float64, error) {
-	factory, err := h.FactoryFor(toolName)
-	if err != nil {
-		return nil, err
-	}
-	return runner.Collect(ctx, h.x, sizes, func(size int) (float64, error) {
-		key := runner.Key{Platform: pf.Key, Tool: toolName, Bench: "broadcast", Procs: procs, Size: size}
-		return h.x.Memo(ctx, key, func() (runner.CellResult, error) {
-			return computeBroadcast(pf, toolName, factory, procs, size)
-		})
-	})
+func (h *Harness) Broadcast(ctx context.Context, pfKey, toolName string, procs int, sizes []int) ([]float64, error) {
+	return h.sweep(ctx, pfKey, toolName, "broadcast", procs, sizes)
 }
 
 // Ring measures the loop benchmark of Figure 3 ("all nodes send and
@@ -81,32 +64,29 @@ func (h *Harness) Broadcast(ctx context.Context, pf platform.Platform, toolName 
 // is until the slowest rank holds its incoming message — continuous
 // bidirectional flow, which is where the paper observes Express
 // overtaking PVM despite losing the isolated send/receive race.
-func (h *Harness) Ring(ctx context.Context, pf platform.Platform, toolName string, procs int, sizes []int) ([]float64, error) {
-	factory, err := h.FactoryFor(toolName)
-	if err != nil {
-		return nil, err
-	}
-	return runner.Collect(ctx, h.x, sizes, func(size int) (float64, error) {
-		key := runner.Key{Platform: pf.Key, Tool: toolName, Bench: "ring", Procs: procs, Size: size}
-		return h.x.Memo(ctx, key, func() (runner.CellResult, error) {
-			return computeRing(pf, toolName, factory, procs, size)
-		})
-	})
+func (h *Harness) Ring(ctx context.Context, pfKey, toolName string, procs int, sizes []int) ([]float64, error) {
+	return h.sweep(ctx, pfKey, toolName, "ring", procs, sizes)
 }
 
 // GlobalSum measures Figure 4's benchmark: the element-wise global sum of
 // an integer vector across procs ranks (p4_global_op / excombine; PVM
 // reports mpt.ErrNotSupported as in Table 1).
-func (h *Harness) GlobalSum(ctx context.Context, pf platform.Platform, toolName string, procs int, vectorLens []int) ([]float64, error) {
-	factory, err := h.FactoryFor(toolName)
-	if err != nil {
+func (h *Harness) GlobalSum(ctx context.Context, pfKey, toolName string, procs int, vectorLens []int) ([]float64, error) {
+	return h.sweep(ctx, pfKey, toolName, "globalsum", procs, vectorLens)
+}
+
+// sweep resolves one TPL cell per size, in input order. A platform or
+// tool this harness cannot resolve fails up front, before any cell is
+// scheduled or memoized.
+func (h *Harness) sweep(ctx context.Context, pfKey, toolName, benchName string, procs int, sizes []int) ([]float64, error) {
+	if _, err := platform.Get(pfKey); err != nil {
 		return nil, err
 	}
-	return runner.Collect(ctx, h.x, vectorLens, func(n int) (float64, error) {
-		key := runner.Key{Platform: pf.Key, Tool: toolName, Bench: "globalsum", Procs: procs, Size: n}
-		return h.x.Memo(ctx, key, func() (runner.CellResult, error) {
-			return computeGlobalSum(pf, toolName, factory, procs, n)
-		})
+	if _, err := h.FactoryFor(toolName); err != nil {
+		return nil, err
+	}
+	return runner.Collect(ctx, h.x, sizes, func(size int) (float64, error) {
+		return h.cell(ctx, runner.Key{Platform: pfKey, Tool: toolName, Bench: benchName, Procs: procs, Size: size})
 	})
 }
 

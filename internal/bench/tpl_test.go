@@ -29,7 +29,7 @@ func TestPingPongOrderingEthernet(t *testing.T) {
 	sizes := []int{16 << 10, 64 << 10}
 	res := map[string]float64{}
 	for _, tool := range []string{"p4", "pvm", "express"} {
-		ms, err := sharedH.PingPong(bgCtx, pf, tool, sizes)
+		ms, err := sharedH.PingPong(bgCtx, pf.Key, tool, sizes)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -46,22 +46,22 @@ func TestPingPongCrossoverOnATM(t *testing.T) {
 	// message sizes (upto 1 Kbytes) but PVM outperforms Express for large
 	// messages" (ATM).
 	pf := getPlatform(t, "sun-atm-lan")
-	small, err := sharedH.PingPong(bgCtx, pf, "express", []int{0})
+	small, err := sharedH.PingPong(bgCtx, pf.Key, "express", []int{0})
 	if err != nil {
 		t.Fatal(err)
 	}
-	smallPVM, err := sharedH.PingPong(bgCtx, pf, "pvm", []int{0})
+	smallPVM, err := sharedH.PingPong(bgCtx, pf.Key, "pvm", []int{0})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !(small[0] < smallPVM[0]) {
 		t.Fatalf("at 0KB Express (%f) should beat PVM (%f)", small[0], smallPVM[0])
 	}
-	large, err := sharedH.PingPong(bgCtx, pf, "express", []int{64 << 10})
+	large, err := sharedH.PingPong(bgCtx, pf.Key, "express", []int{64 << 10})
 	if err != nil {
 		t.Fatal(err)
 	}
-	largePVM, err := sharedH.PingPong(bgCtx, pf, "pvm", []int{64 << 10})
+	largePVM, err := sharedH.PingPong(bgCtx, pf.Key, "pvm", []int{64 << 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestBroadcastOrderingEthernet(t *testing.T) {
 	sizes := []int{16 << 10, 64 << 10}
 	res := map[string]float64{}
 	for _, tool := range []string{"p4", "pvm", "express"} {
-		ms, err := sharedH.Broadcast(bgCtx, pf, tool, 4, sizes)
+		ms, err := sharedH.Broadcast(bgCtx, pf.Key, tool, 4, sizes)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -95,7 +95,7 @@ func TestRingOrderingEthernet(t *testing.T) {
 	sizes := []int{32 << 10, 64 << 10}
 	res := map[string]float64{}
 	for _, tool := range []string{"p4", "pvm", "express"} {
-		ms, err := sharedH.Ring(bgCtx, pf, tool, 4, sizes)
+		ms, err := sharedH.Ring(bgCtx, pf.Key, tool, 4, sizes)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -114,11 +114,11 @@ func TestRingOrderingATMWAN(t *testing.T) {
 	// Table 4, SUN/ATM ring: p4 < PVM.
 	pf := getPlatform(t, "sun-atm-wan")
 	sizes := []int{32 << 10, 64 << 10}
-	p4ms, err := sharedH.Ring(bgCtx, pf, "p4", 4, sizes)
+	p4ms, err := sharedH.Ring(bgCtx, pf.Key, "p4", 4, sizes)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pvmms, err := sharedH.Ring(bgCtx, pf, "pvm", 4, sizes)
+	pvmms, err := sharedH.Ring(bgCtx, pf.Key, "pvm", 4, sizes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,11 +131,11 @@ func TestGlobalSumOrderingEthernet(t *testing.T) {
 	// Fig 4 / Table 4: p4 < Express; PVM not available.
 	pf := getPlatform(t, "sun-ethernet")
 	lens := []int{25_000, 100_000}
-	p4ms, err := sharedH.GlobalSum(bgCtx, pf, "p4", 4, lens)
+	p4ms, err := sharedH.GlobalSum(bgCtx, pf.Key, "p4", 4, lens)
 	if err != nil {
 		t.Fatal(err)
 	}
-	exms, err := sharedH.GlobalSum(bgCtx, pf, "express", 4, lens)
+	exms, err := sharedH.GlobalSum(bgCtx, pf.Key, "express", 4, lens)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +143,7 @@ func TestGlobalSumOrderingEthernet(t *testing.T) {
 	if !(mean(p4ms) < mean(exms)) {
 		t.Fatalf("global sum: p4 (%f) should beat Express (%f)", mean(p4ms), mean(exms))
 	}
-	if _, err := sharedH.GlobalSum(bgCtx, pf, "pvm", 4, []int{100}); err == nil {
+	if _, err := sharedH.GlobalSum(bgCtx, pf.Key, "pvm", 4, []int{100}); err == nil {
 		t.Fatal("PVM global sum should fail (Not Available in Table 1)")
 	}
 }
@@ -153,11 +153,11 @@ func TestATMBeatsEthernetLargeMessages(t *testing.T) {
 	eth := getPlatform(t, "sun-ethernet")
 	atm := getPlatform(t, "sun-atm-lan")
 	for _, tool := range []string{"p4", "pvm", "express"} {
-		e, err := sharedH.PingPong(bgCtx, eth, tool, []int{64 << 10})
+		e, err := sharedH.PingPong(bgCtx, eth.Key, tool, []int{64 << 10})
 		if err != nil {
 			t.Fatal(err)
 		}
-		a, err := sharedH.PingPong(bgCtx, atm, tool, []int{64 << 10})
+		a, err := sharedH.PingPong(bgCtx, atm.Key, tool, []int{64 << 10})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -173,11 +173,11 @@ func TestWANComparableToLAN(t *testing.T) {
 	lan := getPlatform(t, "sun-atm-lan")
 	wan := getPlatform(t, "sun-atm-wan")
 	for _, tool := range []string{"p4", "pvm"} {
-		l, err := sharedH.PingPong(bgCtx, lan, tool, []int{16 << 10})
+		l, err := sharedH.PingPong(bgCtx, lan.Key, tool, []int{16 << 10})
 		if err != nil {
 			t.Fatal(err)
 		}
-		w, err := sharedH.PingPong(bgCtx, wan, tool, []int{16 << 10})
+		w, err := sharedH.PingPong(bgCtx, wan.Key, tool, []int{16 << 10})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -192,7 +192,7 @@ func TestPingPongMonotonicInSize(t *testing.T) {
 	for _, key := range []string{"sun-ethernet", "sun-atm-lan"} {
 		pf := getPlatform(t, key)
 		for _, tool := range []string{"p4", "pvm", "express"} {
-			ms, err := sharedH.PingPong(bgCtx, pf, tool, StandardSizes())
+			ms, err := sharedH.PingPong(bgCtx, pf.Key, tool, StandardSizes())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -202,5 +202,20 @@ func TestPingPongMonotonicInSize(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// A platform or tool the harness cannot resolve fails the sweep before
+// any cell is scheduled, so the error is never memoized.
+func TestSweepRejectsUnknownNamesUpFront(t *testing.T) {
+	h := freshHarness(1)
+	if _, err := h.PingPong(bgCtx, "no-such-platform", "p4", []int{0}); err == nil {
+		t.Fatal("PingPong on an unknown platform succeeded")
+	}
+	if _, err := h.Ring(bgCtx, "sun-ethernet", "no-such-tool", 4, []int{0}); err == nil {
+		t.Fatal("Ring with an unknown tool succeeded")
+	}
+	if st := h.Executor().Stats(); st.Misses != 0 || st.Hits != 0 {
+		t.Fatalf("rejected sweeps touched the cache: %+v", st)
 	}
 }

@@ -1,12 +1,11 @@
-// Package remote distributes the evaluation sweep across worker
-// daemons. It is the second execution backend behind the
-// runner.Executor seam (after the in-process bounded pool): the
-// coordinator-side Remote routes each cell to a worker by
-// rendezvous-hashing the FNV content hash of its key (runner.Key.Hash),
-// and the worker recomputes the cell from its key alone — cells are
-// pure functions of their content key, so results are
-// location-transparent and a distributed sweep is byte-identical to a
-// serial one.
+// Package remote distributes the evaluation sweep's cell computations
+// across worker daemons. It is a compute step, not an execution
+// backend: the coordinator's executor memoizes each cell as it would
+// locally, and on a miss Remote.Compute routes the key to a worker by
+// rendezvous-hashing its FNV content hash (runner.Key.Hash). The worker
+// recomputes the cell from its key alone — cells are pure functions of
+// their content key, so results are location-transparent and a
+// distributed sweep is byte-identical to a serial one.
 //
 // The wire protocol is deliberately small JSON-over-HTTP: one POST per
 // cell carrying the canonical key fields plus the coordinator's

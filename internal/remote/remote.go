@@ -26,19 +26,15 @@ const (
 	defaultMaxBackoff       = 10 * time.Second
 )
 
-// Remote is the coordinator-side distributed Executor. It layers the
-// wire dispatch over an inner local executor (usually the session's
-// quota-wrapped pool): Memo runs through the inner executor's
-// memoization — single-flight, cache, optional durable tier, observer,
-// quota charging all stay coordinator-side — and only the compute step
-// is replaced by an RPC to the worker that rendezvous hashing assigns
-// the key.
-//
-// Remote.Memo therefore IGNORES the compute closure the caller passes:
-// the cell is recomputed on the worker from its key alone (cells are
-// pure functions of their keys), which is the whole point — and why
-// custom WithTool factories, which exist only in the coordinator's
-// registry, cannot be evaluated remotely.
+// Remote is the coordinator side of distributed execution: the compute
+// step a session memoizes cells through when it has workers. Compute
+// sends a cell's key to the worker that rendezvous hashing assigns it,
+// and the worker recomputes the cell from the key alone (cells are
+// pure functions of their keys). Everything else stays with the
+// caller's executor on the coordinator: single-flight, the memo cache,
+// the optional durable tier, observers and quota charging. Its
+// concurrency bound is the in-flight RPC bound, since Compute runs
+// inside the executor's slot.
 //
 // Node failure reuses the breaker vocabulary: an RPC failure counts
 // against the node, threshold consecutive failures eject it (timed
@@ -46,7 +42,6 @@ const (
 // next node in its rendezvous order — mid-sweep loss of a worker moves
 // exactly that worker's cells to survivors, with identical results.
 type Remote struct {
-	local  runner.Executor
 	client *http.Client
 	engine uint64
 	now    func() time.Time
@@ -57,14 +52,12 @@ type Remote struct {
 	nodes []*node
 }
 
-var _ runner.Executor = (*Remote)(nil)
-
 // Option configures a Remote under construction.
 type Option func(*Remote)
 
 // WithHTTPClient substitutes the coordinator's HTTP client (tests use
 // httptest server clients; deployments may want timeouts/transport
-// tuning). Per-call cancellation always rides the Memo context.
+// tuning). Per-call cancellation always rides the Compute context.
 func WithHTTPClient(c *http.Client) Option {
 	return func(r *Remote) {
 		if c != nil {
@@ -95,18 +88,13 @@ func WithClock(now func() time.Time) Option {
 	return func(r *Remote) { r.now = now }
 }
 
-// New builds the coordinator executor over the given worker addresses
-// ("host:port" or full http:// URLs) and inner local executor. The
-// inner executor supplies the memoization cache, concurrency bound
-// (which doubles as the in-flight RPC bound), observer, and — when the
-// session wraps it in a quota — budget charging; Remote adds routing,
-// failover, and the wire protocol on top.
-func New(nodes []string, inner runner.Executor, opts ...Option) (*Remote, error) {
+// New builds the coordinator's compute step over the given worker
+// addresses ("host:port" or full http:// URLs).
+func New(nodes []string, opts ...Option) (*Remote, error) {
 	if len(nodes) == 0 {
 		return nil, errors.New("remote: no worker nodes given")
 	}
 	r := &Remote{
-		local:     inner,
 		client:    http.DefaultClient,
 		engine:    sim.EngineVersion,
 		now:       time.Now,
@@ -153,38 +141,11 @@ func (r *Remote) Nodes() []string {
 	return out
 }
 
-// Memo resolves the cell through the inner executor's memoization with
-// the compute step replaced by remote dispatch. The caller's compute
-// closure is deliberately ignored — see the type comment.
-func (r *Remote) Memo(ctx context.Context, key runner.Key, _ func() (runner.CellResult, error)) (float64, error) {
-	return r.local.Memo(ctx, key, func() (runner.CellResult, error) {
-		return r.dispatch(ctx, key)
-	})
-}
-
-// Do runs fn locally under the inner executor's slot — direct
-// (non-memoized) runs have no content key to route by, so they stay on
-// the coordinator.
-func (r *Remote) Do(ctx context.Context, fn func() error) error {
-	return r.local.Do(ctx, fn)
-}
-
-// Map delegates the ordered fan-out to the inner executor; the cells
-// inside fn dispatch remotely through Memo.
-func (r *Remote) Map(ctx context.Context, n int, fn func(i int) error) error {
-	return r.local.Map(ctx, n, fn)
-}
-
-func (r *Remote) Workers() int               { return r.local.Workers() }
-func (r *Remote) Stats() runner.Stats        { return r.local.Stats() }
-func (r *Remote) Cache() *runner.Cache       { return r.local.Cache() }
-func (r *Remote) Observe(fn runner.Observer) { r.local.Observe(fn) }
-
-// dispatch sends the cell to the workers in rendezvous order: the
-// top-ranked admitted node first, failing over down the order on
-// transport faults. Deterministic outcomes — a 200 (with or without a
-// cell error) or a version refusal — never fail over.
-func (r *Remote) dispatch(ctx context.Context, key runner.Key) (runner.CellResult, error) {
+// Compute computes the cell key names on the workers, in rendezvous
+// order: the top-ranked admitted node first, failing over down the
+// order on transport faults. Deterministic outcomes — a 200 (with or
+// without a cell error) or a version refusal — never fail over.
+func (r *Remote) Compute(ctx context.Context, key runner.Key) (runner.CellResult, error) {
 	var lastErr error
 	retry := false
 	for _, nd := range r.rank(key) {

@@ -87,12 +87,13 @@ func TestRemoteMatchesLocal(t *testing.T) {
 	for i, ts := range ws {
 		nodes[i] = ts.URL
 	}
-	r, err := New(nodes, runner.New(8))
+	x := runner.New(8)
+	r, err := New(nodes)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var observed atomic.Int64
-	r.Observe(func(_ context.Context, _ runner.Key, cached bool, _ error) {
+	x.Observe(func(_ context.Context, _ runner.Key, cached bool, _ error) {
 		if !cached {
 			observed.Add(1)
 		}
@@ -101,7 +102,7 @@ func TestRemoteMatchesLocal(t *testing.T) {
 	keys := testKeys(40)
 	for _, key := range keys {
 		want, _ := fakeCompute(key)
-		got, err := r.Memo(bg, key, nil)
+		got, err := memo(bg, x, r, key)
 		if err != nil {
 			t.Fatalf("Memo(%s): %v", key, err)
 		}
@@ -112,20 +113,26 @@ func TestRemoteMatchesLocal(t *testing.T) {
 	// Second pass: all warm, no extra RPCs.
 	sentBefore := totalSent(r)
 	for _, key := range keys {
-		if _, err := r.Memo(bg, key, nil); err != nil {
+		if _, err := memo(bg, x, r, key); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if got := totalSent(r); got != sentBefore {
 		t.Fatalf("warm pass issued %d extra RPCs, want 0", got-sentBefore)
 	}
-	st := r.Stats()
+	st := x.Stats()
 	if st.Misses != int64(len(keys)) || st.Hits != int64(len(keys)) {
 		t.Fatalf("cache stats = %+v, want %d misses and %d hits", st, len(keys), len(keys))
 	}
 	if observed.Load() != int64(len(keys)) {
 		t.Fatalf("observer fired %d times, want %d (once per computed cell)", observed.Load(), len(keys))
 	}
+}
+
+// memo resolves key the way a session does with workers: through x's
+// memoization, with r's remote compute as the step on a miss.
+func memo(ctx context.Context, x runner.Executor, r *Remote, key runner.Key) (float64, error) {
+	return x.Memo(ctx, key, func() (runner.CellResult, error) { return r.Compute(ctx, key) })
 }
 
 func totalSent(r *Remote) int64 {
@@ -141,13 +148,14 @@ func totalSent(r *Remote) int64 {
 func TestRemoteDeterministicCellError(t *testing.T) {
 	cc := newCountingCompute()
 	ws := []*httptest.Server{startWorker(t, cc.compute), startWorker(t, cc.compute)}
-	r, err := New([]string{ws[0].URL, ws[1].URL}, runner.New(4))
+	x := runner.New(4)
+	r, err := New([]string{ws[0].URL, ws[1].URL})
 	if err != nil {
 		t.Fatal(err)
 	}
 	key := runner.Key{Platform: "ncube2", Tool: "toola", Bench: "explode", Procs: 2, Size: 64}
 	for i := 0; i < 3; i++ {
-		_, err := r.Memo(bg, key, nil)
+		_, err := memo(bg, x, r, key)
 		if err == nil || !strings.Contains(err.Error(), "deterministic failure") {
 			t.Fatalf("Memo #%d error = %v, want the cell's own failure", i, err)
 		}
@@ -170,15 +178,16 @@ func TestRemoteVirtualTime(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		// A fresh coordinator each round: round 2 hits only the worker's
 		// cache, not the coordinator's.
-		r, err := New([]string{ts.URL}, runner.New(2))
+		x := runner.New(2)
+		r, err := New([]string{ts.URL})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := r.Memo(bg, key, nil); err != nil {
+		if _, err := memo(bg, x, r, key); err != nil {
 			t.Fatal(err)
 		}
 		// The coordinator cache must have absorbed the wire-reported cost.
-		res, ok := r.Cache().Lookup(key)
+		res, ok := x.Cache().Lookup(key)
 		if !ok {
 			t.Fatalf("round %d: coordinator cache has no completed entry", i)
 		}
@@ -194,12 +203,13 @@ func TestRemoteVirtualTime(t *testing.T) {
 func TestVersionMismatchRefusal(t *testing.T) {
 	cc := newCountingCompute()
 	skewed := startWorker(t, cc.compute, WithWorkerEngine(sim.EngineVersion+1))
-	r, err := New([]string{skewed.URL}, runner.New(2))
+	x := runner.New(2)
+	r, err := New([]string{skewed.URL})
 	if err != nil {
 		t.Fatal(err)
 	}
 	key := testKeys(1)[0]
-	_, err = r.Memo(bg, key, nil)
+	_, err = memo(bg, x, r, key)
 	var ve *VersionError
 	if !errors.As(err, &ve) {
 		t.Fatalf("Memo error = %v, want *VersionError", err)
@@ -217,7 +227,7 @@ func TestVersionMismatchRefusal(t *testing.T) {
 		t.Fatalf("node state after refusal = %+v, want ok/unejected (refusing is not failing)", st)
 	}
 	// The refusal is a deterministic outcome: memoized, not retried.
-	if _, err2 := r.Memo(bg, key, nil); !errors.As(err2, &ve) {
+	if _, err2 := memo(bg, x, r, key); !errors.As(err2, &ve) {
 		t.Fatalf("second Memo error = %v, want memoized *VersionError", err2)
 	}
 	if got := totalSent(r); got != 1 {
@@ -259,16 +269,16 @@ func TestWorkerRejectsBadRequests(t *testing.T) {
 
 // TestNewValidation pins constructor errors.
 func TestNewValidation(t *testing.T) {
-	if _, err := New(nil, runner.New(1)); err == nil {
+	if _, err := New(nil); err == nil {
 		t.Fatal("New with no nodes succeeded")
 	}
-	if _, err := New([]string{"a:1", "a:1"}, runner.New(1)); err == nil {
+	if _, err := New([]string{"a:1", "a:1"}); err == nil {
 		t.Fatal("New with duplicate nodes succeeded")
 	}
-	if _, err := New([]string{"a:1", "  "}, runner.New(1)); err == nil {
+	if _, err := New([]string{"a:1", "  "}); err == nil {
 		t.Fatal("New with a blank node succeeded")
 	}
-	r, err := New([]string{"a:1", "http://b:2/"}, runner.New(1))
+	r, err := New([]string{"a:1", "http://b:2/"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,9 +301,8 @@ func owners(r *Remote, keys []runner.Key) map[runner.Key]string {
 // keys (each to its runner-up), and adding a node steals only the keys
 // the new node wins — every other assignment is untouched.
 func TestRendezvousMinimalMovement(t *testing.T) {
-	inner := func() runner.Executor { return runner.New(1) }
 	all := []string{"worker-a:1", "worker-b:2", "worker-c:3", "worker-d:4"}
-	rAll, err := New(all, inner())
+	rAll, err := New(all)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,7 +322,7 @@ func TestRendezvousMinimalMovement(t *testing.T) {
 
 	// Leave: drop worker-c. Only its keys may move.
 	without := []string{"worker-a:1", "worker-b:2", "worker-d:4"}
-	rLess, err := New(without, inner())
+	rLess, err := New(without)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,7 +342,7 @@ func TestRendezvousMinimalMovement(t *testing.T) {
 
 	// Join: re-adding worker-c must exactly restore the original map —
 	// the keys it steals back are precisely the ones it owned.
-	rBack, err := New(all, inner())
+	rBack, err := New(all)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -400,7 +409,8 @@ func TestChaosWorkerLoss(t *testing.T) {
 				urls = append(urls, ts.URL)
 			}
 
-			r, err := New(urls, runner.New(8),
+			x := runner.New(8)
+			r, err := New(urls,
 				WithNodeBreaker(2, time.Hour, time.Hour)) // ejected stays ejected for the test's lifetime
 			if err != nil {
 				t.Fatal(err)
@@ -426,7 +436,7 @@ func TestChaosWorkerLoss(t *testing.T) {
 				wg.Add(1)
 				go func(i int, key runner.Key) {
 					defer wg.Done()
-					vals[i], errs[i] = r.Memo(bg, key, nil)
+					vals[i], errs[i] = memo(bg, x, r, key)
 				}(i, key)
 			}
 			wg.Wait()
@@ -469,12 +479,13 @@ func TestAllWorkersDown(t *testing.T) {
 		http.Error(rw, "down", http.StatusInternalServerError)
 	}))
 	defer dead.Close()
-	r, err := New([]string{dead.URL}, runner.New(2))
+	x := runner.New(2)
+	r, err := New([]string{dead.URL})
 	if err != nil {
 		t.Fatal(err)
 	}
 	key := testKeys(1)[0]
-	if _, err := r.Memo(bg, key, nil); err == nil || !strings.Contains(err.Error(), "every worker") {
+	if _, err := memo(bg, x, r, key); err == nil || !strings.Contains(err.Error(), "every worker") {
 		t.Fatalf("Memo with all nodes down = %v, want every-worker failure", err)
 	}
 }
@@ -499,7 +510,8 @@ func TestBreakerEjectionAndProbe(t *testing.T) {
 
 	clock := time.Unix(1000, 0)
 	now := func() time.Time { return clock }
-	r, err := New([]string{ts.URL}, runner.New(2),
+	x := runner.New(2)
+	r, err := New([]string{ts.URL},
 		WithClock(now), WithNodeBreaker(3, 100*time.Millisecond, 10*time.Second))
 	if err != nil {
 		t.Fatal(err)
@@ -508,7 +520,7 @@ func TestBreakerEjectionAndProbe(t *testing.T) {
 	keys := testKeys(5)
 	// Three failing cells trip the breaker.
 	for i := 0; i < 3; i++ {
-		if _, err := r.Memo(bg, keys[i], nil); err == nil {
+		if _, err := memo(bg, x, r, keys[i]); err == nil {
 			t.Fatalf("cell %d against failing node succeeded", i)
 		}
 	}
@@ -518,7 +530,7 @@ func TestBreakerEjectionAndProbe(t *testing.T) {
 
 	// Inside the backoff window nothing is admitted — not even an RPC.
 	sent := totalSent(r)
-	if _, err := r.Memo(bg, keys[3], nil); err == nil {
+	if _, err := memo(bg, x, r, keys[3]); err == nil {
 		t.Fatal("cell against ejected node succeeded")
 	}
 	if got := totalSent(r); got != sent {
@@ -531,14 +543,14 @@ func TestBreakerEjectionAndProbe(t *testing.T) {
 	if st := r.NodeStats()[0]; st.State != "probing" {
 		t.Fatalf("after backoff elapsed: state %q, want probing", st.State)
 	}
-	if _, err := r.Memo(bg, keys[4], nil); err != nil {
+	if _, err := memo(bg, x, r, keys[4]); err != nil {
 		t.Fatalf("probe cell failed after node healed: %v", err)
 	}
 	if st := r.NodeStats()[0]; st.State != "ok" {
 		t.Fatalf("after successful probe: %+v, want ok", st)
 	}
 	// Healed node serves normally again.
-	if _, err := r.Memo(bg, testKeys(9)[8], nil); err != nil {
+	if _, err := memo(bg, x, r, testKeys(9)[8]); err != nil {
 		t.Fatalf("post-recovery cell: %v", err)
 	}
 }
@@ -550,24 +562,25 @@ func TestBreakerProbeFailureBacksOff(t *testing.T) {
 	}))
 	defer ts.Close()
 	clock := time.Unix(1000, 0)
-	r, err := New([]string{ts.URL}, runner.New(1),
+	x := runner.New(1)
+	r, err := New([]string{ts.URL},
 		WithClock(func() time.Time { return clock }),
 		WithNodeBreaker(1, 100*time.Millisecond, 10*time.Second))
 	if err != nil {
 		t.Fatal(err)
 	}
 	keys := testKeys(3)
-	if _, err := r.Memo(bg, keys[0], nil); err == nil {
+	if _, err := memo(bg, x, r, keys[0]); err == nil {
 		t.Fatal("dead node succeeded")
 	}
 	// First probe at +100ms fails -> backoff doubles to 200ms.
 	clock = clock.Add(100 * time.Millisecond)
-	if _, err := r.Memo(bg, keys[1], nil); err == nil {
+	if _, err := memo(bg, x, r, keys[1]); err == nil {
 		t.Fatal("probe against dead node succeeded")
 	}
 	clock = clock.Add(150 * time.Millisecond) // 150 < 200: still closed to RPCs
 	sent := totalSent(r)
-	if _, err := r.Memo(bg, keys[2], nil); err == nil {
+	if _, err := memo(bg, x, r, keys[2]); err == nil {
 		t.Fatal("cell inside doubled backoff succeeded")
 	}
 	if got := totalSent(r); got != sent {
@@ -579,21 +592,22 @@ func TestBreakerProbeFailureBacksOff(t *testing.T) {
 // memoized: a later call with a live context computes normally.
 func TestRemoteContextCancellation(t *testing.T) {
 	ts := startWorker(t, fakeCompute)
-	r, err := New([]string{ts.URL}, runner.New(2))
+	x := runner.New(2)
+	r, err := New([]string{ts.URL})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(bg)
 	cancel()
 	key := testKeys(1)[0]
-	if _, err := r.Memo(ctx, key, nil); !errors.Is(err, context.Canceled) {
+	if _, err := memo(ctx, x, r, key); !errors.Is(err, context.Canceled) {
 		t.Fatalf("Memo under cancelled ctx = %v, want context.Canceled", err)
 	}
 	if st := r.NodeStats()[0]; st.Ejected != 0 {
 		t.Fatalf("cancellation penalized the node: %+v", st)
 	}
 	want, _ := fakeCompute(key)
-	got, err := r.Memo(bg, key, nil)
+	got, err := memo(bg, x, r, key)
 	if err != nil || got != want.Value {
 		t.Fatalf("Memo after cancellation = %v, %v; want %v, nil (ctx errors must not cache)", got, err, want.Value)
 	}
@@ -609,19 +623,17 @@ func TestWorkerStatsz(t *testing.T) {
 	defer ts.Close()
 	clock = clock.Add(90 * time.Second)
 
-	r, err := New([]string{ts.URL}, runner.New(2))
+	r, err := New([]string{ts.URL})
 	if err != nil {
 		t.Fatal(err)
 	}
 	key := testKeys(1)[0]
 	for i := 0; i < 2; i++ {
-		// Fresh coordinator per round so round 2 re-asks the worker.
-		r2, _ := New([]string{ts.URL}, runner.New(2))
-		if _, err := r2.Memo(bg, key, nil); err != nil {
+		// Fresh coordinator cache per round so round 2 re-asks the worker.
+		if _, err := memo(bg, runner.New(2), r, key); err != nil {
 			t.Fatal(err)
 		}
 	}
-	_ = r
 
 	resp, err := http.Get(ts.URL + StatsPath)
 	if err != nil {

@@ -16,7 +16,7 @@ import (
 // worker daemon passes bench.ComputeCell; tests substitute fakes.
 type ComputeFunc func(runner.Key) (runner.CellResult, error)
 
-// Worker is the daemon-side half of the remote executor: an HTTP
+// Worker is the daemon-side half of remote execution: an HTTP
 // handler that resolves cell RPCs through a local Executor (a worker
 // pool, optionally store-backed), so a worker deduplicates repeated
 // keys through the same memoization every local sweep uses.

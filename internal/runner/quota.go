@@ -116,8 +116,8 @@ func (q *quotaExecutor) admit(ctx context.Context) (release func(), err error) {
 // notifyRefusal reports a quota refusal to the installed observer —
 // and only quota refusals, not context errors, which did not resolve
 // the cell. Detection is errors.As, not a bare type assertion: a
-// wrapping layer (the remote executor will wrap errors with transport
-// context) must not silently drop the observer callback.
+// wrapping layer (a caller-supplied executor may wrap errors with
+// its own context) must not silently drop the observer callback.
 func (q *quotaExecutor) notifyRefusal(ctx context.Context, key Key, err error) {
 	var qe *QuotaError
 	if errors.As(err, &qe) && q.observe != nil {

@@ -108,8 +108,9 @@ type Observer func(ctx context.Context, key Key, cached bool, err error)
 // Executor is the execution-backend seam: the scheduler contract the
 // session layer and the bench harness program against. Runner is the
 // in-process implementation (a bounded worker pool over a memoization
-// Cache); remote executors implement the same contract and slot in
-// underneath without the layers above changing.
+// Cache); other implementations (WithExecutor in the session layer)
+// slot in without the layers above changing. Remote workers are not an
+// Executor: they replace only the compute step a Memo runs on a miss.
 type Executor interface {
 	// Memo resolves one memoized cell: it returns the cached value for
 	// key, or invokes compute (under an execution slot) and caches the

@@ -1,8 +1,12 @@
 package tooleval_test
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
+	"io"
+	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"sync"
@@ -88,16 +92,99 @@ func TestRemoteSessionVersionMismatch(t *testing.T) {
 	}
 }
 
-// The remote backend refuses option combinations it cannot honor.
+// toolRecorder fronts a worker handler and records the tool named by
+// every cell RPC it forwards.
+type toolRecorder struct {
+	next  http.Handler
+	mu    sync.Mutex
+	tools []string
+}
+
+func (rec *toolRecorder) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	if r.URL.Path == remote.CellsPath {
+		body, err := io.ReadAll(r.Body)
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		var req remote.CellRequest
+		if err := json.Unmarshal(body, &req); err == nil {
+			rec.mu.Lock()
+			rec.tools = append(rec.tools, req.Tool)
+			rec.mu.Unlock()
+		}
+		r.Body = io.NopCloser(bytes.NewReader(body))
+	}
+	rec.next.ServeHTTP(w, r)
+}
+
+// TestWithToolComposesWithRemoteExecutor: a custom tool and remote
+// workers compose in one session. Built-in-tool cells compute on the
+// workers; custom-tool cells compute on the coordinator, because the
+// custom factory exists only in its registry. The results equal a
+// local session's.
+func TestWithToolComposesWithRemoteExecutor(t *testing.T) {
+	ctx := context.Background()
+	specs := []tooleval.ExperimentSpec{
+		{Kind: tooleval.KindPingPong, Platform: "sun-ethernet", Tool: "p4", Sizes: []int{0, 1 << 10}},
+		{Kind: tooleval.KindPingPong, Platform: "sun-ethernet", Tool: "mine", Sizes: []int{0, 4 << 10, 16 << 10}},
+	}
+	local := tooleval.NewSession(tooleval.WithTool("mine", mpiLite))
+	defer local.Close()
+	want, err := local.Submit(ctx, specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var recs []*toolRecorder
+	var nodes []string
+	for i := 0; i < 2; i++ {
+		rec := &toolRecorder{next: remote.NewWorker(runner.New(2), bench.ComputeCell).Handler()}
+		ts := httptest.NewServer(rec)
+		t.Cleanup(ts.Close)
+		recs = append(recs, rec)
+		nodes = append(nodes, ts.URL)
+	}
+	rem := tooleval.NewSession(
+		tooleval.WithParallelism(4),
+		tooleval.WithTool("mine", mpiLite),
+		tooleval.WithRemoteExecutor(nodes...),
+	)
+	defer rem.Close()
+	got, err := rem.Submit(ctx, specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(want, got) {
+		t.Fatalf("remote session with a custom tool differs from local:\nlocal:  %+v\nremote: %+v", want, got)
+	}
+
+	builtinMisses := int64(len(specs[0].Sizes))
+	if _, misses := rem.Stats(); misses != builtinMisses+int64(len(specs[1].Sizes)) {
+		t.Fatalf("session recorded %d misses, want %d", misses, builtinMisses+int64(len(specs[1].Sizes)))
+	}
+	var completed int64
+	for _, ns := range rem.NodeStats() {
+		completed += ns.Completed
+	}
+	if completed != builtinMisses {
+		t.Fatalf("workers completed %d RPCs, want %d (the built-in misses only)", completed, builtinMisses)
+	}
+	for _, rec := range recs {
+		for _, tool := range rec.tools {
+			if tool != "p4" {
+				t.Fatalf("a worker received a cell RPC for tool %q; only built-in cells may leave the coordinator", tool)
+			}
+		}
+	}
+}
+
+// NewSession refuses a remote address list it cannot dial.
 func TestWithRemoteExecutorConflicts(t *testing.T) {
 	cases := []struct {
 		name string
 		opts []tooleval.Option
 	}{
-		{"with custom tool", []tooleval.Option{
-			tooleval.WithTool("mine", nil),
-			tooleval.WithRemoteExecutor("localhost:1"),
-		}},
 		{"blank node", []tooleval.Option{
 			tooleval.WithRemoteExecutor(""),
 		}},
@@ -136,8 +223,8 @@ func (c *countingExecutor) Memo(ctx context.Context, key tooleval.Cell, compute 
 	return c.Executor.Memo(ctx, key, compute)
 }
 
-// TestWithExecutorComposesWithRemoteExecutor: the remote backend
-// layers on top of a caller-built executor exactly as on the built-in
+// TestWithExecutorComposesWithRemoteExecutor: the remote compute step
+// works through a caller-built executor exactly as through the built-in
 // pool. The caller's executor keeps memoization — its Memo resolves
 // every cell of the sweep — while the cells themselves are computed on
 // the workers, and the output matches a serial local session.

@@ -73,7 +73,7 @@ type Session struct {
 	parallelism int
 	sinks       []func(Event)
 	store       *store.Store   // owned durable tier (WithResultStore), nil otherwise
-	remote      *remote.Remote // distributed backend (WithRemoteExecutor), nil otherwise
+	remote      *remote.Remote // worker compute step (WithRemoteExecutor), nil otherwise
 	closeOnce   sync.Once
 	closeErr    error
 }
@@ -158,14 +158,16 @@ func WithProgress(fn ProgressFunc) Option {
 //
 // Construction follows one path whatever the options: pick the local
 // executor ([WithExecutor], else the built-in pool), attach the
-// [WithResultStore] tier to its cache, wrap it in the quota budgets,
-// then layer the [WithRemoteExecutor] backend on top. The options
-// therefore compose; NewSession panics only on a configuration it
-// cannot honor, each documented on its option:
+// [WithResultStore] tier to its cache, and wrap it in the quota
+// budgets. Every cell memoizes through that one executor; only the
+// compute step on a miss varies — [WithRemoteExecutor] sends
+// built-in-tool cells to the workers, while [WithTool] cells always
+// compute in this process. The options therefore compose; NewSession
+// panics only on a configuration it cannot honor, each documented on
+// its option:
 //   - [WithCache] alongside [WithExecutor];
-//   - [WithRemoteExecutor] alongside [WithTool];
-//   - a [WithRemoteExecutor] address list that is empty, blank or
-//     duplicated;
+//   - a [WithRemoteExecutor] address list holding a blank or
+//     duplicate address;
 //   - a [WithResultStore] directory that fails to open;
 //   - a [WithResultStore] over a cache that already carries a tier.
 func NewSession(opts ...Option) *Session {
@@ -181,13 +183,6 @@ func NewSession(opts ...Option) *Session {
 		// cache cannot be installed after the fact, so combining the two
 		// options is a configuration bug, not a preference to drop.
 		panic("tooleval: WithCache conflicts with WithExecutor — the executor owns its cache; build the executor over the shared cache instead")
-	}
-	if len(cfg.workers) > 0 && len(cfg.tools) > 0 {
-		// A custom factory exists only in this process's registry; a
-		// worker daemon handed the key alone cannot reconstruct it, so a
-		// remote sweep would deterministically fail every custom-tool
-		// cell. Refuse the configuration up front instead.
-		panic("tooleval: WithRemoteExecutor conflicts with WithTool — custom tool factories cannot be evaluated on remote workers")
 	}
 	var durable *store.Store
 	if cfg.storeDir != "" {
@@ -206,23 +201,16 @@ func NewSession(opts ...Option) *Session {
 		x.Cache().SetTier(durable)
 	}
 	x = runner.NewQuota(x, cfg.limits)
-	// The remote layer goes on the outside, so its dispatch closure runs
-	// through the quota wrapper underneath: budgets are checked and
-	// charged on the coordinator (with the virtual cost the worker
-	// reports), exactly as for a local sweep. Cache, durable tier, and
-	// observer likewise all live in the inner executor — the workers only
-	// ever see cell keys.
 	var rem *remote.Remote
 	if len(cfg.workers) > 0 {
 		var err error
-		rem, err = remote.New(cfg.workers, x)
+		rem, err = remote.New(cfg.workers)
 		if err != nil {
 			if durable != nil {
 				durable.Close()
 			}
 			panic(fmt.Sprintf("tooleval: WithRemoteExecutor: %v", err))
 		}
-		x = rem
 	}
 	var custom map[string]mpt.Factory
 	if len(cfg.tools) > 0 {
@@ -237,6 +225,12 @@ func NewSession(opts ...Option) *Session {
 		sinks:       cfg.sinks,
 		store:       durable,
 		remote:      rem,
+	}
+	if rem != nil {
+		// The workers only ever see cell keys: memoization, the durable
+		// tier, observers and quota charging (with the virtual cost the
+		// worker reports) all stay in x, on the coordinator.
+		s.h.SetRemote(rem.Compute)
 	}
 	// The observer and hooks are always installed: even with no
 	// WithEvents sinks, a caller may attach a per-batch sink to a
@@ -324,8 +318,8 @@ func (s *Session) Cache() *Cache { return s.h.Executor().Cache() }
 // NodeStats reports the per-worker coordinator counters of a
 // [WithRemoteExecutor] session — RPCs sent, completed, retried onto
 // this node after another failed, breaker ejections, and the current
-// admission state — in configuration order. Sessions without a remote
-// backend return nil.
+// admission state — in configuration order. Sessions without workers
+// return nil.
 func (s *Session) NodeStats() []RemoteNodeStats {
 	if s.remote == nil {
 		return nil
@@ -394,38 +388,34 @@ func (s *Session) runBounded(ctx context.Context, pf Platform, factory Factory, 
 // PingPong measures the send/receive round trip (Table 3's benchmark)
 // and returns milliseconds per message size.
 func (s *Session) PingPong(ctx context.Context, platformKey, tool string, sizes []int) ([]float64, error) {
-	pf, err := s.resolvePlatform(platformKey, tool)
-	if err != nil {
+	if _, err := s.resolvePlatform(platformKey, tool); err != nil {
 		return nil, err
 	}
-	return s.h.PingPong(ctx, pf, tool, sizes)
+	return s.h.PingPong(ctx, platformKey, tool, sizes)
 }
 
 // Broadcast measures the collective broadcast (Figure 2's benchmark).
 func (s *Session) Broadcast(ctx context.Context, platformKey, tool string, procs int, sizes []int) ([]float64, error) {
-	pf, err := s.resolvePlatform(platformKey, tool)
-	if err != nil {
+	if _, err := s.resolvePlatform(platformKey, tool); err != nil {
 		return nil, err
 	}
-	return s.h.Broadcast(ctx, pf, tool, procs, sizes)
+	return s.h.Broadcast(ctx, platformKey, tool, procs, sizes)
 }
 
 // Ring measures the ring/loop benchmark (Figure 3).
 func (s *Session) Ring(ctx context.Context, platformKey, tool string, procs int, sizes []int) ([]float64, error) {
-	pf, err := s.resolvePlatform(platformKey, tool)
-	if err != nil {
+	if _, err := s.resolvePlatform(platformKey, tool); err != nil {
 		return nil, err
 	}
-	return s.h.Ring(ctx, pf, tool, procs, sizes)
+	return s.h.Ring(ctx, platformKey, tool, procs, sizes)
 }
 
 // GlobalSum measures the integer-vector global summation (Figure 4).
 func (s *Session) GlobalSum(ctx context.Context, platformKey, tool string, procs int, vectorLens []int) ([]float64, error) {
-	pf, err := s.resolvePlatform(platformKey, tool)
-	if err != nil {
+	if _, err := s.resolvePlatform(platformKey, tool); err != nil {
 		return nil, err
 	}
-	return s.h.GlobalSum(ctx, pf, tool, procs, vectorLens)
+	return s.h.GlobalSum(ctx, platformKey, tool, procs, vectorLens)
 }
 
 // RunApp executes a suite application ("jpeg", "fft2d", "montecarlo",
@@ -434,11 +424,10 @@ func (s *Session) GlobalSum(ctx context.Context, platformKey, tool string, procs
 func (s *Session) RunApp(ctx context.Context, platformKey, tool, app string, procsList []int, scale float64) (AppMeasurement, error) {
 	// Through resolvePlatform like every other tool-taking method, so
 	// the §3.1 port gate applies uniformly at the session layer.
-	pf, err := s.resolvePlatform(platformKey, tool)
-	if err != nil {
+	if _, err := s.resolvePlatform(platformKey, tool); err != nil {
 		return AppMeasurement{}, err
 	}
-	series, err := s.h.RunAPL(ctx, pf, tool, app, procsList, scale)
+	series, err := s.h.RunAPL(ctx, platformKey, tool, app, procsList, scale)
 	if err != nil {
 		return AppMeasurement{}, err
 	}

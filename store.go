@@ -43,7 +43,7 @@ func OpenResultStore(dir string) (*ResultStore, error) {
 // Results are deterministic functions of their keys, so replayed cells
 // are byte-identical to re-simulated ones at any parallelism.
 //
-// The store attaches to whichever cache the session's local executor
+// The store attaches to whichever cache the session's executor
 // carries — the built-in pool's, the shared [WithCache] one, or the
 // cache of the executor given to [WithExecutor].
 //
