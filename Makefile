@@ -83,6 +83,7 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz='^FuzzXDROpaque$$' -fuzztime=$(FUZZTIME) ./internal/mpt
 	$(GO) test -run=NONE -fuzz='^FuzzCombineSum$$' -fuzztime=$(FUZZTIME) ./internal/mpt
 	$(GO) test -run=NONE -fuzz='^FuzzFragFrame$$' -fuzztime=$(FUZZTIME) ./internal/mpt/pvm
+	$(GO) test -run=NONE -fuzz='^FuzzDecodeRecords$$' -fuzztime=$(FUZZTIME) ./internal/apps/psrs
 
 # bench-smoke compiles and runs every benchmark for exactly one
 # iteration — the CI guard against benchmark bit-rot — plus one

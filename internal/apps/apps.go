@@ -108,7 +108,7 @@ func Registry() []App {
 		{
 			Name:        "psrs",
 			Class:       "Utilities",
-			Description: "Parallel Sorting by Regular Sampling over 400K keys",
+			Description: "Parallel Sorting by Regular Sampling over 300K 64-byte records",
 			Run: func(ctx *mpt.Ctx, scale float64) (any, error) {
 				res, err := psrs.Parallel(ctx, psrs.DefaultConfig().Scaled(scale))
 				return res, err

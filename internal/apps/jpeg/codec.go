@@ -101,8 +101,6 @@ func Encode(img *Image, quality int) (*Encoded, error) {
 		return nil, fmt.Errorf("jpeg: dimensions %dx%d not multiples of %d", img.W, img.H, blockSize)
 	}
 	q := quantTable(quality)
-	dcTab := buildHuffTable(dcLuminanceSpec)
-	acTab := buildHuffTable(acLuminanceSpec)
 	var w bitWriter
 	prevDC := 0
 	var in, out [blockSize * blockSize]float64
@@ -118,7 +116,7 @@ func Encode(img *Image, quality int) (*Encoded, error) {
 			for i := 0; i < 64; i++ {
 				zz[i] = int(math.Round(out[zigzag[i]] / float64(q[zigzag[i]])))
 			}
-			if err := encodeBlock(&w, dcTab, acTab, &zz, &prevDC); err != nil {
+			if err := encodeBlock(&w, dcLuminanceTable, acLuminanceTable, &zz, &prevDC); err != nil {
 				return nil, err
 			}
 		}
@@ -164,15 +162,13 @@ func encodeBlock(w *bitWriter, dcTab, acTab *huffTable, zz *[64]int, prevDC *int
 // Decode decompresses an Encoded back into an image.
 func Decode(enc *Encoded) (*Image, error) {
 	q := quantTable(enc.Quality)
-	dcTab := buildHuffTable(dcLuminanceSpec)
-	acTab := buildHuffTable(acLuminanceSpec)
 	r := bitReader{buf: enc.Bits}
 	img := NewImage(enc.W, enc.H)
 	prevDC := 0
 	var coef, pix [blockSize * blockSize]float64
 	for by := 0; by < enc.H; by += blockSize {
 		for bx := 0; bx < enc.W; bx += blockSize {
-			zz, err := decodeBlock(&r, dcTab, acTab, &prevDC)
+			zz, err := decodeBlock(&r, dcLuminanceTable, acLuminanceTable, &prevDC)
 			if err != nil {
 				return nil, err
 			}

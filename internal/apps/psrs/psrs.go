@@ -9,7 +9,11 @@
 package psrs
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
+	"math/bits"
+	"slices"
 	"sort"
 
 	"tooleval/internal/mpt"
@@ -69,25 +73,21 @@ func generate(cfg Config, r, p int) []int64 {
 	}
 	start := r*share + min(r, rem)
 	keys := make([]int64, n)
-	s := uint64(cfg.Seed) * 0x9E3779B97F4A7C15
-	// Jump the generator to this rank's region deterministically by
-	// hashing the global index.
-	for i := 0; i < n; i++ {
-		gi := uint64(start + i)
-		x := (gi + 1) * (s | 1)
-		x ^= x >> 33
-		x *= 0xFF51AFD7ED558CCD
-		x ^= x >> 33
-		keys[i] = int64(x % 1_000_000_007)
+	for i := range keys {
+		keys[i] = keyAt(cfg, start+i)
 	}
 	return keys
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
+// keyAt is the input key at global index gi. Hashing the index lets any
+// rank jump straight to its own region of the input.
+func keyAt(cfg Config, gi int) int64 {
+	s := uint64(cfg.Seed) * 0x9E3779B97F4A7C15
+	x := (uint64(gi) + 1) * (s | 1)
+	x ^= x >> 33
+	x *= 0xFF51AFD7ED558CCD
+	x ^= x >> 33
+	return int64(x % 1_000_000_007)
 }
 
 // payloadWord derives a record's payload pattern from its key, so the
@@ -100,21 +100,27 @@ func payloadWord(key int64) uint64 {
 }
 
 // encodeRecords serializes records as 8-byte big-endian keys each
-// followed by recordBytes-8 payload bytes derived from the key.
-func encodeRecords(keys []int64, recordBytes int) []byte {
+// followed by recordBytes-8 payload bytes derived from the key: payload
+// byte j is byte j%8 of payloadWord(key), so each whole 8-byte payload
+// word is the little-endian payloadWord. It overwrites buf, growing it
+// only when its capacity is too small, and returns the encoded slice.
+func encodeRecords(buf []byte, keys []int64, recordBytes int) []byte {
 	if recordBytes < 8 {
 		recordBytes = 8
 	}
-	out := make([]byte, 0, len(keys)*recordBytes)
-	for _, k := range keys {
-		var kb [8]byte
-		for i := 0; i < 8; i++ {
-			kb[i] = byte(uint64(k) >> (56 - 8*i))
-		}
-		out = append(out, kb[:]...)
+	n := len(keys) * recordBytes
+	out := slices.Grow(buf[:0], n)[:n]
+	words := (recordBytes - 8) / 8
+	for i, k := range keys {
+		rec := out[i*recordBytes : (i+1)*recordBytes]
+		binary.BigEndian.PutUint64(rec, uint64(k))
 		w := payloadWord(k)
-		for j := 0; j < recordBytes-8; j++ {
-			out = append(out, byte(w>>(8*(j%8))))
+		payload := rec[8:]
+		for j := 0; j < words; j++ {
+			binary.LittleEndian.PutUint64(payload[8*j:], w)
+		}
+		for j := 8 * words; j < len(payload); j++ {
+			payload[j] = byte(w >> (8 * (j % 8)))
 		}
 	}
 	return out
@@ -129,16 +135,21 @@ func decodeRecords(data []byte, recordBytes int) ([]int64, error) {
 		return nil, fmt.Errorf("psrs: record payload length %d not a multiple of %d", len(data), recordBytes)
 	}
 	keys := make([]int64, len(data)/recordBytes)
+	words := (recordBytes - 8) / 8
 	for i := range keys {
 		rec := data[i*recordBytes : (i+1)*recordBytes]
-		var k uint64
-		for j := 0; j < 8; j++ {
-			k = k<<8 | uint64(rec[j])
-		}
-		keys[i] = int64(k)
+		keys[i] = int64(binary.BigEndian.Uint64(rec))
 		w := payloadWord(keys[i])
-		for j := 0; j < recordBytes-8; j++ {
-			if rec[8+j] != byte(w>>(8*(j%8))) {
+		payload := rec[8:]
+		for j := 0; j < words; j++ {
+			if got := binary.LittleEndian.Uint64(payload[8*j:]); got != w {
+				// The lowest differing byte of the word is the first
+				// corrupted one, as a byte-by-byte scan would report.
+				return nil, fmt.Errorf("psrs: record %d payload corrupted at byte %d", i, 8*j+bits.TrailingZeros64(got^w)/8)
+			}
+		}
+		for j := 8 * words; j < len(payload); j++ {
+			if payload[j] != byte(w>>(8*(j%8))) {
 				return nil, fmt.Errorf("psrs: record %d payload corrupted at byte %d", i, j)
 			}
 		}
@@ -149,18 +160,40 @@ func decodeRecords(data []byte, recordBytes int) ([]int64, error) {
 func fingerprint(sorted []int64) (ordered, multiset uint64) {
 	for i, k := range sorted {
 		ordered = ordered*1099511628211 + uint64(k) + uint64(i)
-		x := uint64(k) * 0x9E3779B97F4A7C15
-		x ^= x >> 29
-		multiset += x
+		multiset += multisetTerm(k)
 	}
 	return ordered, multiset
+}
+
+// multisetTerm is one key's share of the multiset fingerprint, a sum of
+// per-key terms and so independent of order.
+func multisetTerm(k int64) uint64 {
+	x := uint64(k) * 0x9E3779B97F4A7C15
+	return x ^ x>>29
 }
 
 // Sequential sorts the whole input on one processor.
 func Sequential(cfg Config) (*Result, error) {
 	keys := generate(cfg, 0, 1)
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+	slices.Sort(keys)
 	return summarize(keys, []int{len(keys)})
+}
+
+// reference computes the fields of Sequential's result that do not
+// depend on order — Count, Min, Max and MultisetSum — in one pass over
+// the generator, without materializing or sorting the input.
+func reference(cfg Config) (Result, error) {
+	if cfg.Records <= 0 {
+		return Result{}, fmt.Errorf("psrs: empty output")
+	}
+	ref := Result{Count: cfg.Records, Min: math.MaxInt64, Max: math.MinInt64}
+	for gi := 0; gi < cfg.Records; gi++ {
+		k := keyAt(cfg, gi)
+		ref.Min = min(ref.Min, k)
+		ref.Max = max(ref.Max, k)
+		ref.MultisetSum += multisetTerm(k)
+	}
+	return ref, nil
 }
 
 func summarize(sorted []int64, parts []int) (*Result, error) {
@@ -192,7 +225,7 @@ func Parallel(ctx *mpt.Ctx, cfg Config) (*Result, error) {
 	keys := generate(cfg, me, p)
 
 	// Phase 1: local sort (real) + charge.
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+	slices.Sort(keys)
 	n := float64(len(keys))
 	if len(keys) > 1 {
 		ctx.Charge(SortOpsPerKeyLog * n * log2(n))
@@ -232,7 +265,7 @@ func Parallel(ctx *mpt.Ctx, cfg Config) (*Result, error) {
 			}
 			all = append(all, s...)
 		}
-		sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
+		slices.Sort(all)
 		ctx.Charge(SortOpsPerKeyLog * float64(len(all)) * log2(float64(len(all))))
 		pivots = make([]int64, p-1)
 		for i := 1; i < p; i++ {
@@ -257,14 +290,19 @@ func Parallel(ctx *mpt.Ctx, cfg Config) (*Result, error) {
 	// sort.Search can give non-monotonic bounds only if pivots are
 	// unsorted; they are sorted by construction.
 	ctx.Charge(ScanOpsPerKey * n)
+	// Send copies its buffer before returning, so one buffer serves
+	// every destination.
+	var buf []byte
 	for off := 1; off < p; off++ {
 		dst := (me + off) % p
-		part := keys[bounds[dst]:bounds[dst+1]]
-		if err := ctx.Comm.Send(dst, tagExchange, encodeRecords(part, cfg.RecordBytes)); err != nil {
+		buf = encodeRecords(buf, keys[bounds[dst]:bounds[dst+1]], cfg.RecordBytes)
+		if err := ctx.Comm.Send(dst, tagExchange, buf); err != nil {
 			return nil, fmt.Errorf("psrs exchange send to %d: %w", dst, err)
 		}
 	}
-	runs := [][]int64{append([]int64(nil), keys[bounds[me]:bounds[me+1]]...)}
+	// keys is not written after partitioning, so the local run is a
+	// slice of it.
+	runs := [][]int64{keys[bounds[me]:bounds[me+1]]}
 	for off := 1; off < p; off++ {
 		src := (me + p - off) % p
 		msg, err := ctx.Comm.Recv(src, tagExchange)
@@ -399,12 +437,14 @@ func mergeRuns(runs [][]int64) []int64 {
 
 // VerifyAgainstSequential checks that the distributed sort produced the
 // same multiset, in globally sorted order, with the same count and
-// extremes as the sequential sort.
+// extremes as the sequential sort. The fields it compares do not depend
+// on order, so the sequential values come from reference, which equals
+// Sequential on them without sorting.
 func VerifyAgainstSequential(cfg Config, par *Result) error {
 	if par == nil {
 		return fmt.Errorf("psrs: nil parallel result")
 	}
-	seq, err := Sequential(cfg)
+	seq, err := reference(cfg)
 	if err != nil {
 		return err
 	}
