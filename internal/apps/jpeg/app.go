@@ -54,8 +54,12 @@ type Result struct {
 // result; it is both the 1-processor APL data point and the correctness
 // reference.
 func Sequential(cfg Config) (*Result, error) {
-	img := Synthetic(cfg.W, cfg.H, cfg.Seed)
-	enc, err := Encode(img, cfg.Quality)
+	return sequential(Synthetic(cfg.W, cfg.H, cfg.Seed), cfg.Quality)
+}
+
+// sequential compresses img on one processor.
+func sequential(img *Image, quality int) (*Result, error) {
+	enc, err := Encode(img, quality)
 	if err != nil {
 		return nil, err
 	}
@@ -100,9 +104,9 @@ func Parallel(ctx *mpt.Ctx, cfg Config) (*Result, error) {
 	n := ctx.Size()
 	rows := bandRows(cfg.H, n)
 
-	var myBand *Image
+	var img, myBand *Image
 	if ctx.Rank() == 0 {
-		img := Synthetic(cfg.W, cfg.H, cfg.Seed)
+		img = Synthetic(cfg.W, cfg.H, cfg.Seed)
 		// Distribution phase: host sends band i to rank i.
 		y := rows[0]
 		for r := 1; r < n; r++ {
@@ -158,7 +162,6 @@ func Parallel(ctx *mpt.Ctx, cfg Config) (*Result, error) {
 	}
 	// Host verifies quality by decoding all bands (not charged: this is
 	// harness-side verification, not part of the benchmarked pipeline).
-	img := Synthetic(cfg.W, cfg.H, cfg.Seed)
 	recon := NewImage(cfg.W, cfg.H)
 	y := 0
 	for _, b := range bands {
@@ -191,7 +194,8 @@ func VerifyAgainstSequential(cfg Config, par *Result) error {
 	if par == nil {
 		return fmt.Errorf("jpeg: nil parallel result")
 	}
-	seq, err := Sequential(cfg)
+	img := Synthetic(cfg.W, cfg.H, cfg.Seed)
+	seq, err := sequential(img, cfg.Quality)
 	if err != nil {
 		return err
 	}
@@ -203,7 +207,6 @@ func VerifyAgainstSequential(cfg Config, par *Result) error {
 	}
 	// Band-level determinism: each band stream must equal an independent
 	// encode of that band.
-	img := Synthetic(cfg.W, cfg.H, cfg.Seed)
 	rows := bandRows(cfg.H, len(par.Bands))
 	y := 0
 	for i, b := range par.Bands {

@@ -1,6 +1,8 @@
 package jpeg
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"math"
 	"math/rand"
 	"testing"
@@ -240,5 +242,24 @@ func TestSyntheticDeterministic(t *testing.T) {
 	}
 	if same {
 		t.Fatal("different seeds produced identical images")
+	}
+}
+
+// TestSyntheticPixelsPinned pins Synthetic's pixels to their SHA-256, so
+// a change to how the image is computed cannot move a single pixel.
+func TestSyntheticPixelsPinned(t *testing.T) {
+	for _, tc := range []struct {
+		w, h   int
+		seed   int64
+		sha256 string
+	}{
+		{512, 512, 1, "92d5d65fc52b2b5105c1b2a4c90306428925c95a35df78baad82aaf011a4c2b3"},
+		{160, 96, 7, "de192906c2fa8405f24714db2120bf8506da15e46cf3fdce2d615df7c87781e2"},
+		{51, 37, -3, "946fbcd1f868cdbcf920b35317da29c0c24fe6d3ee2693875697e0d6ee1b106e"},
+	} {
+		sum := sha256.Sum256(Synthetic(tc.w, tc.h, tc.seed).Pix)
+		if got := hex.EncodeToString(sum[:]); got != tc.sha256 {
+			t.Errorf("Synthetic(%d, %d, %d): sha256 %s, want %s", tc.w, tc.h, tc.seed, got, tc.sha256)
+		}
 	}
 }

@@ -1,6 +1,8 @@
 package psrs
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
 	"tooleval/internal/mpt"
@@ -19,7 +21,7 @@ func BenchmarkRecordCodec(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		buf = encodeRecords(buf, keys, recordBytes)
-		if _, err := decodeRecords(buf, recordBytes); err != nil {
+		if _, err := decodeRecords(nil, buf, recordBytes); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -50,5 +52,31 @@ func BenchmarkParallel(b *testing.B) {
 		if err := VerifyAgainstSequential(cfg, res.Value.(*Result)); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkSortKeys compares the Phase 1 radix sort with slices.Sort on
+// one rank's share of a tenth of the paper-scale input at p = 1, 4 and 8.
+func BenchmarkSortKeys(b *testing.B) {
+	cfg := DefaultConfig().Scaled(0.1)
+	for _, p := range []int{1, 4, 8} {
+		input := generate(cfg, 0, p)
+		keys := make([]int64, len(input))
+		b.Run(fmt.Sprintf("radix/p%d", p), func(b *testing.B) {
+			tmp := make([]int64, len(input))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				copy(keys, input)
+				tmp = sortKeys(keys, tmp)
+			}
+		})
+		b.Run(fmt.Sprintf("slices/p%d", p), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				copy(keys, input)
+				slices.Sort(keys)
+			}
+		})
 	}
 }

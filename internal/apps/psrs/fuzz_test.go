@@ -13,7 +13,7 @@ import (
 func FuzzDecodeRecords(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte, recordBytes uint8) {
 		rb := max(int(recordBytes), 8)
-		keys, err := decodeRecords(data, int(recordBytes))
+		keys, err := decodeRecords(nil, data, int(recordBytes))
 		if len(data)%rb != 0 {
 			if err == nil {
 				t.Fatalf("accepted %d bytes as records of %d", len(data), rb)

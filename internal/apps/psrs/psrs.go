@@ -5,7 +5,7 @@
 //
 // The algorithm is the real one: local sort, regular sampling, pivot
 // selection at rank 0, broadcast of pivots, partition exchange
-// (all-to-all), and a final multi-way merge of the received runs.
+// (all-to-all), and a final merge of the received runs.
 package psrs
 
 import (
@@ -126,15 +126,18 @@ func encodeRecords(buf []byte, keys []int64, recordBytes int) []byte {
 	return out
 }
 
-// decodeRecords reverses encodeRecords, verifying every payload byte.
-func decodeRecords(data []byte, recordBytes int) ([]int64, error) {
+// decodeRecords reverses encodeRecords, verifying every payload byte,
+// and appends the decoded keys to dst.
+func decodeRecords(dst []int64, data []byte, recordBytes int) ([]int64, error) {
 	if recordBytes < 8 {
 		recordBytes = 8
 	}
 	if len(data)%recordBytes != 0 {
 		return nil, fmt.Errorf("psrs: record payload length %d not a multiple of %d", len(data), recordBytes)
 	}
-	keys := make([]int64, len(data)/recordBytes)
+	n := len(data) / recordBytes
+	dst = slices.Grow(dst, n)
+	keys := dst[len(dst) : len(dst)+n]
 	words := (recordBytes - 8) / 8
 	for i := range keys {
 		rec := data[i*recordBytes : (i+1)*recordBytes]
@@ -154,7 +157,7 @@ func decodeRecords(data []byte, recordBytes int) ([]int64, error) {
 			}
 		}
 	}
-	return keys, nil
+	return dst[:len(dst)+n], nil
 }
 
 func fingerprint(sorted []int64) (ordered, multiset uint64) {
@@ -222,10 +225,16 @@ func Parallel(ctx *mpt.Ctx, cfg Config) (*Result, error) {
 		tagSummary  = 33
 	)
 	p, me := ctx.Size(), ctx.Rank()
+	if cfg.Records < p {
+		// Some rank would hold no key to sample. Every rank sees the
+		// same count, so all of them stop here, before any message.
+		return nil, fmt.Errorf("psrs: %d records cannot give each of %d ranks a key", cfg.Records, p)
+	}
 	keys := generate(cfg, me, p)
 
-	// Phase 1: local sort (real) + charge.
-	slices.Sort(keys)
+	// Phase 1: local sort (real) + charge. The sort's scratch buffer
+	// becomes the merge's input buffer in Phase 5.
+	tmp := sortKeys(keys, nil)
 	n := float64(len(keys))
 	if len(keys) > 1 {
 		ctx.Charge(SortOpsPerKeyLog * n * log2(n))
@@ -290,9 +299,16 @@ func Parallel(ctx *mpt.Ctx, cfg Config) (*Result, error) {
 	// sort.Search can give non-monotonic bounds only if pivots are
 	// unsorted; they are sorted by construction.
 	ctx.Charge(ScanOpsPerKey * n)
-	// Send copies its buffer before returning, so one buffer serves
-	// every destination.
-	var buf []byte
+	// Send copies its buffer before returning, so one buffer, sized for
+	// the widest outgoing partition, serves every destination.
+	rb := max(cfg.RecordBytes, 8)
+	widest := 0
+	for dst := 0; dst < p; dst++ {
+		if dst != me {
+			widest = max(widest, bounds[dst+1]-bounds[dst])
+		}
+	}
+	buf := make([]byte, 0, widest*rb)
 	for off := 1; off < p; off++ {
 		dst := (me + off) % p
 		buf = encodeRecords(buf, keys[bounds[dst]:bounds[dst+1]], cfg.RecordBytes)
@@ -300,24 +316,33 @@ func Parallel(ctx *mpt.Ctx, cfg Config) (*Result, error) {
 			return nil, fmt.Errorf("psrs exchange send to %d: %w", dst, err)
 		}
 	}
-	// keys is not written after partitioning, so the local run is a
-	// slice of it.
-	runs := [][]int64{keys[bounds[me]:bounds[me+1]]}
+	recv := make([][]byte, p)
+	total := bounds[me+1] - bounds[me]
 	for off := 1; off < p; off++ {
 		src := (me + p - off) % p
 		msg, err := ctx.Comm.Recv(src, tagExchange)
 		if err != nil {
 			return nil, fmt.Errorf("psrs exchange recv from %d: %w", src, err)
 		}
-		run, err := decodeRecords(msg.Data, cfg.RecordBytes)
-		if err != nil {
-			return nil, err
-		}
-		runs = append(runs, run)
+		recv[src] = msg.Data
+		total += len(msg.Data) / rb
 	}
 
-	// Phase 5: multi-way merge of the sorted runs (real) + charge.
-	merged := mergeRuns(runs)
+	// Phase 5: merge of the sorted runs (real) + charge. The runs are
+	// laid out in rank order in the sort's scratch buffer; keys is dead
+	// once its local run is copied there, so it is the merge's second
+	// buffer.
+	runs := slices.Grow(tmp[:0], total)
+	ends := make([]int, p)
+	for src := 0; src < p; src++ {
+		if src == me {
+			runs = append(runs, keys[bounds[me]:bounds[me+1]]...)
+		} else if runs, err = decodeRecords(runs, recv[src], cfg.RecordBytes); err != nil {
+			return nil, err
+		}
+		ends[src] = len(runs)
+	}
+	merged := mergeRuns(runs, slices.Grow(keys[:0], len(runs)), ends)
 	ctx.Charge(MergeOpsPerKey * float64(len(merged)))
 	for i := 1; i < len(merged); i++ {
 		if merged[i-1] > merged[i] {
@@ -410,29 +435,96 @@ func log2(x float64) float64 {
 	return l
 }
 
-// mergeRuns performs a k-way merge of sorted runs.
-func mergeRuns(runs [][]int64) []int64 {
-	total := 0
-	for _, r := range runs {
-		total += len(r)
+// sortKeys sorts keys in place with an LSD radix sort on 8-bit digits
+// of each key's offset from the minimum key. One counting pass fills
+// every digit's histogram, and only the digits the keys' span needs are
+// sorted: four for the 30-bit keys keyAt makes. The passes ping-pong
+// between keys and tmp, which is grown to len(keys) and returned for
+// reuse.
+func sortKeys(keys, tmp []int64) []int64 {
+	if len(keys) < 2 {
+		return tmp
 	}
-	out := make([]int64, 0, total)
-	idx := make([]int, len(runs))
-	for len(out) < total {
-		best := -1
-		var bv int64
-		for i, r := range runs {
-			if idx[i] >= len(r) {
-				continue
-			}
-			if best == -1 || r[idx[i]] < bv {
-				best, bv = i, r[idx[i]]
-			}
+	lo, hi := keys[0], keys[0]
+	for _, k := range keys[1:] {
+		lo = min(lo, k)
+		hi = max(hi, k)
+	}
+	passes := (bits.Len64(uint64(hi)-uint64(lo)) + 7) / 8
+	if passes == 0 {
+		return tmp
+	}
+	var counts [8][256]int
+	for _, k := range keys {
+		d := uint64(k) - uint64(lo)
+		for i := range passes {
+			counts[i][byte(d>>(8*i))]++
 		}
-		out = append(out, bv)
-		idx[best]++
 	}
-	return out
+	tmp = slices.Grow(tmp[:0], len(keys))[:len(keys)]
+	src, dst := keys, tmp
+	for i := range passes {
+		c := &counts[i]
+		off := 0
+		for d, n := range c {
+			c[d] = off
+			off += n
+		}
+		shift := 8 * i
+		for _, k := range src {
+			d := byte((uint64(k) - uint64(lo)) >> shift)
+			dst[c[d]] = k
+			c[d]++
+		}
+		src, dst = dst, src
+	}
+	if passes%2 == 1 {
+		copy(keys, src)
+	}
+	return tmp
+}
+
+// mergeRuns merges the sorted runs of runs, where run i ends at ends[i],
+// by merging adjacent runs pairwise, ⌈log₂ len(ends)⌉ passes that
+// ping-pong between runs and spare (capacity at least len(runs)). It
+// returns the buffer holding the merged keys, and overwrites ends.
+func mergeRuns(runs, spare []int64, ends []int) []int64 {
+	spare = spare[:len(runs)]
+	for len(ends) > 1 {
+		next := ends[:0]
+		lo := 0
+		for i := 0; i < len(ends); i += 2 {
+			if i+1 == len(ends) {
+				copy(spare[lo:ends[i]], runs[lo:ends[i]])
+				next = append(next, ends[i])
+				break
+			}
+			merge2(spare[lo:ends[i+1]], runs[lo:ends[i]], runs[ends[i]:ends[i+1]])
+			next = append(next, ends[i+1])
+			lo = ends[i+1]
+		}
+		ends = next
+		runs, spare = spare, runs
+	}
+	return runs
+}
+
+// merge2 merges the sorted slices a and b into out, of length
+// len(a)+len(b).
+func merge2(out, a, b []int64) {
+	i, j, k := 0, 0, 0
+	for i < len(a) && j < len(b) {
+		if b[j] < a[i] {
+			out[k] = b[j]
+			j++
+		} else {
+			out[k] = a[i]
+			i++
+		}
+		k++
+	}
+	k += copy(out[k:], a[i:])
+	copy(out[k:], b[j:])
 }
 
 // VerifyAgainstSequential checks that the distributed sort produced the

@@ -3,10 +3,17 @@ package psrs
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"fmt"
+	"math"
 	"slices"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
+
+	"tooleval/internal/mpt"
+	"tooleval/internal/mpt/tools"
+	"tooleval/internal/platform"
 )
 
 func TestSequentialSorts(t *testing.T) {
@@ -45,46 +52,166 @@ func TestGenerateGlobalMultisetInvariantAcrossP(t *testing.T) {
 	}
 }
 
-func TestMergeRuns(t *testing.T) {
-	runs := [][]int64{{1, 5, 9}, {2, 2, 8}, {}, {0, 10}}
-	got := mergeRuns(runs)
-	want := []int64{0, 1, 2, 2, 5, 8, 9, 10}
-	if len(got) != len(want) {
-		t.Fatalf("merge length %d, want %d", len(got), len(want))
+// concatRuns lays runs out back to back, as Parallel does before its
+// merge, and returns the buffer and each run's end offset.
+func concatRuns(runs [][]int64) (buf []int64, ends []int) {
+	for _, r := range runs {
+		buf = append(buf, r...)
+		ends = append(ends, len(buf))
 	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("merge[%d] = %d, want %d", i, got[i], want[i])
-		}
+	return buf, ends
+}
+
+func TestMergeRuns(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		runs [][]int64
+		want []int64
+	}{
+		{"four runs, one empty", [][]int64{{1, 5, 9}, {2, 2, 8}, {}, {0, 10}}, []int64{0, 1, 2, 2, 5, 8, 9, 10}},
+		{"one run", [][]int64{{3, 4, 4}}, []int64{3, 4, 4}},
+		{"three runs, odd one out", [][]int64{{7}, {1, 9}, {-3, 0, 2}}, []int64{-3, 0, 1, 2, 7, 9}},
+		{"all empty", [][]int64{{}, {}, {}}, []int64{}},
+		{"five runs", [][]int64{{5}, {4}, {3}, {2}, {1}}, []int64{1, 2, 3, 4, 5}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			buf, ends := concatRuns(tc.runs)
+			got := mergeRuns(buf, make([]int64, 0, len(buf)), ends)
+			if !slices.Equal(got, tc.want) {
+				t.Fatalf("merge = %v, want %v", got, tc.want)
+			}
+		})
 	}
 }
 
 func TestPropertyMergeSortedRuns(t *testing.T) {
 	prop := func(raw [][]int16) bool {
 		runs := make([][]int64, len(raw))
-		total := 0
+		var all []int64
 		for i, r := range raw {
 			run := make([]int64, len(r))
 			for j, v := range r {
 				run[j] = int64(v)
 			}
-			sort.Slice(run, func(a, b int) bool { return run[a] < run[b] })
+			slices.Sort(run)
 			runs[i] = run
-			total += len(run)
+			all = append(all, run...)
 		}
-		got := mergeRuns(runs)
-		if len(got) != total {
-			return false
+		slices.Sort(all)
+		if len(runs) == 0 {
+			return true
 		}
-		for i := 1; i < len(got); i++ {
-			if got[i-1] > got[i] {
-				return false
-			}
-		}
-		return true
+		buf, ends := concatRuns(runs)
+		got := mergeRuns(buf, make([]int64, 0, len(buf)), ends)
+		return slices.Equal(got, all)
 	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 50}); err != nil {
+	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+func TestSortKeysMatchesSlicesSort(t *testing.T) {
+	ascending := make([]int64, 300)
+	for i := range ascending {
+		ascending[i] = int64(i*7 - 1000)
+	}
+	descending := slices.Clone(ascending)
+	slices.Reverse(descending)
+	for _, tc := range []struct {
+		name string
+		keys []int64
+	}{
+		{"empty", nil},
+		{"one key", []int64{42}},
+		{"all equal", []int64{9, 9, 9, 9, 9}},
+		{"duplicates", []int64{3, 1, 3, 2, 1, 3, 2, 2}},
+		{"already sorted", ascending},
+		{"reversed", descending},
+		{"negatives", []int64{-5, 3, -1 << 40, 0, -1, 1 << 40, -2}},
+		{"min and max int64", []int64{math.MaxInt64, 0, math.MinInt64, -1, 1, math.MaxInt64, math.MinInt64}},
+		{"differ only in top byte", []int64{0x7f << 56, 0x01 << 56, 0x40 << 56, 0x02 << 56, -0x80 << 56, 0x01 << 56}},
+		{"keyAt input", generate(Config{Records: 5000, Seed: 31}, 1, 3)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			got := slices.Clone(tc.keys)
+			sortKeys(got, nil)
+			want := slices.Clone(tc.keys)
+			slices.Sort(want)
+			if !slices.Equal(got, want) {
+				t.Fatalf("sortKeys = %v, want %v", got, want)
+			}
+		})
+	}
+}
+
+func TestPropertySortKeys(t *testing.T) {
+	var tmp []int64
+	prop := func(keys []int64, shift uint8) bool {
+		// Narrow the keys' span by a random amount so every pass count
+		// from one to eight is exercised.
+		for i := range keys {
+			keys[i] >>= shift % 64
+		}
+		want := slices.Clone(keys)
+		slices.Sort(want)
+		tmp = sortKeys(keys, tmp)
+		return slices.Equal(keys, want)
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 500}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestSortKeysAllocatesNothingWithScratch(t *testing.T) {
+	input := generate(Config{Records: 4000, Seed: 3}, 0, 1)
+	keys := make([]int64, len(input))
+	tmp := make([]int64, len(input))
+	allocs := testing.AllocsPerRun(20, func() {
+		copy(keys, input)
+		tmp = sortKeys(keys, tmp)
+	})
+	if allocs != 0 {
+		t.Fatalf("sortKeys with enough scratch allocated %.0f times, want 0", allocs)
+	}
+}
+
+func TestParallelNeedsARecordPerRank(t *testing.T) {
+	pf, err := platform.Get("alpha-fddi")
+	if err != nil {
+		t.Fatal(err)
+	}
+	factory, err := tools.Factory("p4")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const procs = 8
+	for _, tc := range []struct {
+		records int
+		wantErr bool
+	}{
+		{1, true}, {3, true}, {5, true}, {8, false}, {9, false},
+	} {
+		t.Run(fmt.Sprintf("records=%d", tc.records), func(t *testing.T) {
+			cfg := Config{Records: tc.records, RecordBytes: 64, Seed: 31}
+			res, err := mpt.Run(pf, factory, mpt.RunConfig{Procs: procs}, func(ctx *mpt.Ctx) (any, error) {
+				return Parallel(ctx, cfg)
+			})
+			if tc.wantErr {
+				if err == nil {
+					t.Fatal("fewer records than ranks was accepted")
+				}
+				if !strings.Contains(err.Error(), "cannot give each of 8 ranks a key") {
+					t.Fatalf("error = %v, want the record-count check", err)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := VerifyAgainstSequential(cfg, res.Value.(*Result)); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 
@@ -176,7 +303,7 @@ func TestRecordCodecRoundTrip(t *testing.T) {
 		}
 		t.Run(tc.name, func(t *testing.T) {
 			data := codecInput(tc.keys, tc.recordBytes, tc.flip, tc.truncate)
-			got, err := decodeRecords(data, tc.recordBytes)
+			got, err := decodeRecords(nil, data, tc.recordBytes)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -199,7 +326,7 @@ func TestRecordCodecDetectsCorruption(t *testing.T) {
 		}
 		t.Run(tc.name, func(t *testing.T) {
 			data := codecInput(tc.keys, tc.recordBytes, tc.flip, tc.truncate)
-			_, err := decodeRecords(data, tc.recordBytes)
+			_, err := decodeRecords(nil, data, tc.recordBytes)
 			if err == nil || err.Error() != tc.wantErr {
 				t.Fatalf("decode error = %v, want %q", err, tc.wantErr)
 			}

@@ -21,7 +21,7 @@ import (
 //     rand.Float64, rand.Shuffle, rand.Seed, ...) — the process-global
 //     generator is shared, lock-ordered, and unseeded. Constructors
 //     (rand.New, rand.NewSource, rand.NewZipf, ...) stay legal: seeded
-//     per-rank sources are the sanctioned idiom (mpt.Ctx.Rng).
+//     per-rank sources are the sanctioned idiom (mpt.Ctx.Rng()).
 //   - os.Getpid, os.Getppid — process identity leaking into results.
 //
 // Configuration:
@@ -103,7 +103,7 @@ func forbiddenWallTime(obj types.Object) (why string) {
 		if strings.HasPrefix(fn.Name(), "New") {
 			return "" // seeded constructors are the sanctioned idiom
 		}
-		return "package-global generator is unseeded and shared; use a seeded *rand.Rand (per-rank: mpt.Ctx.Rng)"
+		return "package-global generator is unseeded and shared; use a seeded *rand.Rand (per-rank: mpt.Ctx.Rng())"
 	case "os":
 		switch fn.Name() {
 		case "Getpid", "Getppid":

@@ -17,7 +17,19 @@ type Ctx struct {
 	P    *sim.Proc
 	Comm Comm
 	Host platform.Host
-	Rng  *rand.Rand
+
+	seed int64 // RunConfig.Seed + rank
+	rng  *rand.Rand
+}
+
+// Rng returns the rank's deterministic random source, seeded with
+// RunConfig.Seed plus the rank. It is built on first use, so a body
+// that draws no random numbers pays nothing for it.
+func (c *Ctx) Rng() *rand.Rand {
+	if c.rng == nil {
+		c.rng = rand.New(rand.NewSource(c.seed))
+	}
+	return c.rng
 }
 
 // Rank is shorthand for Comm.Rank.

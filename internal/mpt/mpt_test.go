@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -280,7 +281,7 @@ func TestDeterministicElapsed(t *testing.T) {
 		run := func() ([]byte, any) {
 			res, err := mpt.Run(pf, f, mpt.RunConfig{Procs: 4, Seed: 11}, func(c *mpt.Ctx) (any, error) {
 				data := make([]byte, 4000)
-				c.Rng.Read(data)
+				c.Rng().Read(data)
 				next := (c.Rank() + 1) % c.Size()
 				prev := (c.Rank() + c.Size() - 1) % c.Size()
 				if err := c.Comm.Send(next, 1, data); err != nil {
@@ -303,6 +304,39 @@ func TestDeterministicElapsed(t *testing.T) {
 			t.Fatalf("%s: nondeterministic timing:\n%s\n%s", name, a, b)
 		}
 	})
+}
+
+// TestCtxRngMatchesSeededSource pins Ctx.Rng's stream: rank r of a run
+// with seed s draws what rand.New(rand.NewSource(s+r)) draws, and
+// repeated calls return the same source.
+func TestCtxRngMatchesSeededSource(t *testing.T) {
+	pf := mustPlatform(t, "sun-ethernet")
+	f, err := tools.Factory("p4")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const seed, procs, draws = 11, 3, 8
+	got := make([][]int64, procs)
+	_, err = mpt.Run(pf, f, mpt.RunConfig{Procs: procs, Seed: seed}, func(c *mpt.Ctx) (any, error) {
+		if c.Rng() != c.Rng() {
+			return nil, errors.New("Rng returned a new source on the second call")
+		}
+		for range draws {
+			got[c.Rank()] = append(got[c.Rank()], c.Rng().Int63())
+		}
+		return nil, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for rank := range procs {
+		want := rand.New(rand.NewSource(seed + int64(rank)))
+		for i, v := range got[rank] {
+			if w := want.Int63(); v != w {
+				t.Fatalf("rank %d draw %d = %d, want %d", rank, i, v, w)
+			}
+		}
+	}
 }
 
 func TestSelfSend(t *testing.T) {

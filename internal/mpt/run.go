@@ -3,7 +3,6 @@ package mpt
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 	"time"
 
 	"tooleval/internal/platform"
@@ -15,7 +14,8 @@ import (
 type RunConfig struct {
 	// Procs is the number of ranks (and stations). Required.
 	Procs int
-	// Seed feeds the per-rank random sources (rank i uses Seed+i).
+	// Seed feeds the per-rank random sources, Ctx.Rng (rank i uses
+	// Seed+i).
 	Seed int64
 	// Faults optionally wraps the fabric with a fault plan.
 	Faults simnet.FaultPlan
@@ -84,7 +84,7 @@ func Run(pf platform.Platform, makeTool Factory, cfg RunConfig, body Body) (*Run
 		rank := rank
 		eng.Spawn("rank"+itoa(rank), func(p *sim.Proc) {
 			comm := tool.NewComm(p, rank)
-			ctx := &Ctx{P: p, Comm: comm, Host: pf.Host, Rng: rand.New(rand.NewSource(cfg.Seed + int64(rank)))}
+			ctx := &Ctx{P: p, Comm: comm, Host: pf.Host, seed: cfg.Seed + int64(rank)}
 			// Zero-cost start barrier: timing begins when every rank is
 			// constructed, so tool setup does not pollute Elapsed.
 			arrived++
