@@ -5,7 +5,7 @@ GO ?= go
 # version requires.
 STATICCHECK_VERSION ?= 2025.1.1
 
-.PHONY: build test vet toolvet lint examples toolbenchd-smoke remote-smoke chaos fuzz-smoke bench-smoke bench-baseline
+.PHONY: build test vet toolvet lint examples toolbenchd-smoke remote-smoke chaos fuzz-smoke bench-smoke
 
 build:
 	$(GO) build ./...
@@ -92,11 +92,3 @@ fuzz-smoke:
 bench-smoke:
 	$(GO) test -run=NoSuchTest -bench=. -benchtime=1x ./...
 	$(GO) test -run=NoSuchTest -bench='MemoContention|Sweep$$' -benchtime=1x -cpu 4 ./internal/runner
-
-# bench-baseline records the current figure + store + remote + engine
-# + scheduler benchmark numbers into BENCH_LEDGER.json under the
-# required LABEL, keeping every other recorded label (see
-# scripts/record_bench.sh). Usage: make bench-baseline LABEL=name
-bench-baseline:
-	@test -n "$(LABEL)" || { echo "usage: make bench-baseline LABEL=name" >&2; exit 2; }
-	./scripts/record_bench.sh "$(LABEL)"

@@ -35,7 +35,7 @@ var benchCtx = context.Background()
 func newBenchHarness(b *testing.B) *bench.Harness {
 	b.StopTimer()
 	defer b.StartTimer()
-	return bench.NewHarness(runner.New(0))
+	return bench.NewHarness(runner.New(0), nil)
 }
 
 func mustPf(b *testing.B, key string) platform.Platform {

@@ -76,9 +76,6 @@ type PhaseDone struct {
 // session produces is passed to fn. Repeating the option adds sinks.
 // fn runs on whichever goroutine produced the event and must be safe
 // for concurrent use; it must not call back into the Session.
-//
-// WithEvents subsumes [WithProgress]: a progress callback is an event
-// sink that only sees [CellEvent]s.
 func WithEvents(fn func(Event)) Option {
 	return func(c *sessionConfig) {
 		if fn != nil {

@@ -40,8 +40,8 @@ func main() {
 		t := t
 		t.sess = tooleval.NewSession(
 			tooleval.WithParallelism(t.parallelism),
-			tooleval.WithProgress(func(ev tooleval.CellEvent) {
-				if !ev.Cached {
+			tooleval.WithEvents(func(e tooleval.Event) {
+				if ev, ok := e.(tooleval.CellEvent); ok && !ev.Cached {
 					t.cells.Add(1)
 				}
 			}),

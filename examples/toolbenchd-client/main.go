@@ -86,6 +86,7 @@ func main() {
 		},
 		DefaultTier: "demo",
 		TenantTiers: map[string]string{"budget-works": "metered", "burst": "serial"},
+		Parallelism: 2,
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -224,9 +225,11 @@ func main() {
 	// A quota refusal is a typed 429: the "budget-works" tenant rides
 	// the metered tier (2 cells), so a sweep of fresh cells — cache
 	// hits are free, these are not cached yet — exhausts its budget
-	// and the per-spec errors say which resource ran out.
+	// and the per-spec errors say which resource ran out. A budget
+	// overshoots by at most the parallelism bound (2 here), so the
+	// sweep is wider than budget plus bound.
 	r3, err := http.Post(base+"/v1/jobs?tenant=budget-works", "application/json",
-		bytes.NewReader([]byte(`{"specs":[{"kind":"ring","platform":"alpha-fddi","tool":"pvm","procs":8,"sizes":[0,1024,65536]}]}`)))
+		bytes.NewReader([]byte(`{"specs":[{"kind":"ring","platform":"alpha-fddi","tool":"pvm","procs":8,"sizes":[0,1024,2048,4096,65536]}]}`)))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -105,10 +105,10 @@ type RemoteVersionError = remote.VersionError
 
 // WithMaxCells caps how many cells the session may simulate. Cache
 // hits are free: only simulations actually executed are charged — each
-// miss, and each direct run ([Session.Run], [Session.RunWithFactory],
-// [Session.TraceRun]) — so a session replaying memoized results is not
-// billed for them. Once the budget is spent, every further cell — hit
-// or miss — fails with a [*QuotaError] matching [ErrQuotaExceeded].
+// miss, and each direct run ([Session.Run], [Session.TraceRun]) — so a
+// session replaying memoized results is not billed for them. Once the
+// budget is spent, every further cell — hit or miss — fails with a
+// [*QuotaError] matching [ErrQuotaExceeded].
 // Budgets are checked before a cell is scheduled, so the session can
 // overshoot by at most its parallelism bound (cells already in flight
 // complete and are charged). n <= 0 means unlimited.

@@ -4,7 +4,6 @@ import (
 	"context"
 
 	"tooleval/internal/apps"
-	"tooleval/internal/platform"
 	"tooleval/internal/runner"
 )
 
@@ -18,18 +17,6 @@ type APLSeries struct {
 	Seconds  []float64
 }
 
-// ProcSweep returns the processor counts the paper sweeps on a platform
-// (1..MaxProcs, restricted to counts the application accepts).
-func ProcSweep(pf platform.Platform, app apps.App) []int {
-	var out []int
-	for p := 1; p <= pf.MaxProcs; p++ {
-		if app.ValidProcs(p) {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
 // RunAPL executes one application across the processor sweep on the
 // platform keyed pfKey and returns its curve. Results are verified
 // against the sequential reference at every point — a benchmark data
@@ -38,11 +25,7 @@ func ProcSweep(pf platform.Platform, app apps.App) []int {
 // memoizes them by (platform, tool, app, procs, scale).
 func (h *Harness) RunAPL(ctx context.Context, pfKey, toolName, appName string, procsList []int, scale float64) (APLSeries, error) {
 	s := APLSeries{App: appName, Platform: pfKey, Tool: toolName}
-	pf, err := platform.Get(pfKey)
-	if err != nil {
-		return s, err
-	}
-	if err := h.requirePort(pf, toolName); err != nil {
+	if _, err := h.RequirePort(pfKey, toolName); err != nil {
 		return s, err
 	}
 	app, err := apps.Get(appName)

@@ -137,9 +137,9 @@ func TestAPLFigureSpecsMatchPaper(t *testing.T) {
 	}
 }
 
-// TestProcSweepRespectsValidity: FFT skips processor counts that do not
+// TestRunAPLSkipsInvalidProcs: FFT skips processor counts that do not
 // divide the grid.
-func TestProcSweepRespectsValidity(t *testing.T) {
+func TestRunAPLSkipsInvalidProcs(t *testing.T) {
 	pf := getPlatform(t, "alpha-fddi")
 	s, err := sharedH.RunAPL(bgCtx, pf.Key, "p4", "fft2d", []int{1, 2, 3, 4, 5, 6, 7, 8}, aplTestScale)
 	if err != nil {

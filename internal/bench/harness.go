@@ -42,16 +42,11 @@ type Hooks struct {
 }
 
 // NewHarness returns a Harness scheduling through x and resolving tool
-// names from the built-in registry (p4, pvm, express).
-func NewHarness(x runner.Executor) *Harness {
-	return NewHarnessWithTools(x, nil)
-}
-
-// NewHarnessWithTools additionally resolves the given custom factories
-// by name, ahead of the built-ins. Custom tools are considered ported
-// to every platform: they are hypothetical designs under evaluation,
-// not 1995 artifacts with a fixed port matrix.
-func NewHarnessWithTools(x runner.Executor, custom map[string]mpt.Factory) *Harness {
+// names from the given custom factories (nil for none), ahead of the
+// built-in registry (p4, pvm, express). Custom tools are considered
+// ported to every platform: they are hypothetical designs under
+// evaluation, not 1995 artifacts with a fixed port matrix.
+func NewHarness(x runner.Executor, custom map[string]mpt.Factory) *Harness {
 	if x == nil {
 		panic("bench: NewHarness(nil executor)")
 	}
@@ -115,16 +110,6 @@ func (h *Harness) FactoryFor(name string) (mpt.Factory, error) {
 	return tools.Factory(name)
 }
 
-// Supports reports whether the named tool can run on pf under this
-// harness: custom tools run everywhere, built-ins follow the paper's
-// port matrix (§3.1).
-func (h *Harness) Supports(pf platform.Platform, name string) bool {
-	if _, ok := h.custom[name]; ok {
-		return true
-	}
-	return pf.Supports(name)
-}
-
 // ToolNames lists every tool this harness can resolve: the built-ins in
 // catalog order, then custom registrations sorted by name.
 func (h *Harness) ToolNames() []string {
@@ -140,10 +125,19 @@ func (h *Harness) ToolNames() []string {
 	return append(names, extra...)
 }
 
-// requirePort is the shared "tool must be ported" gate for APL runs.
-func (h *Harness) requirePort(pf platform.Platform, tool string) error {
-	if !h.Supports(pf, tool) {
-		return fmt.Errorf("bench: %s has no %s port (paper §3.1)", pf.Name, tool)
+// RequirePort resolves the platform keyed pfKey and checks that the
+// named tool can run on it: custom tools run everywhere, built-ins
+// follow the paper's port matrix (§3.1), and a name that is neither
+// has no port anywhere. It is the one port gate: every TPL sweep, APL
+// run and session-level direct run goes through it before any cell is
+// scheduled or memoized.
+func (h *Harness) RequirePort(pfKey, tool string) (platform.Platform, error) {
+	pf, err := platform.Get(pfKey)
+	if err != nil {
+		return pf, err
 	}
-	return nil
+	if _, ok := h.custom[tool]; !ok && !pf.Supports(tool) {
+		return pf, fmt.Errorf("bench: %s has no %s port (paper §3.1)", pf.Name, tool)
+	}
+	return pf, nil
 }

@@ -12,11 +12,11 @@ import (
 // process-global runner did — but as an explicit object.
 var (
 	bgCtx   = context.Background()
-	sharedH = NewHarness(runner.New(0))
+	sharedH = NewHarness(runner.New(0), nil)
 )
 
 // freshHarness builds an isolated harness with an empty cache (the
 // determinism tests must not replay another harness's cells).
 func freshHarness(workers int) *Harness {
-	return NewHarness(runner.New(workers))
+	return NewHarness(runner.New(workers), nil)
 }

@@ -14,7 +14,6 @@ package bench
 import (
 	"context"
 
-	"tooleval/internal/platform"
 	"tooleval/internal/runner"
 )
 
@@ -75,14 +74,11 @@ func (h *Harness) GlobalSum(ctx context.Context, pfKey, toolName string, procs i
 	return h.sweep(ctx, pfKey, toolName, "globalsum", procs, vectorLens)
 }
 
-// sweep resolves one TPL cell per size, in input order. A platform or
-// tool this harness cannot resolve fails up front, before any cell is
-// scheduled or memoized.
+// sweep resolves one TPL cell per size, in input order. An unknown
+// platform, or a tool not ported to it, fails up front, before any cell
+// is scheduled or memoized.
 func (h *Harness) sweep(ctx context.Context, pfKey, toolName, benchName string, procs int, sizes []int) ([]float64, error) {
-	if _, err := platform.Get(pfKey); err != nil {
-		return nil, err
-	}
-	if _, err := h.FactoryFor(toolName); err != nil {
+	if _, err := h.RequirePort(pfKey, toolName); err != nil {
 		return nil, err
 	}
 	return runner.Collect(ctx, h.x, sizes, func(size int) (float64, error) {

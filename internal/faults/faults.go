@@ -124,7 +124,6 @@ type Schedule struct {
 	rng  rng
 	plan Plan
 
-	ops      atomic.Int64
 	injected atomic.Int64
 }
 
@@ -135,7 +134,6 @@ func NewSchedule(seed uint64, plan Plan) *Schedule {
 
 // Decide implements Injector.
 func (s *Schedule) Decide(op Op, n int) Decision {
-	s.ops.Add(1)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var d Decision
@@ -176,10 +174,9 @@ func (s *Schedule) TearPoint(n int) int {
 	return int(s.rng.next() % uint64(n))
 }
 
-// Ops reports how many decisions were drawn; Injected how many of them
-// were faults. Chaos tests assert Injected > 0 so a mis-wired seam
-// cannot silently pass by never faulting.
-func (s *Schedule) Ops() int64      { return s.ops.Load() }
+// Injected reports how many decisions were faults. Chaos tests assert
+// Injected > 0 so a mis-wired seam cannot silently pass by never
+// faulting.
 func (s *Schedule) Injected() int64 { return s.injected.Load() }
 
 // Switch is the manual Injector: while On, every operation in its

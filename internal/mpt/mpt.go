@@ -44,11 +44,10 @@ const (
 // Internal tag space used by collective implementations. User code must
 // use tags >= 0.
 const (
-	TagBarrier   = -2
-	TagBcast     = -3
-	TagReduce    = -4
-	TagGatherOp  = -5
-	TagScatterOp = -6
+	TagBarrier  = -2
+	TagBcast    = -3
+	TagReduce   = -4
+	TagGatherOp = -5
 )
 
 // ErrNotSupported reports that a tool does not provide the requested

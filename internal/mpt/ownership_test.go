@@ -123,42 +123,3 @@ func TestSendBufferReusableOnReturn(t *testing.T) {
 		})
 	}
 }
-
-// stubComm replays canned messages to Recv; only what Gather touches is
-// implemented.
-type stubComm struct {
-	mpt.Comm
-	rank, size int
-	inbox      []*mpt.Message
-}
-
-func (s *stubComm) Rank() int { return s.rank }
-func (s *stubComm) Size() int { return s.size }
-
-func (s *stubComm) Recv(int, int) (*mpt.Message, error) {
-	if len(s.inbox) == 0 {
-		return nil, errors.New("stub: inbox empty")
-	}
-	m := s.inbox[0]
-	s.inbox = s.inbox[1:]
-	return m, nil
-}
-
-// TestGatherRejectsDuplicateEmptyContribution: p4 and Express deliver
-// an empty payload as nil, so a rank that sends twice — with another
-// rank's block missing — must be caught by tracking arrivals, not by
-// checking for a non-nil slot.
-func TestGatherRejectsDuplicateEmptyContribution(t *testing.T) {
-	c := &stubComm{rank: 0, size: 3, inbox: []*mpt.Message{{Src: 1}, {Src: 1}}}
-	if _, err := mpt.Gather(c, 0, 1, nil); err == nil {
-		t.Fatal("gather accepted two empty contributions from rank 1 and none from rank 2")
-	}
-	c = &stubComm{rank: 0, size: 3, inbox: []*mpt.Message{{Src: 2}, {Src: 1}}}
-	blocks, err := mpt.Gather(c, 0, 1, nil)
-	if err != nil {
-		t.Fatalf("one empty block per rank: %v", err)
-	}
-	if len(blocks) != 3 {
-		t.Fatalf("got %d blocks, want 3", len(blocks))
-	}
-}

@@ -13,17 +13,9 @@ import (
 	"sync"
 	"time"
 
+	"tooleval/internal/breaker"
 	"tooleval/internal/runner"
 	"tooleval/internal/sim"
-)
-
-// Per-node breaker defaults: eject after 3 consecutive RPC failures,
-// first half-open probe after 100ms, backoff doubling up to 10s — the
-// same shape as the store's write-path breaker.
-const (
-	defaultFailureThreshold = 3
-	defaultProbeBackoff     = 100 * time.Millisecond
-	defaultMaxBackoff       = 10 * time.Second
 )
 
 // Remote is the coordinator side of distributed execution: the compute
@@ -36,13 +28,13 @@ const (
 // concurrency bound is the in-flight RPC bound, since Compute runs
 // inside the executor's slot.
 //
-// Node failure reuses the breaker vocabulary: an RPC failure counts
-// against the node, threshold consecutive failures eject it (timed
-// half-open probe re-admits), and the failed cell fails over to the
-// next node in its rendezvous order — mid-sweep loss of a worker moves
-// exactly that worker's cells to survivors, with identical results.
+// Node failure runs through the same breaker as the store's write
+// path: an RPC failure counts against the node, threshold consecutive
+// failures eject it (timed half-open probe re-admits), and the failed
+// cell fails over to the next node in its rendezvous order — mid-sweep
+// loss of a worker moves exactly that worker's cells to survivors, with
+// identical results.
 type Remote struct {
-	client *http.Client
 	engine uint64
 	now    func() time.Time
 
@@ -55,32 +47,12 @@ type Remote struct {
 // Option configures a Remote under construction.
 type Option func(*Remote)
 
-// WithHTTPClient substitutes the coordinator's HTTP client (tests use
-// httptest server clients; deployments may want timeouts/transport
-// tuning). Per-call cancellation always rides the Compute context.
-func WithHTTPClient(c *http.Client) Option {
-	return func(r *Remote) {
-		if c != nil {
-			r.client = c
-		}
-	}
-}
-
 // WithNodeBreaker tunes the per-node ejection breaker: threshold
 // consecutive failures eject, first probe after base, backoff doubling
-// up to max. Non-positive values keep the defaults.
+// up to max. Non-positive values keep the defaults (3, 100ms, 10s),
+// and max is raised to at least base.
 func WithNodeBreaker(threshold int, base, max time.Duration) Option {
-	return func(r *Remote) {
-		if threshold > 0 {
-			r.threshold = threshold
-		}
-		if base > 0 {
-			r.base = base
-		}
-		if max > 0 {
-			r.max = max
-		}
-	}
+	return func(r *Remote) { r.threshold, r.base, r.max = threshold, base, max }
 }
 
 // WithClock substitutes the breaker clock (tests).
@@ -94,14 +66,7 @@ func New(nodes []string, opts ...Option) (*Remote, error) {
 	if len(nodes) == 0 {
 		return nil, errors.New("remote: no worker nodes given")
 	}
-	r := &Remote{
-		client:    http.DefaultClient,
-		engine:    sim.EngineVersion,
-		now:       time.Now,
-		threshold: defaultFailureThreshold,
-		base:      defaultProbeBackoff,
-		max:       defaultMaxBackoff,
-	}
+	r := &Remote{engine: sim.EngineVersion, now: time.Now}
 	for _, opt := range opts {
 		opt(r)
 	}
@@ -121,12 +86,10 @@ func New(nodes []string, opts ...Option) (*Remote, error) {
 		}
 		base = strings.TrimRight(base, "/")
 		r.nodes = append(r.nodes, &node{
-			name:      name,
-			base:      base,
-			hash:      fnv64(name),
-			threshold: r.threshold,
-			backoff0:  r.base,
-			backoffMx: r.max,
+			name: name,
+			base: base,
+			hash: fnv64(name),
+			br:   breaker.New(r.threshold, r.base, r.max),
 		})
 	}
 	return r, nil
@@ -185,7 +148,7 @@ func (r *Remote) call(ctx context.Context, nd *node, key runner.Key, isRetry boo
 		return runner.CellResult{}, false, fmt.Errorf("remote: %s: %w", nd.name, err)
 	}
 	req.Header.Set("Content-Type", "application/json")
-	resp, err := r.client.Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		if ctx.Err() != nil {
 			// The sweep was cancelled, not the node broken: return the
@@ -306,16 +269,8 @@ type node struct {
 	base string
 	hash uint64
 
-	threshold int
-	backoff0  time.Duration
-	backoffMx time.Duration
-
-	mu       sync.Mutex
-	open     bool
-	failures int
-	backoff  time.Duration
-	retryAt  time.Time
-	trips    int64
+	mu sync.Mutex
+	br breaker.Breaker
 
 	sent      int64
 	completed int64
@@ -340,46 +295,22 @@ func (n *node) record(isRetry bool) {
 func (n *node) admit(now time.Time) bool {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if !n.open {
-		return true
-	}
-	if now.Before(n.retryAt) {
-		return false
-	}
-	n.retryAt = now.Add(n.backoff)
-	return true
+	return n.br.Allow(now)
 }
 
 // fail records an RPC failure, ejecting the node at threshold
 // consecutive failures (or doubling the backoff if a probe failed).
-func (n *node) fail(now time.Time, _ error) {
+func (n *node) fail(now time.Time, err error) {
 	n.mu.Lock()
-	defer n.mu.Unlock()
-	if n.open {
-		n.backoff *= 2
-		if n.backoff > n.backoffMx {
-			n.backoff = n.backoffMx
-		}
-		n.retryAt = now.Add(n.backoff)
-		return
-	}
-	n.failures++
-	if n.failures >= n.threshold {
-		n.open = true
-		n.trips++
-		n.backoff = n.backoff0
-		n.retryAt = now.Add(n.backoff)
-	}
+	n.br.Fail(now, err)
+	n.mu.Unlock()
 }
 
 // ok records a successful RPC: consecutive-failure state clears and an
 // ejected node (whose probe just succeeded) is re-admitted.
 func (n *node) ok() {
 	n.mu.Lock()
-	n.open = false
-	n.failures = 0
-	n.backoff = 0
-	n.retryAt = time.Time{}
+	n.br.OK()
 	n.completed++
 	n.mu.Unlock()
 }
@@ -412,19 +343,17 @@ func (r *Remote) NodeStats() []NodeStats {
 	for i, n := range r.nodes {
 		n.mu.Lock()
 		st := "ok"
-		if n.open {
-			if now.Before(n.retryAt) {
-				st = "ejected"
-			} else {
-				st = "probing"
-			}
+		if n.br.ProbeDue(now) {
+			st = "probing"
+		} else if n.br.Open() {
+			st = "ejected"
 		}
 		out[i] = NodeStats{
 			Node:      n.name,
 			Sent:      n.sent,
 			Completed: n.completed,
 			Retried:   n.retried,
-			Ejected:   n.trips,
+			Ejected:   n.br.Trips(),
 			State:     st,
 		}
 		n.mu.Unlock()

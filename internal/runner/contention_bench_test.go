@@ -18,7 +18,8 @@ import (
 //   - pooled: GOMAXPROCS workers over the same cache (the shape at
 //     high -j).
 //
-// Recorded in BENCH_LEDGER.json via scripts/record_bench.sh.
+// Run them at -cpu 4 or more: single-threaded, the serial/pooled
+// comparison is meaningless.
 func BenchmarkMemoContention(b *testing.B) {
 	for _, tc := range []struct {
 		name string

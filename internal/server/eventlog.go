@@ -93,11 +93,3 @@ func (l *eventLog) since(after int64) (events []logEvent, missed int64, done boo
 	}
 	return events, missed, l.closed, l.updated
 }
-
-// lastID returns the id of the most recently appended event, 0 when
-// none.
-func (l *eventLog) lastID() int64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.next - 1
-}

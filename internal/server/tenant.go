@@ -168,14 +168,6 @@ func (r *registry) admit(id string) (*tenant, func(), error) {
 	return t, release, nil
 }
 
-// lookup returns the tenant for id without admitting a job, nil when
-// the tenant has never been admitted.
-func (r *registry) lookup(id string) *tenant {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.tenants[id]
-}
-
 // bumpGen marks every tenant stale (rebuilt at next idle admission)
 // after a tier-catalog swap.
 func (r *registry) bumpGen() {

@@ -19,8 +19,8 @@ import (
 //     release, broadcast delivery, WaitQ.WakeAll).
 //
 // All benchmarks use virtual time only and are bit-deterministic, so
-// ns/op and allocs/op are comparable across commits; scripts/record_bench.sh
-// snapshots them into BENCH_LEDGER.json.
+// ns/op and allocs/op are comparable across commits (compare them with
+// repeated -count runs; BENCH_LEDGER.json holds past snapshots).
 
 // runStorm is the shared sleep-storm workload: procs processes each
 // performing sleeps short sleeps with distinct periods, forcing constant

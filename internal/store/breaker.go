@@ -1,6 +1,10 @@
 package store
 
-import "time"
+import (
+	"time"
+
+	"tooleval/internal/breaker"
+)
 
 // CircuitState names the store's write-path health.
 type CircuitState string
@@ -16,117 +20,18 @@ const (
 	CircuitHalfOpen CircuitState = "half-open"
 )
 
-// Breaker defaults: trip after 3 consecutive write failures, first
-// probe after 100ms, backoff doubling up to 10s.
-const (
-	defaultFailureThreshold = 3
-	defaultProbeBackoff     = 100 * time.Millisecond
-	defaultMaxBackoff       = 10 * time.Second
-)
-
-// breaker is the store's write-path circuit breaker, replacing the old
-// latch-forever write error. State is guarded by the Store mutex, so
-// the breaker itself carries none.
-//
-// Closed is normal operation; threshold consecutive failures open the
-// circuit (writes are dropped — the store serves lookups only) and
-// start the backoff clock. Once the backoff elapses the circuit is
-// half-open: exactly one Fill is admitted as a probe. A successful
-// probe closes the circuit and clears the error; a failed one re-opens
-// it with the backoff doubled (capped), so a persistently sick disk is
-// probed ever more rarely instead of hammered.
-type breaker struct {
-	threshold int
-	base, max time.Duration
-
-	open     bool
-	failures int   // consecutive failures (resets on success)
-	err      error // last write failure; nil when healthy
-	backoff  time.Duration
-	retryAt  time.Time
-
-	trips   int64 // times the circuit opened
-	probes  int64 // half-open probes admitted
-	dropped int64 // fills skipped while open
-}
-
-func newBreaker(threshold int, base, max time.Duration) *breaker {
-	if threshold <= 0 {
-		threshold = defaultFailureThreshold
-	}
-	if base <= 0 {
-		base = defaultProbeBackoff
-	}
-	if max < base {
-		max = defaultMaxBackoff
-		if max < base {
-			max = base
-		}
-	}
-	return &breaker{threshold: threshold, base: base, max: max}
-}
-
-// state reports the externally observable circuit state at time now.
-// Half-open is the open circuit whose backoff has elapsed: the next
-// admitted Fill will be the probe.
-func (b *breaker) state(now time.Time) CircuitState {
+// circuitState maps the write-path breaker onto the store's state
+// names at time now. Half-open is the open circuit whose backoff has
+// elapsed: the next admitted Fill will be the probe.
+func circuitState(b *breaker.Breaker, now time.Time) CircuitState {
 	switch {
-	case !b.open:
+	case !b.Open():
 		return CircuitClosed
-	case now.Before(b.retryAt):
-		return CircuitOpen
-	default:
+	case b.ProbeDue(now):
 		return CircuitHalfOpen
+	default:
+		return CircuitOpen
 	}
-}
-
-// allow reports whether a Fill may attempt its write at time now. An
-// open circuit admits nothing until the backoff elapses, then admits
-// the probe (and pushes retryAt forward so a probe that hangs does not
-// let a burst of fills pile in behind it).
-func (b *breaker) allow(now time.Time) bool {
-	if !b.open {
-		return true
-	}
-	if now.Before(b.retryAt) {
-		b.dropped++
-		return false
-	}
-	b.probes++
-	b.retryAt = now.Add(b.backoff)
-	return true
-}
-
-// fail records a write failure at time now, opening (or re-opening
-// with doubled backoff) the circuit when the threshold is reached.
-func (b *breaker) fail(now time.Time, err error) {
-	b.err = err
-	if b.open {
-		// The probe failed: stay open, back off harder.
-		b.backoff *= 2
-		if b.backoff > b.max {
-			b.backoff = b.max
-		}
-		b.retryAt = now.Add(b.backoff)
-		return
-	}
-	b.failures++
-	if b.failures >= b.threshold {
-		b.open = true
-		b.trips++
-		b.backoff = b.base
-		b.retryAt = now.Add(b.backoff)
-	}
-}
-
-// ok records a successful write: consecutive-failure state clears, and
-// an open circuit (the probe succeeded) closes.
-func (b *breaker) ok() {
-	b.open = false
-	b.failures = 0
-	b.err = nil
-	b.backoff = 0
-	b.retryAt = time.Time{}
 }
 
 // Health is a snapshot of the store's write-path circuit, for
@@ -155,14 +60,14 @@ type Health struct {
 func (s *Store) Health() Health {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	b := s.br
+	b := &s.br
 	return Health{
-		State:    b.state(s.now()),
-		Err:      b.err,
-		Failures: b.failures,
-		Trips:    b.trips,
-		Probes:   b.probes,
-		Dropped:  b.dropped,
-		RetryAt:  b.retryAt,
+		State:    circuitState(b, s.now()),
+		Err:      b.Err(),
+		Failures: b.Failures(),
+		Trips:    b.Trips(),
+		Probes:   b.Probes(),
+		Dropped:  b.Dropped(),
+		RetryAt:  b.RetryAt(),
 	}
 }

@@ -65,6 +65,7 @@ import (
 	"sync"
 	"time"
 
+	"tooleval/internal/breaker"
 	"tooleval/internal/runner"
 )
 
@@ -114,7 +115,7 @@ type Store struct {
 	f        File
 	index    map[runner.Key]runner.CellResult
 	path     string
-	br       *breaker
+	br       breaker.Breaker // write-path circuit, guarded by mu
 	now      func() time.Time
 	goodOff  int64 // file offset just past the last fully written record
 	dirty    bool  // a failed write may have left bytes past goodOff
@@ -139,7 +140,7 @@ func WithFile(wrap func(File) File) Option {
 // threshold consecutive failures, probe after base, backing off
 // exponentially up to max. Non-positive values keep the defaults.
 func WithBreaker(threshold int, base, max time.Duration) Option {
-	return func(s *Store) { s.br = newBreaker(threshold, base, max) }
+	return func(s *Store) { s.br = breaker.New(threshold, base, max) }
 }
 
 // WithClock substitutes the breaker's time source, for tests that
@@ -180,7 +181,7 @@ func Open(dir string, engineVersion uint64, opts ...Option) (*Store, error) {
 		f:     f,
 		index: make(map[runner.Key]runner.CellResult),
 		path:  path,
-		br:    newBreaker(0, 0, 0),
+		br:    breaker.New(0, 0, 0),
 		now:   time.Now,
 	}
 	for _, opt := range opts {
@@ -284,14 +285,14 @@ func (s *Store) Fill(key runner.Key, res runner.CellResult) {
 	if _, ok := s.index[key]; ok {
 		return
 	}
-	if !s.br.allow(s.now()) {
+	if !s.br.Allow(s.now()) {
 		return // circuit open: lookup-only until the backoff elapses
 	}
 	// A failed write may have left a torn half-frame past goodOff; cut
 	// it off before appending so the log stays a clean record sequence.
 	if s.dirty {
 		if err := s.repair(); err != nil {
-			s.br.fail(s.now(), fmt.Errorf("store: repairing %s: %w", s.path, err))
+			s.br.Fail(s.now(), fmt.Errorf("store: repairing %s: %w", s.path, err))
 			return
 		}
 	}
@@ -308,11 +309,11 @@ func (s *Store) Fill(key runner.Key, res runner.CellResult) {
 	}
 	if err != nil {
 		s.dirty = true
-		s.br.fail(s.now(), fmt.Errorf("store: appending to %s: %w", s.path, err))
+		s.br.Fail(s.now(), fmt.Errorf("store: appending to %s: %w", s.path, err))
 		return
 	}
 	s.goodOff += int64(len(frame))
-	s.br.ok()
+	s.br.OK()
 	s.index[key] = res
 }
 
@@ -349,8 +350,8 @@ func (s *Store) Err() error {
 	if s.closed {
 		return s.closeErr
 	}
-	if s.br.open {
-		return s.br.err
+	if s.br.Open() {
+		return s.br.Err()
 	}
 	return nil
 }
@@ -368,8 +369,8 @@ func (s *Store) Close() error {
 	}
 	s.closed = true
 	var err error
-	if s.br.open {
-		err = s.br.err
+	if s.br.Open() {
+		err = s.br.Err()
 	}
 	if serr := s.f.Sync(); err == nil && serr != nil {
 		err = fmt.Errorf("store: syncing %s: %w", s.path, serr)

@@ -14,10 +14,9 @@ import (
 // the broadcast figure swept through two in-process worker daemons
 // over real HTTP loopback. Iteration 1 pays one RPC per cell (the
 // wire protocol plus the simulation); later iterations replay the
-// coordinator's memoization cache, so -benchtime=1x (what
-// scripts/record_bench.sh uses) measures the distributed path and
-// longer runs measure the coordinator-side cache under the remote
-// wrapper.
+// coordinator's memoization cache, so -benchtime=1x measures the
+// distributed path and longer runs measure the coordinator-side cache
+// under the remote wrapper.
 func BenchmarkRemoteSweep(b *testing.B) {
 	w1 := httptest.NewServer(remote.NewWorker(runner.New(4), bench.ComputeCell).Handler())
 	defer w1.Close()

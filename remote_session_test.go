@@ -234,10 +234,12 @@ func TestWithExecutorComposesWithRemoteExecutor(t *testing.T) {
 	serialCells := map[tooleval.Cell]bool{}
 	serial := tooleval.NewSession(
 		tooleval.WithParallelism(1),
-		tooleval.WithProgress(func(ev tooleval.CellEvent) {
-			mu.Lock()
-			serialCells[ev.Cell] = true
-			mu.Unlock()
+		tooleval.WithEvents(func(e tooleval.Event) {
+			if ev, ok := e.(tooleval.CellEvent); ok {
+				mu.Lock()
+				serialCells[ev.Cell] = true
+				mu.Unlock()
+			}
 		}),
 	)
 	want, err := serial.Fig2(ctx, 4)

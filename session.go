@@ -8,7 +8,6 @@ import (
 	"tooleval/internal/bench"
 	"tooleval/internal/core"
 	"tooleval/internal/mpt"
-	"tooleval/internal/platform"
 	"tooleval/internal/remote"
 	"tooleval/internal/runner"
 	"tooleval/internal/sim"
@@ -38,8 +37,8 @@ func NewCache() *Cache { return runner.NewCache() }
 // paper's evaluation matrix.
 type Cell = runner.Key
 
-// CellEvent reports one resolved simulation cell to a WithProgress
-// callback. Cached is true when the cell was served from the session's
+// CellEvent reports one resolved simulation cell to a [WithEvents]
+// sink. Cached is true when the cell was served from the session's
 // memoization cache (or coalesced onto an in-flight computation)
 // instead of being simulated by this call.
 type CellEvent struct {
@@ -47,10 +46,6 @@ type CellEvent struct {
 	Cached bool
 	Err    error
 }
-
-// ProgressFunc observes cell completions. It runs on whichever
-// goroutine resolved the cell and must be safe for concurrent use.
-type ProgressFunc func(CellEvent)
 
 // Session is one self-contained evaluation instance: it owns its
 // execution backend (an [Executor] — by default a worker pool with a
@@ -125,32 +120,6 @@ func WithTool(name string, factory Factory) Option {
 	}
 }
 
-// WithTools registers every factory in reg; see WithTool.
-func WithTools(reg map[string]Factory) Option {
-	return func(c *sessionConfig) {
-		for name, factory := range reg {
-			if c.tools == nil {
-				c.tools = make(map[string]Factory)
-			}
-			c.tools[name] = factory
-		}
-	}
-}
-
-// WithProgress installs fn as the session's per-cell progress
-// callback. It is [WithEvents] restricted to [CellEvent]s — the two
-// options compose, and either may repeat.
-func WithProgress(fn ProgressFunc) Option {
-	if fn == nil {
-		return func(*sessionConfig) {}
-	}
-	return WithEvents(func(ev Event) {
-		if ce, ok := ev.(CellEvent); ok {
-			fn(ce)
-		}
-	})
-}
-
 // NewSession builds an isolated evaluation session. With no options it
 // uses GOMAXPROCS parallelism, a fresh private unbounded cache, the
 // built-in tool registry (p4, pvm, express), no budgets, and no event
@@ -220,7 +189,7 @@ func NewSession(opts ...Option) *Session {
 		}
 	}
 	s := &Session{
-		h:           bench.NewHarnessWithTools(x, custom),
+		h:           bench.NewHarness(x, custom),
 		parallelism: x.Workers(),
 		sinks:       cfg.sinks,
 		store:       durable,
@@ -331,26 +300,13 @@ func (s *Session) NodeStats() []RemoteNodeStats {
 // then custom registrations in sorted order.
 func (s *Session) Tools() []string { return s.h.ToolNames() }
 
-// resolvePlatform looks up a platform and, when tool is non-empty,
-// checks the session's port matrix.
-func (s *Session) resolvePlatform(platformKey, tool string) (platform.Platform, error) {
-	pf, err := platform.Get(platformKey)
-	if err != nil {
-		return pf, err
-	}
-	if tool != "" && !s.h.Supports(pf, tool) {
-		return pf, fmt.Errorf("tooleval: %s has no %s port (paper §3.1)", pf.Name, tool)
-	}
-	return pf, nil
-}
-
 // Run executes body as an SPMD program under the named tool (built-in
 // or registered via WithTool) on the named platform. All timing in the
 // result is deterministic virtual time. The run occupies one slot of
 // the session's parallelism bound; ctx is observed while waiting for a
 // slot.
 func (s *Session) Run(ctx context.Context, platformKey, tool string, cfg RunConfig, body func(*Ctx) (any, error)) (*RunResult, error) {
-	pf, err := s.resolvePlatform(platformKey, tool)
+	pf, err := s.h.RequirePort(platformKey, tool)
 	if err != nil {
 		return nil, err
 	}
@@ -358,23 +314,8 @@ func (s *Session) Run(ctx context.Context, platformKey, tool string, cfg RunConf
 	if err != nil {
 		return nil, err
 	}
-	return s.runBounded(ctx, pf, factory, cfg, body)
-}
-
-// RunWithFactory is Run for a one-off tool implementation that is not
-// registered in the session. Prefer WithTool, which also enables the
-// benchmark methods for the custom tool.
-func (s *Session) RunWithFactory(ctx context.Context, platformKey string, factory Factory, cfg RunConfig, body func(*Ctx) (any, error)) (*RunResult, error) {
-	pf, err := platform.Get(platformKey)
-	if err != nil {
-		return nil, err
-	}
-	return s.runBounded(ctx, pf, factory, cfg, body)
-}
-
-func (s *Session) runBounded(ctx context.Context, pf Platform, factory Factory, cfg RunConfig, body func(*Ctx) (any, error)) (*RunResult, error) {
 	var res *RunResult
-	err := s.h.Executor().Do(ctx, func() error {
+	err = s.h.Executor().Do(ctx, func() error {
 		var err error
 		res, err = mpt.Run(pf, factory, cfg, body)
 		return err
@@ -388,33 +329,21 @@ func (s *Session) runBounded(ctx context.Context, pf Platform, factory Factory, 
 // PingPong measures the send/receive round trip (Table 3's benchmark)
 // and returns milliseconds per message size.
 func (s *Session) PingPong(ctx context.Context, platformKey, tool string, sizes []int) ([]float64, error) {
-	if _, err := s.resolvePlatform(platformKey, tool); err != nil {
-		return nil, err
-	}
 	return s.h.PingPong(ctx, platformKey, tool, sizes)
 }
 
 // Broadcast measures the collective broadcast (Figure 2's benchmark).
 func (s *Session) Broadcast(ctx context.Context, platformKey, tool string, procs int, sizes []int) ([]float64, error) {
-	if _, err := s.resolvePlatform(platformKey, tool); err != nil {
-		return nil, err
-	}
 	return s.h.Broadcast(ctx, platformKey, tool, procs, sizes)
 }
 
 // Ring measures the ring/loop benchmark (Figure 3).
 func (s *Session) Ring(ctx context.Context, platformKey, tool string, procs int, sizes []int) ([]float64, error) {
-	if _, err := s.resolvePlatform(platformKey, tool); err != nil {
-		return nil, err
-	}
 	return s.h.Ring(ctx, platformKey, tool, procs, sizes)
 }
 
 // GlobalSum measures the integer-vector global summation (Figure 4).
 func (s *Session) GlobalSum(ctx context.Context, platformKey, tool string, procs int, vectorLens []int) ([]float64, error) {
-	if _, err := s.resolvePlatform(platformKey, tool); err != nil {
-		return nil, err
-	}
 	return s.h.GlobalSum(ctx, platformKey, tool, procs, vectorLens)
 }
 
@@ -422,11 +351,6 @@ func (s *Session) GlobalSum(ctx context.Context, platformKey, tool string, procs
 // "psrs") over a processor sweep and returns its execution-time curve.
 // scale shrinks the paper-scale workload (1.0 reproduces the paper).
 func (s *Session) RunApp(ctx context.Context, platformKey, tool, app string, procsList []int, scale float64) (AppMeasurement, error) {
-	// Through resolvePlatform like every other tool-taking method, so
-	// the §3.1 port gate applies uniformly at the session layer.
-	if _, err := s.resolvePlatform(platformKey, tool); err != nil {
-		return AppMeasurement{}, err
-	}
 	series, err := s.h.RunAPL(ctx, platformKey, tool, app, procsList, scale)
 	if err != nil {
 		return AppMeasurement{}, err
@@ -486,7 +410,7 @@ func (s *Session) APLFigure(ctx context.Context, figID string, scale float64) (*
 // (the ADL debugging-support criterion). The run occupies one slot of
 // the session's parallelism bound.
 func (s *Session) TraceRun(ctx context.Context, platformKey, tool string, size, maxEvents int) ([]string, error) {
-	pf, err := s.resolvePlatform(platformKey, tool)
+	pf, err := s.h.RequirePort(platformKey, tool)
 	if err != nil {
 		return nil, err
 	}

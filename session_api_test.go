@@ -237,7 +237,11 @@ func TestWithExecutorRoutesEverything(t *testing.T) {
 	var cells int
 	sess := tooleval.NewSession(
 		tooleval.WithExecutor(x),
-		tooleval.WithProgress(func(tooleval.CellEvent) { cells++ }), // serial backend: no mutex needed
+		tooleval.WithEvents(func(e tooleval.Event) {
+			if _, ok := e.(tooleval.CellEvent); ok {
+				cells++ // serial backend: no mutex needed
+			}
+		}),
 	)
 	ctx := context.Background()
 	sizes := []int{0, 2 << 10}

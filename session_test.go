@@ -64,8 +64,10 @@ func TestSessionCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	sess := tooleval.NewSession(
 		tooleval.WithParallelism(2),
-		tooleval.WithProgress(func(ev tooleval.CellEvent) {
-			cancel() // pull the plug as soon as the first cell resolves
+		tooleval.WithEvents(func(e tooleval.Event) {
+			if _, ok := e.(tooleval.CellEvent); ok {
+				cancel() // pull the plug as soon as the first cell resolves
+			}
 		}),
 	)
 	_, err := sess.Evaluate(ctx, tooleval.EndUserProfile(), 0.05)
@@ -245,13 +247,15 @@ func mpiLite(env *tooleval.Env) (mpt.Tool, error) {
 	return p4.NewWithParams(env, par)
 }
 
-func TestWithProgressObservesCells(t *testing.T) {
+func TestWithEventsObservesCells(t *testing.T) {
 	var mu sync.Mutex
 	events := []tooleval.CellEvent{}
-	sess := tooleval.NewSession(tooleval.WithProgress(func(ev tooleval.CellEvent) {
-		mu.Lock()
-		defer mu.Unlock()
-		events = append(events, ev)
+	sess := tooleval.NewSession(tooleval.WithEvents(func(e tooleval.Event) {
+		if ev, ok := e.(tooleval.CellEvent); ok {
+			mu.Lock()
+			defer mu.Unlock()
+			events = append(events, ev)
+		}
 	}))
 	sizes := []int{0, 2 << 10}
 	for i := 0; i < 2; i++ {

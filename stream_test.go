@@ -173,7 +173,11 @@ func TestSubmitCancellationMidBatch(t *testing.T) {
 	var once sync.Once
 	sess := tooleval.NewSession(
 		tooleval.WithParallelism(2),
-		tooleval.WithProgress(func(tooleval.CellEvent) { once.Do(cancel) }),
+		tooleval.WithEvents(func(e tooleval.Event) {
+			if _, ok := e.(tooleval.CellEvent); ok {
+				once.Do(cancel)
+			}
+		}),
 	)
 	_, err := sess.Submit(ctx, []tooleval.ExperimentSpec{
 		{Kind: tooleval.KindPingPong, Platform: "sun-ethernet", Tool: "p4", Sizes: []int{0, 1 << 10}},
