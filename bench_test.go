@@ -291,7 +291,7 @@ func BenchmarkAblationBroadcastAlgo(b *testing.B) {
 					if algo == "linear" {
 						_, err = mpt.LinearBcast(c.Comm, 0, 5, in)
 					} else {
-						_, err = mpt.BinomialBcast(c.Comm, 0, 5, in)
+						_, err = mpt.BinomialBcast(c.Comm, c.Comm.Send, 0, 5, in)
 					}
 					return nil, err
 				})

@@ -124,6 +124,13 @@ func computeGlobalSum(pf platform.Platform, toolName string, factory mpt.Factory
 		if len(sum) != n {
 			return nil, fmt.Errorf("global sum returned %d elements, want %d", len(sum), n)
 		}
+		// Σ_r (r+i) over p ranks is p·i + p(p-1)/2.
+		p := int64(c.Size())
+		for i, got := range sum {
+			if want := p*int64(i) + p*(p-1)/2; got != want {
+				return nil, fmt.Errorf("global sum element %d is %d, want %d", i, got, want)
+			}
+		}
 		return nil, nil
 	})
 	if err != nil {

@@ -15,9 +15,13 @@ import (
 // measured figure for the harness's own small allocations.
 
 // allocBytes reports the bytes one mpt.Run of body allocates, measured
-// after a warm-up run has filled the engine pool.
+// after a warm-up run has filled the engine pool. It runs on one P: with
+// more, the runtime allocates goroutine and sudog records for whichever
+// P's cache happens to be empty, which moves a small run's figure by
+// several hundred bytes from one run to the next.
 func allocBytes(t *testing.T, tool string, procs int, body mpt.Body) uint64 {
 	t.Helper()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	pf := mustPlatform(t, "sun-ethernet")
 	f := mustFactory(t, tool)
 	run := func() {
@@ -35,13 +39,15 @@ func allocBytes(t *testing.T, tool string, procs int, body mpt.Body) uint64 {
 
 // TestGlobalSumByteBudget: a 4-rank p4 global sum of 100K int64s. What
 // must allocate is, per rank, the input vector, its encoding and the
-// decoded result, plus one modelled copy per tree send (3 reduce, 3
-// broadcast): 18 vectors. Combining by decode-add-encode cost 9 more.
+// decoded result: 12 vectors. The tree sends (3 reduce, 3 broadcast)
+// hand the combine's own buffers on by reference and copy nothing;
+// copying at each of them cost 6 more, and combining by
+// decode-add-encode 9 more again.
 func TestGlobalSumByteBudget(t *testing.T) {
 	const (
 		n      = 100_000
 		vecB   = 8 * n
-		budget = 22 * vecB
+		budget = 13 * vecB
 	)
 	got := allocBytes(t, "p4", 4, func(c *mpt.Ctx) (any, error) {
 		vec := make([]int64, n)
@@ -53,29 +59,38 @@ func TestGlobalSumByteBudget(t *testing.T) {
 	})
 	t.Logf("global sum: %d B = %.1f vectors", got, float64(got)/vecB)
 	if got > budget {
-		t.Fatalf("global sum allocated %d B = %.1f vectors of %d B; budget is 22", got, float64(got)/vecB, vecB)
+		t.Fatalf("global sum allocated %d B = %.1f vectors of %d B; budget is 13", got, float64(got)/vecB, vecB)
 	}
 }
 
-// TestPVMSendByteBudget: one 64 KiB PVM send/receive through the
-// daemons. The XDR pass (with its route envelope), the fragment wire
-// frames, the reassembly buffer and the unpack are one payload each.
-// Copying at every daemon hop cost about 12.
+// TestPVMSendByteBudget: one PVM send/receive through the daemons. The
+// XDR pass (with its route envelope), the reassembly buffer and the
+// unpack are one payload each; the fragment frames are headers that
+// carry their chunks by reference. A one-fragment message has no
+// reassembly buffer, but at 1 KiB the fixed cost of the run (messages,
+// headers, daemon state) weighs several payloads. Copying every chunk
+// into its frame cost one payload more, and copying at every daemon hop
+// about 12.
 func TestPVMSendByteBudget(t *testing.T) {
-	const (
-		size   = 64 << 10
-		budget = 7 * size
-	)
-	payload := make([]byte, size)
-	got := allocBytes(t, "pvm", 2, func(c *mpt.Ctx) (any, error) {
-		if c.Rank() == 0 {
-			return nil, c.Comm.Send(1, 1, payload)
+	for _, tc := range []struct {
+		size   int
+		budget float64 // payloads
+	}{
+		{64 << 10, 4},
+		{1 << 10, 8},
+	} {
+		payload := make([]byte, tc.size)
+		got := allocBytes(t, "pvm", 2, func(c *mpt.Ctx) (any, error) {
+			if c.Rank() == 0 {
+				return nil, c.Comm.Send(1, 1, payload)
+			}
+			_, err := c.Comm.Recv(0, 1)
+			return nil, err
+		})
+		ratio := float64(got) / float64(tc.size)
+		t.Logf("pvm send of %d B: %d B = %.1f payloads", tc.size, got, ratio)
+		if ratio > tc.budget {
+			t.Fatalf("pvm send of %d B allocated %d B = %.1f payloads; budget is %g", tc.size, got, ratio, tc.budget)
 		}
-		_, err := c.Comm.Recv(0, 1)
-		return nil, err
-	})
-	t.Logf("pvm send: %d B = %.1f payloads", got, float64(got)/size)
-	if got > budget {
-		t.Fatalf("pvm send allocated %d B = %.1f payloads of %d B; budget is 7", got, float64(got)/size, size)
 	}
 }

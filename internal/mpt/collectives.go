@@ -14,10 +14,18 @@ import (
 // "worst performance" broadcast) but combines over a tree, and PVM's
 // multicast is a daemon-level fan-out implemented in its own package.
 
+// SendFunc is the point-to-point send a collective hands its messages
+// on with. A user-facing collective passes the tool's Comm.Send, which
+// copies once at the tool boundary; a collective that owns every buffer
+// it sends passes the tool's by-reference send instead (see
+// GlobalSumViaTree).
+type SendFunc func(dst, tag int, data []byte) error
+
 // BinomialBcast distributes the root's data to all ranks over a binomial
 // spanning tree: round k has 2^k informed ranks, each forwarding to a
-// partner 2^k away (in root-relative numbering).
-func BinomialBcast(c Comm, root, tag int, data []byte) ([]byte, error) {
+// partner 2^k away (in root-relative numbering). Each forward goes
+// through send.
+func BinomialBcast(c Comm, send SendFunc, root, tag int, data []byte) ([]byte, error) {
 	n := c.Size()
 	if err := validRank(n, root); err != nil {
 		return nil, err
@@ -44,7 +52,7 @@ func BinomialBcast(c Comm, root, tag int, data []byte) ([]byte, error) {
 	for mask := 1; mask < n; mask <<= 1 {
 		if me < mask && me+mask < n {
 			dst := (me + mask + root) % n
-			if err := c.Send(dst, tag, data); err != nil {
+			if err := send(dst, tag, data); err != nil {
 				return nil, fmt.Errorf("binomial bcast send to %d: %w", dst, err)
 			}
 		}
@@ -83,8 +91,9 @@ func LinearBcast(c Comm, root, tag int, data []byte) ([]byte, error) {
 // accumulated local value and a peer's encoded contribution, may write
 // the result into acc and return it, and must leave peer unchanged. The
 // reduction owns its accumulator, so local must be a buffer the caller
-// hands over (a fresh encoding), never one it still reads.
-func TreeReduce(c Comm, root, tag int, local []byte, combine func(acc, peer []byte) ([]byte, error)) ([]byte, error) {
+// hands over (a fresh encoding), never one it still reads. A rank sends
+// its accumulator up the tree with send and never touches it again.
+func TreeReduce(c Comm, send SendFunc, root, tag int, local []byte, combine func(acc, peer []byte) ([]byte, error)) ([]byte, error) {
 	n := c.Size()
 	if err := validRank(n, root); err != nil {
 		return nil, err
@@ -94,7 +103,7 @@ func TreeReduce(c Comm, root, tag int, local []byte, combine func(acc, peer []by
 	for mask := 1; mask < n; mask <<= 1 {
 		if me&mask != 0 {
 			dst := ((me &^ mask) + root) % n
-			if err := c.Send(dst, tag, acc); err != nil {
+			if err := send(dst, tag, acc); err != nil {
 				return nil, fmt.Errorf("tree reduce send to %d: %w", dst, err)
 			}
 			return nil, nil // contributed; only root returns data
@@ -117,11 +126,11 @@ func TreeReduce(c Comm, root, tag int, local []byte, combine func(acc, peer []by
 // TreeBarrier synchronizes all ranks with a reduce-then-broadcast of
 // empty messages.
 func TreeBarrier(c Comm, tag int) error {
-	_, err := TreeReduce(c, 0, tag, nil, func(acc, _ []byte) ([]byte, error) { return acc, nil })
+	_, err := TreeReduce(c, c.Send, 0, tag, nil, func(acc, _ []byte) ([]byte, error) { return acc, nil })
 	if err != nil {
 		return err
 	}
-	_, err = BinomialBcast(c, 0, tag, nil)
+	_, err = BinomialBcast(c, c.Send, 0, tag, nil)
 	return err
 }
 
@@ -166,14 +175,18 @@ func checkCombine(elem string, acc, peer []byte) error {
 }
 
 // GlobalSumViaTree implements the combine primitive (reduce to rank 0,
-// broadcast the result) used by p4's p4_global_op and Express's
-// excombine.
-func GlobalSumViaTree(c Comm, local []byte, combine func(acc, peer []byte) ([]byte, error), bcast func(root, tag int, data []byte) ([]byte, error)) ([]byte, error) {
-	reduced, err := TreeReduce(c, 0, TagReduce, local, combine)
+// then a binomial broadcast of the result on TagBcast) used by p4's
+// p4_global_op and Express's excombine. Every buffer it sends is one it
+// owns — an accumulator it never touches again, then the reduced result,
+// which no rank writes — so send may hand them on by reference. The
+// returned slice is then shared by all ranks: the caller must decode it
+// into a buffer of its own and never write into it.
+func GlobalSumViaTree(c Comm, send SendFunc, local []byte, combine func(acc, peer []byte) ([]byte, error)) ([]byte, error) {
+	reduced, err := TreeReduce(c, send, 0, TagReduce, local, combine)
 	if err != nil {
 		return nil, err
 	}
-	return bcast(0, TagBcast, reduced)
+	return BinomialBcast(c, send, 0, TagBcast, reduced)
 }
 
 // ManualSumFloat64 is the application-level fallback a 1995 programmer

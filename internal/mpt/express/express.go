@@ -124,6 +124,14 @@ func (c *comm) Size() int { return c.t.env.N }
 // packetized transfer with per-packet acknowledgement. The call blocks
 // until the final packet is acknowledged (synchronous semantics).
 func (c *comm) Send(dst, tag int, data []byte) error {
+	return c.sendRef(dst, tag, mpt.CloneData(data))
+}
+
+// sendRef is Send without the host copy: data is handed on by reference,
+// so the caller must own it and never write it again. The charges and
+// the transmissions are Send's, so virtual time is the same. excombine's
+// tree sends use it.
+func (c *comm) sendRef(dst, tag int, data []byte) error {
 	env, par := c.t.env, c.t.par
 	if dst < 0 || dst >= env.N {
 		return fmt.Errorf("exsend: bad destination %d", dst)
@@ -132,7 +140,7 @@ func (c *comm) Send(dst, tag int, data []byte) error {
 	c.t.stats.BytesSent += int64(len(data))
 	sentAt := c.p.Now()
 	c.p.Sleep(env.Cost(par.SendFixedOps))
-	msg := &mpt.Message{Src: c.rank, Tag: tag, Data: mpt.CloneData(data), SentAt: sentAt}
+	msg := &mpt.Message{Src: c.rank, Tag: tag, Data: data, SentAt: sentAt}
 
 	if dst == c.rank {
 		arr, err := env.Loop.Transmit(c.p.Now(), c.rank, c.rank, len(data)+par.HeaderBytes)
@@ -217,10 +225,13 @@ func (c *comm) Bcast(root, tag int, data []byte) ([]byte, error) {
 	return mpt.LinearBcast(c, root, mixTag(tag), data)
 }
 
-// GlobalSumInt64 implements excombine(+) over a binomial tree.
+// GlobalSumInt64 implements excombine(+) over a binomial tree: excombine
+// distributed its result over a tree even though exbroadcast did not.
+// The tree sends hand the combine's own buffers on by reference, and
+// every rank decodes the shared result into a fresh vector.
 func (c *comm) GlobalSumInt64(vec []int64) ([]int64, error) {
 	c.p.Sleep(c.t.env.Cost(2 * float64(len(vec))))
-	out, err := mpt.GlobalSumViaTree(c, mpt.EncodeInt64s(vec), mpt.CombineSumInt64, c.treeBcast)
+	out, err := mpt.GlobalSumViaTree(c, c.sendRef, mpt.EncodeInt64s(vec), mpt.CombineSumInt64)
 	if err != nil {
 		return nil, fmt.Errorf("excombine: %w", err)
 	}
@@ -230,17 +241,11 @@ func (c *comm) GlobalSumInt64(vec []int64) ([]int64, error) {
 // GlobalSumFloat64 is the float64 variant of GlobalSumInt64.
 func (c *comm) GlobalSumFloat64(vec []float64) ([]float64, error) {
 	c.p.Sleep(c.t.env.Cost(2 * float64(len(vec))))
-	out, err := mpt.GlobalSumViaTree(c, mpt.EncodeFloat64s(vec), mpt.CombineSumFloat64, c.treeBcast)
+	out, err := mpt.GlobalSumViaTree(c, c.sendRef, mpt.EncodeFloat64s(vec), mpt.CombineSumFloat64)
 	if err != nil {
 		return nil, fmt.Errorf("excombine: %w", err)
 	}
 	return mpt.DecodeFloat64s(out)
-}
-
-// treeBcast is the combine's internal distribution phase (excombine used
-// a tree internally even though exbroadcast did not).
-func (c *comm) treeBcast(root, tag int, data []byte) ([]byte, error) {
-	return mpt.BinomialBcast(c, root, tag, data)
 }
 
 // Barrier implements exsync over the binomial tree.

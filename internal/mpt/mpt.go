@@ -20,9 +20,16 @@
 //   - A delivered Message.Data belongs to the receiver.
 //   - Inside a tool, a payload is immutable once it has been handed on —
 //     to a daemon, a fragment stream or a reassembly buffer — and is
-//     shared there by reference, never cloned.
+//     shared there by reference, never cloned. A daemon-to-daemon frame
+//     (NewFrame) is a header plus a chunk that slices the sender's
+//     encoded buffer.
 //   - A reduction owns its accumulator: TreeReduce's combine adds into
 //     it in place.
+//   - A collective hands the buffers it owns on by reference. The global
+//     sum's tree sends skip Send's copy (see GlobalSumViaTree): a reduce
+//     sender never touches its accumulator again, and every rank decodes
+//     the broadcast result into a fresh vector of its own. User-facing
+//     Send, Bcast and Barrier keep the one copy.
 //
 // The virtual cost of a hop is computed from payload lengths alone, so
 // the host copies a tool skips change no simulated time.
@@ -74,7 +81,23 @@ type Message struct {
 	// the delivery be a single closure-free sim.AtCall with the message
 	// as the only argument.
 	box *Mailbox
+	// body is the by-reference second part of a tool-internal frame
+	// (see NewFrame); nil on every message a user receives.
+	body []byte
 }
+
+// NewFrame builds a tool-internal message whose wire form is hdr
+// followed by body: Data holds hdr, and body is carried by reference.
+// body must be a payload already handed on, and so immutable — a slice
+// of a sender's encoded buffer, not a copy of it. The receiving side of
+// the tool reads it back with FrameBody. A frame never reaches a user.
+func NewFrame(src, tag int, hdr, body []byte) *Message {
+	return &Message{Src: src, Tag: tag, Data: hdr, body: body}
+}
+
+// FrameBody returns the body of a message built by NewFrame, and nil
+// for any other message. The body is shared: never write into it.
+func FrameBody(m *Message) []byte { return m.body }
 
 // Comm is the per-rank endpoint of a message-passing tool, the common
 // surface of the primitives compared in Table 1 of the paper:

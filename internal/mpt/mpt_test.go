@@ -13,7 +13,7 @@ import (
 	"tooleval/internal/platform"
 )
 
-func mustPlatform(t *testing.T, key string) platform.Platform {
+func mustPlatform(t testing.TB, key string) platform.Platform {
 	t.Helper()
 	pf, err := platform.Get(key)
 	if err != nil {
@@ -22,7 +22,7 @@ func mustPlatform(t *testing.T, key string) platform.Platform {
 	return pf
 }
 
-func mustFactory(t *testing.T, name string) mpt.Factory {
+func mustFactory(t testing.TB, name string) mpt.Factory {
 	t.Helper()
 	f, err := tools.Factory(name)
 	if err != nil {

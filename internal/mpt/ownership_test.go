@@ -123,3 +123,94 @@ func TestSendBufferReusableOnReturn(t *testing.T) {
 		})
 	}
 }
+
+// TestBcastResultsAreIndependent: rank 1 writes into its Bcast result;
+// no other rank's result and not the root's buffer may change. Every
+// tool's user-facing Bcast copies once per hop, so no rank's result is
+// shared with another's, although the global sum's tree sends hand
+// their buffers on by reference.
+func TestBcastResultsAreIndependent(t *testing.T) {
+	pf := mustPlatform(t, "sun-ethernet")
+	want := make([]byte, 9_000)
+	for i := range want {
+		want[i] = byte(i%251 + 1)
+	}
+	forEachTool(t, func(t *testing.T, name string, f mpt.Factory) {
+		_, err := mpt.Run(pf, f, mpt.RunConfig{Procs: 4}, func(c *mpt.Ctx) (any, error) {
+			var data []byte
+			if c.Rank() == 0 {
+				data = slices.Clone(want)
+			}
+			got, err := c.Comm.Bcast(0, 3, data)
+			if err != nil {
+				return nil, err
+			}
+			if c.Rank() == 1 {
+				clear(got)
+			}
+			if err := c.Comm.Barrier(); err != nil {
+				return nil, err
+			}
+			if c.Rank() == 0 && !bytes.Equal(data, want) {
+				return nil, fmt.Errorf("the root's buffer changed after rank 1 wrote into its result")
+			}
+			if c.Rank() != 1 && !bytes.Equal(got, want) {
+				return nil, fmt.Errorf("rank %d result changed after rank 1 wrote into its own", c.Rank())
+			}
+			return nil, nil
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+	})
+}
+
+// TestGlobalSumResultsAreIndependent: every rank decodes the shared
+// broadcast of the reduced sum into a vector of its own, so rank 1
+// writing into its result leaves every other rank's result intact. PVM,
+// which has no global operation, reaches the float sum through the
+// SumFloat64 fallback.
+func TestGlobalSumResultsAreIndependent(t *testing.T) {
+	pf := mustPlatform(t, "sun-ethernet")
+	const procs, n = 4, 1_000
+	// Σ_r (r+i) over procs ranks.
+	wantInt := make([]int64, n)
+	wantFloat := make([]float64, n)
+	for i := range wantInt {
+		wantInt[i] = int64(procs*i + procs*(procs-1)/2)
+		wantFloat[i] = float64(wantInt[i])
+	}
+	forEachTool(t, func(t *testing.T, name string, f mpt.Factory) {
+		_, err := mpt.Run(pf, f, mpt.RunConfig{Procs: procs}, func(c *mpt.Ctx) (any, error) {
+			iv := make([]int64, n)
+			fv := make([]float64, n)
+			for i := range iv {
+				iv[i] = int64(c.Rank() + i)
+				fv[i] = float64(iv[i])
+			}
+			gotInt, err := c.Comm.GlobalSumInt64(iv)
+			hasInt := !errors.Is(err, mpt.ErrNotSupported)
+			if hasInt && err != nil {
+				return nil, err
+			}
+			gotFloat, err := mpt.SumFloat64(c.Comm, fv)
+			if err != nil {
+				return nil, err
+			}
+			if c.Rank() == 1 {
+				clear(gotInt)
+				clear(gotFloat)
+			}
+			if err := c.Comm.Barrier(); err != nil {
+				return nil, err
+			}
+			if c.Rank() != 1 && (hasInt && !slices.Equal(gotInt, wantInt) || !slices.Equal(gotFloat, wantFloat)) {
+				return nil, fmt.Errorf("rank %d sum changed after rank 1 wrote into its own", c.Rank())
+			}
+			return nil, nil
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+	})
+}

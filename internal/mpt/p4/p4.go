@@ -99,6 +99,14 @@ func (c *comm) Size() int { return c.t.env.N }
 // stream transport), then the kernel streams the message to the
 // destination in socket-sized chunks that serialize on the fabric.
 func (c *comm) Send(dst, tag int, data []byte) error {
+	return c.sendRef(dst, tag, mpt.CloneData(data))
+}
+
+// sendRef is Send without the host copy: data is handed on by reference,
+// so the caller must own it and never write it again. The charges and
+// the transmissions are Send's, so virtual time is the same. The global
+// sum's tree sends use it.
+func (c *comm) sendRef(dst, tag int, data []byte) error {
 	env, par := c.t.env, c.t.par
 	if dst < 0 || dst >= env.N {
 		return fmt.Errorf("p4_send: bad destination %d", dst)
@@ -108,7 +116,7 @@ func (c *comm) Send(dst, tag int, data []byte) error {
 	sentAt := c.p.Now()
 	c.p.Sleep(env.Cost(par.SendFixedOps + par.SendOpsPerByte*float64(len(data))))
 
-	msg := &mpt.Message{Src: c.rank, Tag: tag, Data: mpt.CloneData(data), SentAt: sentAt}
+	msg := &mpt.Message{Src: c.rank, Tag: tag, Data: data, SentAt: sentAt}
 	if dst == c.rank {
 		arr, err := env.Loop.Transmit(c.p.Now(), c.rank, c.rank, len(data)+par.HeaderBytes)
 		if err != nil {
@@ -151,14 +159,16 @@ func (c *comm) Recv(src, tag int) (*mpt.Message, error) {
 
 // Bcast implements p4_broadcast over a binomial spanning tree.
 func (c *comm) Bcast(root, tag int, data []byte) ([]byte, error) {
-	return mpt.BinomialBcast(c, root, mixTag(tag, mpt.TagBcast), data)
+	return mpt.BinomialBcast(c, c.Send, root, mixTag(tag, mpt.TagBcast), data)
 }
 
 // GlobalSumInt64 implements p4_global_op(sum) as a tree reduce plus tree
-// broadcast, charging the element-wise additions.
+// broadcast, charging the element-wise additions. The tree sends hand
+// the combine's own buffers on by reference, and every rank decodes the
+// shared result into a fresh vector.
 func (c *comm) GlobalSumInt64(vec []int64) ([]int64, error) {
 	c.chargeCombine(len(vec))
-	out, err := mpt.GlobalSumViaTree(c, mpt.EncodeInt64s(vec), mpt.CombineSumInt64, c.Bcast)
+	out, err := mpt.GlobalSumViaTree(c, c.sendRef, mpt.EncodeInt64s(vec), mpt.CombineSumInt64)
 	if err != nil {
 		return nil, fmt.Errorf("p4_global_op: %w", err)
 	}
@@ -168,7 +178,7 @@ func (c *comm) GlobalSumInt64(vec []int64) ([]int64, error) {
 // GlobalSumFloat64 is the float64 variant of GlobalSumInt64.
 func (c *comm) GlobalSumFloat64(vec []float64) ([]float64, error) {
 	c.chargeCombine(len(vec))
-	out, err := mpt.GlobalSumViaTree(c, mpt.EncodeFloat64s(vec), mpt.CombineSumFloat64, c.Bcast)
+	out, err := mpt.GlobalSumViaTree(c, c.sendRef, mpt.EncodeFloat64s(vec), mpt.CombineSumFloat64)
 	if err != nil {
 		return nil, fmt.Errorf("p4_global_op: %w", err)
 	}

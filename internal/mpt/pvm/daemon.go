@@ -71,44 +71,45 @@ type fragHeader struct {
 	tag              int
 }
 
-// fragHeaderLen is the size of a fragment envelope before its chunk.
+// fragHeaderLen is the size of a fragment envelope; the chunk follows
+// it on the wire.
 const fragHeaderLen = 25
 
-// decodeFrag parses a fragment frame and checks it is well formed on
-// its own: the chunk lies inside the frame, frag < nfrags, and every
-// chunk but the last is exactly fragBytes long (the last at most that).
-// Anything else could overwrite a neighbouring fragment on reassembly.
-func decodeFrag(data []byte, fragBytes int) (fragHeader, []byte, error) {
-	if len(data) < fragHeaderLen || data[0] != kindFrag {
-		return fragHeader{}, nil, fmt.Errorf("%w: %d-byte frame", errBadFrag, len(data))
+// decodeFrag parses a fragment's header and checks the fragment is well
+// formed on its own: the header's length field agrees with the chunk,
+// frag < nfrags, and every chunk but the last is exactly fragBytes long
+// (the last at most that). Anything else could overwrite a neighbouring
+// fragment on reassembly.
+func decodeFrag(hdr, chunk []byte, fragBytes int) (fragHeader, error) {
+	if len(hdr) != fragHeaderLen || hdr[0] != kindFrag {
+		return fragHeader{}, fmt.Errorf("%w: %d-byte header", errBadFrag, len(hdr))
 	}
 	h := fragHeader{
-		msgid:   binary.BigEndian.Uint32(data[1:]),
-		frag:    int(binary.BigEndian.Uint16(data[5:])),
-		nfrags:  int(binary.BigEndian.Uint16(data[7:])),
-		srcTask: int(binary.BigEndian.Uint32(data[9:])),
-		dstTask: int(binary.BigEndian.Uint32(data[13:])),
-		tag:     bitsTag(binary.BigEndian.Uint32(data[17:])),
+		msgid:   binary.BigEndian.Uint32(hdr[1:]),
+		frag:    int(binary.BigEndian.Uint16(hdr[5:])),
+		nfrags:  int(binary.BigEndian.Uint16(hdr[7:])),
+		srcTask: int(binary.BigEndian.Uint32(hdr[9:])),
+		dstTask: int(binary.BigEndian.Uint32(hdr[13:])),
+		tag:     bitsTag(binary.BigEndian.Uint32(hdr[17:])),
 	}
-	paylen := uint64(binary.BigEndian.Uint32(data[21:]))
-	if paylen > uint64(len(data)-fragHeaderLen) {
-		return h, nil, fmt.Errorf("%w: chunk of %d bytes overruns a %d-byte frame", errBadFrag, paylen, len(data))
+	if paylen := uint64(binary.BigEndian.Uint32(hdr[21:])); paylen != uint64(len(chunk)) {
+		return h, fmt.Errorf("%w: header gives a %d-byte chunk, frame carries %d", errBadFrag, paylen, len(chunk))
 	}
-	chunk := data[fragHeaderLen : fragHeaderLen+int(paylen)]
 	if h.frag >= h.nfrags {
-		return h, nil, fmt.Errorf("%w: fragment %d of %d", errBadFrag, h.frag, h.nfrags)
+		return h, fmt.Errorf("%w: fragment %d of %d", errBadFrag, h.frag, h.nfrags)
 	}
 	if last := h.frag == h.nfrags-1; len(chunk) > fragBytes || !last && len(chunk) != fragBytes {
-		return h, nil, fmt.Errorf("%w: fragment %d of %d carries %d bytes, fragments are %d", errBadFrag, h.frag, h.nfrags, len(chunk), fragBytes)
+		return h, fmt.Errorf("%w: fragment %d of %d carries %d bytes, fragments are %d", errBadFrag, h.frag, h.nfrags, len(chunk), fragBytes)
 	}
-	return h, chunk, nil
+	return h, nil
 }
 
 var errBadFrag = errors.New("pvm: malformed fragment")
 
 // newInStream starts reassembly at fragment h. The buffer has room for
-// nfrags full fragments, unless h is the final fragment — always so for a
-// one-fragment message — whose length fixes the exact size.
+// nfrags full fragments, unless h is the final fragment, whose length
+// fixes the exact size. The daemon opens one only for a message of
+// several fragments.
 func newInStream(h fragHeader, chunk []byte, fragBytes int) *inStream {
 	size := h.nfrags * fragBytes
 	if h.frag == h.nfrags-1 {
@@ -291,11 +292,14 @@ func (d *daemon) sendFrag(s *outStream, frag int) {
 		chunk = s.payload[lo:hi]
 	}
 	d.proc.Sleep(env.Cost(par.FragSendOps) + par.FragSchedLatency)
-	wire := encodeFrag(s.msgid, frag, s.nfrags, s.srcTask, s.dstTask, s.tag, chunk)
-	arr, err := env.Net.Transmit(d.proc.Now(), d.station, s.dstStation, len(wire))
+	// The frame is its header plus the chunk by reference: the payload
+	// is immutable once the task handed it on, so the wire bytes are
+	// charged without being copied.
+	hdr := encodeFrag(s.msgid, frag, s.nfrags, s.srcTask, s.dstTask, s.tag, len(chunk))
+	arr, err := env.Net.Transmit(d.proc.Now(), d.station, s.dstStation, len(hdr)+len(chunk))
 	if err == nil {
 		peer := d.t.daemons[s.dstStation]
-		env.DeliverAt(arr, peer.box, &mpt.Message{Src: d.station, Tag: kindFrag, Data: wire})
+		env.DeliverAt(arr, peer.box, mpt.NewFrame(d.station, kindFrag, hdr, chunk))
 	}
 	// Arm the retransmission timer whether or not the transmit succeeded;
 	// the timeout path enforces MaxRetries and eventually drops. Like the
@@ -315,7 +319,8 @@ func (d *daemon) sendFrag(s *outStream, frag int) {
 
 func (d *daemon) handleFrag(m *mpt.Message) {
 	env, par := d.env(), d.t.par
-	h, chunk, err := decodeFrag(m.Data, par.FragBytes)
+	chunk := mpt.FrameBody(m)
+	h, err := decodeFrag(m.Data, chunk, par.FragBytes)
 	st := d.assembling[h.msgid]
 	if err == nil && (h.dstTask != d.station || st != nil && !st.joins(h)) {
 		err = errBadFrag
@@ -340,17 +345,23 @@ func (d *daemon) handleFrag(m *mpt.Message) {
 	if d.delivered[h.msgid] {
 		return // duplicate of a completed message
 	}
-	if st == nil {
-		st = newInStream(h, chunk, par.FragBytes)
-		d.assembling[h.msgid] = st
+	// A one-fragment message is its chunk, delivered without a
+	// reassembly buffer; joins has already matched any open stream.
+	payload := chunk
+	if h.nfrags > 1 {
+		if st == nil {
+			st = newInStream(h, chunk, par.FragBytes)
+			d.assembling[h.msgid] = st
+		}
+		if !st.add(h.frag, chunk, par.FragBytes) || !st.complete() {
+			return
+		}
+		delete(d.assembling, h.msgid)
+		payload = st.payload()
 	}
-	if !st.add(h.frag, chunk, par.FragBytes) || !st.complete() {
-		return
-	}
-	delete(d.assembling, h.msgid)
 	d.delivered[h.msgid] = true
 	d.proc.Sleep(env.Cost(par.DaemonDispatchOps))
-	d.deliverLocal(st.hdr.srcTask, st.hdr.dstTask, st.hdr.tag, st.payload())
+	d.deliverLocal(h.srcTask, h.dstTask, h.tag, payload)
 }
 
 func (d *daemon) handleAck(m *mpt.Message) {

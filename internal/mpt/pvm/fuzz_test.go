@@ -10,26 +10,41 @@ import (
 // to 65535) keep reassembly buffers small.
 const fuzzFragBytes = 8
 
+// wireFrag is a fragment's wire form: its header followed by its chunk.
+func wireFrag(msgid uint32, frag, nfrags, srcTask, dstTask, tag int, chunk []byte) []byte {
+	return append(encodeFrag(msgid, frag, nfrags, srcTask, dstTask, tag, len(chunk)), chunk...)
+}
+
+// splitFrag reads a wire frame as the daemon receives it: the first
+// fragHeaderLen bytes (fewer if the frame is shorter) are the header,
+// the rest is the chunk.
+func splitFrag(frame []byte) (hdr, chunk []byte) {
+	n := min(len(frame), fragHeaderLen)
+	return frame[:n], frame[n:]
+}
+
 // FuzzFragFrame drives fragment validation and in-place reassembly with
 // two arbitrary frames, the second joining the stream the first opened.
-// A frame is either rejected with errBadFrag — leaving the reassembly
+// Each frame is read as a header followed by its chunk (splitFrag). A
+// frame is either rejected with errBadFrag — leaving the reassembly
 // buffer untouched — or its chunk lands exactly at frag×FragBytes and
 // nowhere else. Never a panic. Run it with
 //
 //	go test -run=NONE -fuzz=FuzzFragFrame -fuzztime=10s ./internal/mpt/pvm
 func FuzzFragFrame(f *testing.F) {
 	chunk := []byte("abcdefgh")
-	f.Add(encodeFrag(7, 0, 2, 1, 2, -5, chunk), encodeFrag(7, 1, 2, 1, 2, -5, chunk[:3]))
-	f.Add(encodeFrag(7, 1, 2, 1, 2, -5, chunk[:3]), encodeFrag(7, 0, 2, 1, 2, -5, chunk))
-	f.Add(encodeFrag(1, 0, 1, 0, 1, 3, nil), encodeFrag(1, 0, 1, 0, 1, 3, nil))
-	f.Add(encodeFrag(7, 0, 3, 1, 2, 0, chunk), encodeFrag(7, 1, 4, 1, 2, 0, chunk))     // nfrags disagrees
-	f.Add(encodeFrag(7, 0, 3, 1, 2, 0, chunk), encodeFrag(7, 1, 3, 1, 2, 0, chunk[:5])) // short middle chunk
-	f.Add(encodeFrag(7, 2, 2, 1, 2, 0, chunk), encodeAck(7, 0))                         // frag out of range
-	f.Add(encodeFrag(7, 0, 1, 1, 2, 0, chunk)[:20], []byte{kindFrag})                   // truncated
+	f.Add(wireFrag(7, 0, 2, 1, 2, -5, chunk), wireFrag(7, 1, 2, 1, 2, -5, chunk[:3]))
+	f.Add(wireFrag(7, 1, 2, 1, 2, -5, chunk[:3]), wireFrag(7, 0, 2, 1, 2, -5, chunk))
+	f.Add(wireFrag(1, 0, 1, 0, 1, 3, nil), wireFrag(1, 0, 1, 0, 1, 3, nil))
+	f.Add(wireFrag(7, 0, 3, 1, 2, 0, chunk), wireFrag(7, 1, 4, 1, 2, 0, chunk))     // nfrags disagrees
+	f.Add(wireFrag(7, 0, 3, 1, 2, 0, chunk), wireFrag(7, 1, 3, 1, 2, 0, chunk[:5])) // short middle chunk
+	f.Add(wireFrag(7, 2, 2, 1, 2, 0, chunk), encodeAck(7, 0))                       // frag out of range
+	f.Add(wireFrag(7, 0, 1, 1, 2, 0, chunk)[:20], []byte{kindFrag})                 // truncated
 	f.Fuzz(func(t *testing.T, first, second []byte) {
 		var st *inStream
 		for _, frame := range [][]byte{first, second} {
-			h, chunk, err := decodeFrag(frame, fuzzFragBytes)
+			hdr, chunk := splitFrag(frame)
+			h, err := decodeFrag(hdr, chunk, fuzzFragBytes)
 			if err == nil && st != nil && !st.joins(h) {
 				err = errBadFrag
 			}

@@ -371,8 +371,11 @@ func mcastHeader(srcTask, tag int, dsts []int, paylen int) []byte {
 	return binary.BigEndian.AppendUint32(out, uint32(paylen))
 }
 
-func encodeFrag(msgid uint32, frag, nfrags int, srcTask, dstTask, tag int, chunk []byte) []byte {
-	out := make([]byte, 0, 25+len(chunk))
+// encodeFrag returns the header of a daemon-to-daemon fragment carrying
+// a chunk of chunkLen bytes. The chunk itself is not copied: the frame
+// carries it by reference behind the header (see mpt.NewFrame).
+func encodeFrag(msgid uint32, frag, nfrags int, srcTask, dstTask, tag, chunkLen int) []byte {
+	out := make([]byte, 0, fragHeaderLen)
 	out = append(out, kindFrag)
 	out = binary.BigEndian.AppendUint32(out, msgid)
 	out = binary.BigEndian.AppendUint16(out, uint16(frag))
@@ -380,8 +383,7 @@ func encodeFrag(msgid uint32, frag, nfrags int, srcTask, dstTask, tag int, chunk
 	out = binary.BigEndian.AppendUint32(out, uint32(srcTask))
 	out = binary.BigEndian.AppendUint32(out, uint32(dstTask))
 	out = binary.BigEndian.AppendUint32(out, tagBits(tag))
-	out = binary.BigEndian.AppendUint32(out, uint32(len(chunk)))
-	return append(out, chunk...)
+	return binary.BigEndian.AppendUint32(out, uint32(chunkLen))
 }
 
 func encodeAck(msgid uint32, frag int) []byte {

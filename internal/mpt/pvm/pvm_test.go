@@ -82,14 +82,15 @@ func TestFragEncodingRoundTrip(t *testing.T) {
 	prop := func(msgid uint32, fragRaw, nfragsRaw uint8, chunk []byte) bool {
 		frag := int(fragRaw)
 		nfrags := int(nfragsRaw) + 1
-		enc := encodeFrag(msgid, frag, nfrags, 1, 2, -5, chunk)
-		if enc[0] != kindFrag {
+		enc := encodeFrag(msgid, frag, nfrags, 1, 2, -5, len(chunk))
+		if len(enc) != fragHeaderLen || enc[0] != kindFrag {
 			return false
 		}
 		gotID := uint32(enc[1])<<24 | uint32(enc[2])<<16 | uint32(enc[3])<<8 | uint32(enc[4])
 		gotFrag := int(enc[5])<<8 | int(enc[6])
 		gotN := int(enc[7])<<8 | int(enc[8])
-		return gotID == msgid && gotFrag == frag && gotN == nfrags && bytes.Equal(enc[25:], chunk)
+		gotLen := int(binary.BigEndian.Uint32(enc[21:]))
+		return gotID == msgid && gotFrag == frag && gotN == nfrags && gotLen == len(chunk)
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
@@ -222,29 +223,30 @@ func TestDaemonDropsMalformedFragments(t *testing.T) {
 	fb := tool.par.FragBytes
 	full := make([]byte, fb)
 	// An open three-fragment stream from task 0.
-	first := encodeFrag(5, 0, 3, 0, 1, 2, full)
-	h, chunk, err := decodeFrag(first, fb)
+	first := encodeFrag(5, 0, 3, 0, 1, 2, fb)
+	h, err := decodeFrag(first, full, fb)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d.assembling[5] = newInStream(h, chunk, fb)
-	d.assembling[5].add(h.frag, chunk, fb)
+	d.assembling[5] = newInStream(h, full, fb)
+	d.assembling[5].add(h.frag, full, fb)
 
 	for _, tc := range []struct {
-		name  string
-		frame []byte
+		name       string
+		hdr, chunk []byte
 	}{
-		{"truncated header", first[:fragHeaderLen-1]},
-		{"overrunning chunk length", first[:len(first)-1]},
-		{"frag past nfrags", encodeFrag(6, 3, 3, 0, 1, 2, full)},
-		{"short middle chunk", encodeFrag(6, 0, 3, 0, 1, 2, full[:10])},
-		{"oversized final", encodeFrag(6, 2, 3, 0, 1, 2, append(full, 0))},
-		{"nfrags disagrees", encodeFrag(5, 1, 4, 0, 1, 2, full)},
-		{"tag disagrees", encodeFrag(5, 1, 3, 0, 1, 9, full)},
-		{"other station", encodeFrag(6, 0, 1, 0, 0, 2, nil)},
+		{"truncated header", first[:fragHeaderLen-1], full},
+		{"length field longer than chunk", encodeFrag(5, 2, 3, 0, 1, 2, 11), full[:10]},
+		{"length field shorter than chunk", encodeFrag(5, 2, 3, 0, 1, 2, 9), full[:10]},
+		{"frag past nfrags", encodeFrag(6, 3, 3, 0, 1, 2, fb), full},
+		{"short middle chunk", encodeFrag(6, 0, 3, 0, 1, 2, 10), full[:10]},
+		{"oversized final", encodeFrag(6, 2, 3, 0, 1, 2, fb+1), append(full, 0)},
+		{"nfrags disagrees", encodeFrag(5, 1, 4, 0, 1, 2, fb), full},
+		{"tag disagrees", encodeFrag(5, 1, 3, 0, 1, 9, fb), full},
+		{"other station", encodeFrag(6, 0, 1, 0, 0, 2, 0), nil},
 	} {
 		before := d.badFrags
-		d.handleFrag(&mpt.Message{Src: 0, Tag: kindFrag, Data: tc.frame})
+		d.handleFrag(mpt.NewFrame(0, kindFrag, tc.hdr, tc.chunk))
 		if d.badFrags != before+1 {
 			t.Errorf("%s: not counted as malformed", tc.name)
 		}
