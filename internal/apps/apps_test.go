@@ -6,6 +6,7 @@ import (
 	"tooleval/internal/apps"
 	"tooleval/internal/mpt"
 	"tooleval/internal/mpt/tools"
+	"tooleval/internal/paperdata"
 	"tooleval/internal/platform"
 )
 
@@ -27,7 +28,7 @@ func TestEveryAppOnEveryToolVerifies(t *testing.T) {
 					t.Fatal(err)
 				}
 				procs := 4
-				if !app.ValidProcs(procs) {
+				if !app.ValidProcs(procs, scale) {
 					t.Fatalf("%s cannot run on %d procs", app.Name, procs)
 				}
 				res, err := mpt.Run(pf, factory, mpt.RunConfig{Procs: procs}, func(c *mpt.Ctx) (any, error) {
@@ -108,12 +109,14 @@ func TestSingleProcRuns(t *testing.T) {
 }
 
 func TestRegistryLookup(t *testing.T) {
-	names := apps.Names()
-	want := []string{"jpeg", "fft2d", "montecarlo", "psrs"}
-	if len(names) < len(want) {
-		t.Fatalf("registry has %d apps, want at least %d", len(names), len(want))
+	reg := apps.Registry()
+	if len(reg) != len(paperdata.APLApps) {
+		t.Fatalf("registry has %d apps, want the paper's %d", len(reg), len(paperdata.APLApps))
 	}
-	for _, n := range want {
+	for i, n := range paperdata.APLApps {
+		if reg[i].Name != n {
+			t.Fatalf("registry[%d] = %q, want %q (the paper's order)", i, reg[i].Name, n)
+		}
 		if _, err := apps.Get(n); err != nil {
 			t.Fatalf("Get(%q): %v", n, err)
 		}

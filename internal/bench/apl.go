@@ -2,6 +2,7 @@ package bench
 
 import (
 	"context"
+	"fmt"
 
 	"tooleval/internal/apps"
 	"tooleval/internal/runner"
@@ -20,9 +21,11 @@ type APLSeries struct {
 // RunAPL executes one application across the processor sweep on the
 // platform keyed pfKey and returns its curve. Results are verified
 // against the sequential reference at every point — a benchmark data
-// point that computed the wrong answer is an error, not a number. Each
-// sweep point is an independent cell: the runner fans them out and
-// memoizes them by (platform, tool, app, procs, scale).
+// point that computed the wrong answer is an error, not a number.
+// Processor counts the application's ValidProcs rejects at this scale
+// are skipped, and a sweep left with none is an error. Each sweep point
+// is an independent cell: the runner fans them out and memoizes them by
+// (platform, tool, app, procs, scale).
 func (h *Harness) RunAPL(ctx context.Context, pfKey, toolName, appName string, procsList []int, scale float64) (APLSeries, error) {
 	s := APLSeries{App: appName, Platform: pfKey, Tool: toolName}
 	if _, err := h.RequirePort(pfKey, toolName); err != nil {
@@ -34,9 +37,12 @@ func (h *Harness) RunAPL(ctx context.Context, pfKey, toolName, appName string, p
 	}
 	sweep := make([]int, 0, len(procsList))
 	for _, procs := range procsList {
-		if app.ValidProcs(procs) {
+		if app.ValidProcs(procs, scale) {
 			sweep = append(sweep, procs)
 		}
+	}
+	if len(sweep) == 0 {
+		return s, fmt.Errorf("bench: %s at scale %g runs on none of the processor counts %v", appName, scale, procsList)
 	}
 	times, err := runner.Collect(ctx, h.x, sweep, func(procs int) (float64, error) {
 		return h.cell(ctx, runner.Key{Platform: pfKey, Tool: toolName, Bench: APLBenchPrefix + appName, Procs: procs, Scale: scale})

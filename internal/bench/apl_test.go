@@ -138,10 +138,11 @@ func TestAPLFigureSpecsMatchPaper(t *testing.T) {
 }
 
 // TestRunAPLSkipsInvalidProcs: FFT skips processor counts that do not
-// divide the grid.
+// divide the grid at the run's scale, including 64, which divides the
+// unscaled grid of 128.
 func TestRunAPLSkipsInvalidProcs(t *testing.T) {
 	pf := getPlatform(t, "alpha-fddi")
-	s, err := sharedH.RunAPL(bgCtx, pf.Key, "p4", "fft2d", []int{1, 2, 3, 4, 5, 6, 7, 8}, aplTestScale)
+	s, err := sharedH.RunAPL(bgCtx, pf.Key, "p4", "fft2d", []int{1, 2, 3, 4, 5, 6, 7, 8, 64}, aplTestScale)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -69,8 +69,8 @@ type Params struct {
 	RouteDirect bool
 }
 
-// DefaultParams holds the calibrated constants (see EXPERIMENTS.md for
-// the fit against Table 3).
+// DefaultParams holds the calibrated constants (TestTable3AgainstPaper
+// in internal/bench checks their fit against Table 3).
 func DefaultParams() Params {
 	return Params{
 		PackOpsPerByte:    1.30,

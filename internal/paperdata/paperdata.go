@@ -1,7 +1,6 @@
 // Package paperdata embeds the numbers the paper reports, used by the
-// harness to print paper-vs-measured comparisons (EXPERIMENTS.md) and by
-// the shape tests that assert the qualitative claims hold in the
-// reproduction.
+// harness to print paper-vs-measured comparisons and by the shape tests
+// that assert the qualitative claims hold in the reproduction.
 package paperdata
 
 // Table3SizesKB are the message sizes of Table 3 in Kbytes.
@@ -120,7 +119,7 @@ var APLPlatforms = []struct {
 // APLSingleProcSeconds anchors the single-processor execution times read
 // off Figures 5-8 (approximate — the paper publishes plots, not tables).
 // Indexed [figure][app] in seconds. Used for order-of-magnitude
-// comparison in EXPERIMENTS.md, not for strict assertions.
+// comparison in TestAPLCalibrationReport, not for strict assertions.
 var APLSingleProcSeconds = map[string]map[string]float64{
 	"fig5": {"fft2d": 0.013, "jpeg": 4.3, "montecarlo": 1.7, "psrs": 0.80},
 	"fig6": {"fft2d": 0.028, "jpeg": 9.5, "montecarlo": 2.8, "psrs": 2.0},

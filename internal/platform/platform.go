@@ -2,8 +2,8 @@
 // experimentation environment (§3.1): host CPU models and the network
 // fabric each configuration uses. Calibration constants (instruction
 // rates, memory bandwidth) are chosen so that the simulated results land
-// in the same regime as the paper's measurements; EXPERIMENTS.md records
-// the paper-vs-measured comparison.
+// in the same regime as the paper's measurements; TestTable3AgainstPaper
+// in internal/bench checks the fit.
 package platform
 
 import (

@@ -347,9 +347,11 @@ func (s *Session) GlobalSum(ctx context.Context, platformKey, tool string, procs
 	return s.h.GlobalSum(ctx, platformKey, tool, procs, vectorLens)
 }
 
-// RunApp executes a suite application ("jpeg", "fft2d", "montecarlo",
-// "psrs") over a processor sweep and returns its execution-time curve.
-// scale shrinks the paper-scale workload (1.0 reproduces the paper).
+// RunApp executes a suite application (the paper's benchmarked "jpeg",
+// "fft2d", "montecarlo", "psrs", or another built Table 2 member) over a
+// processor sweep and returns its execution-time curve. scale shrinks the paper-scale workload (1.0
+// reproduces the paper). Processor counts the application cannot use at
+// that scale are skipped; a sweep left with none is an error.
 func (s *Session) RunApp(ctx context.Context, platformKey, tool, app string, procsList []int, scale float64) (AppMeasurement, error) {
 	series, err := s.h.RunAPL(ctx, platformKey, tool, app, procsList, scale)
 	if err != nil {

@@ -3,6 +3,7 @@ package tooleval_test
 import (
 	"context"
 	"errors"
+	"strings"
 	"sync"
 	"testing"
 
@@ -169,17 +170,31 @@ func TestSubmitHeterogeneousBatch(t *testing.T) {
 
 func TestSubmitValidation(t *testing.T) {
 	sess := tooleval.NewSession()
-	bad := [][]tooleval.ExperimentSpec{
-		{{Kind: "frobnicate"}},
-		{{Kind: tooleval.KindPingPong, Platform: "sun-ethernet", Tool: "p4"}},                              // no sizes
-		{{Kind: tooleval.KindRing, Platform: "sun-ethernet", Tool: "p4", Sizes: []int{1}}},                 // no procs
-		{{Kind: tooleval.KindApp, Platform: "sun-ethernet", Tool: "p4", App: "jpeg", ProcsList: []int{1}}}, // no scale
-		{{Kind: tooleval.KindEvaluate, Scale: 0.1, Profile: "operator"}},                                   // unknown profile
-		{{}},
+	app := func(name string, procs ...int) []tooleval.ExperimentSpec {
+		return []tooleval.ExperimentSpec{{Kind: tooleval.KindApp, Platform: "alpha-fddi", Tool: "p4", App: name, ProcsList: procs, Scale: 0.1}}
 	}
-	for i, specs := range bad {
-		if _, err := sess.Submit(context.Background(), specs); err == nil {
+	bad := []struct {
+		specs []tooleval.ExperimentSpec
+		want  string // substring of the error; "" accepts any error
+	}{
+		{specs: []tooleval.ExperimentSpec{{Kind: "frobnicate"}}},
+		{specs: []tooleval.ExperimentSpec{{Kind: tooleval.KindPingPong, Platform: "sun-ethernet", Tool: "p4"}}},                              // no sizes
+		{specs: []tooleval.ExperimentSpec{{Kind: tooleval.KindRing, Platform: "sun-ethernet", Tool: "p4", Sizes: []int{1}}}},                 // no procs
+		{specs: []tooleval.ExperimentSpec{{Kind: tooleval.KindApp, Platform: "sun-ethernet", Tool: "p4", App: "jpeg", ProcsList: []int{1}}}}, // no scale
+		{specs: []tooleval.ExperimentSpec{{Kind: tooleval.KindEvaluate, Scale: 0.1, Profile: "operator"}}},                                   // unknown profile
+		{specs: []tooleval.ExperimentSpec{{}}},
+		// Table 2 names that no experiment measures are not runnable.
+		{specs: app("matmul", 4), want: `apps: unknown application "matmul"`},
+		// fft2d's grid is N = 8 at scale 0.1, so it runs only where p divides 8.
+		{specs: app("fft2d", 16), want: "fft2d at scale 0.1 runs on none of the processor counts [16]"},
+		{specs: app("fft2d", 3, 5), want: "fft2d at scale 0.1 runs on none of the processor counts [3 5]"},
+	}
+	for i, tc := range bad {
+		_, err := sess.Submit(context.Background(), tc.specs)
+		if err == nil {
 			t.Errorf("bad spec set %d accepted", i)
+		} else if !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("bad spec set %d: error %q, want it to contain %q", i, err, tc.want)
 		}
 	}
 	if hits, misses := sess.Stats(); hits != 0 || misses != 0 {
