@@ -3,14 +3,18 @@ package main
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"flag"
+	"fmt"
 	"io"
+	"maps"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -367,6 +371,69 @@ func TestAllOutputIdenticalAcrossParallelism(t *testing.T) {
 		if datSeen == 0 {
 			t.Fatal("no .dat artifacts compared")
 		}
+	}
+}
+
+// TestAllOutputsGolden pins every output byte of the paper sweep: the
+// SHA-256 of `-scale 0.1 -out DIR all`'s stdout and of each artifact it
+// writes must match testdata/all-scale0.1.sha256, so a change that must
+// not move a simulated number is checked against the committed digests.
+// A mismatch names each artifact that drifted; -update regenerates the
+// file.
+func TestAllOutputsGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("a full small-scale sweep")
+	}
+	var buf bytes.Buffer
+	dir := t.TempDir()
+	if err := run(bg, []string{"-scale", "0.1", "-out", dir, "all"}, &buf); err != nil {
+		t.Fatal(err)
+	}
+	var got strings.Builder
+	digest := func(name string, b []byte) { fmt.Fprintf(&got, "%x  %s\n", sha256.Sum256(b), name) }
+	digest("stdout", buf.Bytes())
+	artifacts := readDir(t, dir)
+	for _, name := range slices.Sorted(maps.Keys(artifacts)) {
+		digest(name, []byte(artifacts[name]))
+	}
+	golden := filepath.Join("testdata", "all-scale0.1.sha256")
+	if *update {
+		if err := os.WriteFile(golden, []byte(got.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("%v (run with -update to regenerate)", err)
+	}
+	if got.String() == string(want) {
+		return
+	}
+	sums := func(text string) map[string]string {
+		m := map[string]string{}
+		for _, line := range strings.Split(strings.TrimSpace(text), "\n") {
+			if sum, name, ok := strings.Cut(line, "  "); ok {
+				m[name] = sum
+			}
+		}
+		return m
+	}
+	gotSums, wantSums := sums(got.String()), sums(string(want))
+	for _, name := range slices.Sorted(maps.Keys(wantSums)) {
+		switch sum, ok := gotSums[name]; {
+		case !ok:
+			t.Errorf("%s: not written", name)
+		case sum != wantSums[name]:
+			t.Errorf("%s: drifted from its golden digest", name)
+		}
+	}
+	for _, name := range slices.Sorted(maps.Keys(gotSums)) {
+		if _, ok := wantSums[name]; !ok {
+			t.Errorf("%s: written, but has no golden digest", name)
+		}
+	}
+	if !t.Failed() {
+		t.Errorf("digest file differs in layout from the one generated:\n%s", got.String())
 	}
 }
 

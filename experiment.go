@@ -3,6 +3,9 @@ package tooleval
 import (
 	"context"
 	"fmt"
+
+	"tooleval/internal/apps"
+	"tooleval/internal/platform"
 )
 
 // Experiment kinds accepted by ExperimentSpec.Kind.
@@ -116,7 +119,17 @@ func (s *Session) Submit(ctx context.Context, specs []ExperimentSpec) ([]Result,
 	return results, nil
 }
 
+// validate checks a spec without running it: its Kind, the fields that
+// Kind requires, and the catalog names of its platform, application and
+// profile. Tool names resolve against the session's WithTool registry,
+// so they are checked when the spec runs.
 func (spec ExperimentSpec) validate() error {
+	switch spec.Kind {
+	case KindPingPong, KindBroadcast, KindRing, KindGlobalSum, KindApp:
+		if _, err := platform.Get(spec.Platform); err != nil {
+			return fmt.Errorf("%s: %w", spec.Kind, err)
+		}
+	}
 	switch spec.Kind {
 	case KindPingPong:
 		if len(spec.Sizes) == 0 {
@@ -132,6 +145,9 @@ func (spec ExperimentSpec) validate() error {
 	case KindApp:
 		if spec.App == "" {
 			return fmt.Errorf("%s: App required", spec.Kind)
+		}
+		if _, err := apps.Get(spec.App); err != nil {
+			return fmt.Errorf("%s: %w", spec.Kind, err)
 		}
 		if len(spec.ProcsList) == 0 {
 			return fmt.Errorf("%s: ProcsList required", spec.Kind)

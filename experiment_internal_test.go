@@ -6,8 +6,8 @@ import (
 )
 
 // TestValidateErrorPaths pins every rejection ExperimentSpec.validate
-// can produce: each Kind's missing-field message, the unknown Kind, and
-// the empty Kind. The messages are part of the batch API's contract —
+// can produce: each Kind's missing-field message, an unknown catalog
+// name, the unknown Kind, and the empty Kind. The messages are part of the batch API's contract —
 // Submit/Stream/SubmitAll surface them verbatim (prefixed with the spec
 // index), so a drift here is user-visible.
 func TestValidateErrorPaths(t *testing.T) {
@@ -42,6 +42,9 @@ func TestValidateErrorPaths(t *testing.T) {
 		{"app no app", func(s ExperimentSpec) ExperimentSpec { s.App = ""; return s }, KindApp, "app: App required"},
 		{"app no procslist", func(s ExperimentSpec) ExperimentSpec { s.ProcsList = nil; return s }, KindApp, "app: ProcsList required"},
 		{"app zero scale", func(s ExperimentSpec) ExperimentSpec { s.Scale = 0; return s }, KindApp, "app: Scale = 0, need > 0"},
+		{"app unknown app", func(s ExperimentSpec) ExperimentSpec { s.App = "matmul"; return s }, KindApp, `app: apps: unknown application "matmul"`},
+		{"app unknown platform", func(s ExperimentSpec) ExperimentSpec { s.Platform = "cray-t3d"; return s }, KindApp, `app: platform: unknown key "cray-t3d"`},
+		{"pingpong no platform", func(s ExperimentSpec) ExperimentSpec { s.Platform = ""; return s }, KindPingPong, `pingpong: platform: unknown key ""`},
 		{"app negative scale", func(s ExperimentSpec) ExperimentSpec { s.Scale = -1; return s }, KindApp, "app: Scale = -1, need > 0"},
 		{"evaluate zero scale", func(s ExperimentSpec) ExperimentSpec { s.Scale = 0; return s }, KindEvaluate, "evaluate: Scale = 0, need > 0"},
 		{"evaluate unknown profile", func(s ExperimentSpec) ExperimentSpec { s.Profile = "operator"; return s }, KindEvaluate, `unknown profile "operator"`},

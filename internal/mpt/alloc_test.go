@@ -1,6 +1,7 @@
 package mpt_test
 
 import (
+	"math"
 	"runtime"
 	"testing"
 
@@ -18,7 +19,10 @@ import (
 // after a warm-up run has filled the engine pool. It runs on one P: with
 // more, the runtime allocates goroutine and sudog records for whichever
 // P's cache happens to be empty, which moves a small run's figure by
-// several hundred bytes from one run to the next.
+// several hundred bytes from one run to the next. Even on one P a
+// garbage collection can empty those caches between runs (by up to
+// about 1.2 KB under -race), and that noise only ever adds, so the
+// figure is the least of several runs.
 func allocBytes(t *testing.T, tool string, procs int, body mpt.Body) uint64 {
 	t.Helper()
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
@@ -30,11 +34,15 @@ func allocBytes(t *testing.T, tool string, procs int, body mpt.Body) uint64 {
 		}
 	}
 	run()
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	run()
-	runtime.ReadMemStats(&after)
-	return after.TotalAlloc - before.TotalAlloc
+	least := uint64(math.MaxUint64)
+	for range 5 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		run()
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	return least
 }
 
 // TestGlobalSumByteBudget: a 4-rank p4 global sum of 100K int64s. What
@@ -64,20 +72,22 @@ func TestGlobalSumByteBudget(t *testing.T) {
 }
 
 // TestPVMSendByteBudget: one PVM send/receive through the daemons. The
-// XDR pass (with its route envelope), the reassembly buffer and the
-// unpack are one payload each; the fragment frames are headers that
-// carry their chunks by reference. A one-fragment message has no
-// reassembly buffer, but at 1 KiB the fixed cost of the run (messages,
-// headers, daemon state) weighs several payloads. Copying every chunk
-// into its frame cost one payload more, and copying at every daemon hop
-// about 12.
+// XDR pass (with its route envelope) and the unpack are one payload
+// each; the fragment frames are headers that carry their chunks by
+// reference, and the receiving daemon hands the task those chunks as a
+// list, which the unpack decodes without a reassembly buffer. At 1 KiB
+// the fixed cost of the run (messages, headers, daemon state) weighs
+// several payloads. Gathering the fragments into a reassembly buffer
+// cost one payload more at 64 KiB, copying every chunk into its frame
+// one more again, and copying at every daemon hop about 12; building a
+// map of park-reason strings in every mailbox cost one payload at 1 KiB.
 func TestPVMSendByteBudget(t *testing.T) {
 	for _, tc := range []struct {
 		size   int
 		budget float64 // payloads
 	}{
-		{64 << 10, 4},
-		{1 << 10, 8},
+		{64 << 10, 2.5},
+		{1 << 10, 7},
 	} {
 		payload := make([]byte, tc.size)
 		got := allocBytes(t, "pvm", 2, func(c *mpt.Ctx) (any, error) {

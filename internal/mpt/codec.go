@@ -83,20 +83,45 @@ func AppendXDROpaque(dst, data []byte) []byte {
 
 var xdrPad [3]byte
 
-// XDROpaqueDecode reverses AppendXDROpaque. It returns a fresh copy of
-// the payload: this is the modelled unpack into the user's buffer.
-func XDROpaqueDecode(enc []byte) ([]byte, error) {
-	if len(enc) < 4 {
-		return nil, fmt.Errorf("%w: XDR opaque too short: %d bytes", ErrMalformed, len(enc))
+// XDROpaqueDecode reverses AppendXDROpaque. The encoding is the
+// concatenation of enc's chunks, so a message that arrived in fragments
+// decodes without first being gathered into one buffer; the length
+// field may straddle chunks. It returns a fresh copy of the payload:
+// this is the modelled unpack into the user's buffer.
+func XDROpaqueDecode(enc ...[]byte) ([]byte, error) {
+	total := 0
+	for _, c := range enc {
+		total += len(c)
 	}
-	n := binary.BigEndian.Uint32(enc)
+	if total < 4 {
+		return nil, fmt.Errorf("%w: XDR opaque too short: %d bytes", ErrMalformed, total)
+	}
+	var hdr [4]byte
+	gather(hdr[:], enc, 0)
+	n := binary.BigEndian.Uint32(hdr[:])
 	padded := (int(n) + 3) &^ 3
-	if len(enc) < 4+padded {
-		return nil, fmt.Errorf("%w: XDR opaque truncated: header says %d, have %d", ErrMalformed, n, len(enc)-4)
+	if total < 4+padded {
+		return nil, fmt.Errorf("%w: XDR opaque truncated: header says %d, have %d", ErrMalformed, n, total-4)
 	}
 	out := make([]byte, n)
-	copy(out, enc[4:4+n])
+	gather(out, enc, 4)
 	return out, nil
+}
+
+// gather fills dst from the concatenation of chunks, starting off bytes
+// in; the chunks must hold off+len(dst) bytes.
+func gather(dst []byte, chunks [][]byte, off int) {
+	for _, c := range chunks {
+		if len(dst) == 0 {
+			return
+		}
+		if off >= len(c) {
+			off -= len(c)
+			continue
+		}
+		dst = dst[copy(dst, c[off:]):]
+		off = 0
+	}
 }
 
 // XDROpaqueSize reports the encoded size of a payload without encoding.

@@ -17,7 +17,9 @@ import (
 // FuzzXDROpaque: appending an XDR opaque after any prefix leaves the
 // prefix intact, pads with zeros to a 4-byte boundary and decodes back
 // to the payload; decoding arbitrary bytes either succeeds within the
-// input or fails with ErrMalformed, never panics.
+// input or fails with ErrMalformed, never panics. Decoding those bytes
+// split into chunks — at cuts taken from the prefix, so through the
+// 4-byte length too — gives the same result as decoding them whole.
 func FuzzXDROpaque(f *testing.F) {
 	f.Add([]byte{}, []byte{})
 	f.Add([]byte{1}, []byte{1, 2, 3, 4, 5})
@@ -41,6 +43,14 @@ func FuzzXDROpaque(f *testing.F) {
 		}
 
 		dec, err = mpt.XDROpaqueDecode(data)
+		for _, enc := range [][]byte{x, data} {
+			whole, wholeErr := mpt.XDROpaqueDecode(enc)
+			parts := splitAt(enc, prefix)
+			split, splitErr := mpt.XDROpaqueDecode(parts...)
+			if (wholeErr == nil) != (splitErr == nil) || !bytes.Equal(whole, split) {
+				t.Fatalf("decoding %d chunks of %d bytes: %v, %v; whole: %v, %v", len(parts), len(enc), split, splitErr, whole, wholeErr)
+			}
+		}
 		if err != nil {
 			if !errors.Is(err, mpt.ErrMalformed) {
 				t.Fatalf("untyped error %v", err)
@@ -54,6 +64,19 @@ func FuzzXDROpaque(f *testing.F) {
 			t.Fatal("decode aliases its input; the unpack must hand out a fresh buffer")
 		}
 	})
+}
+
+// splitAt cuts b into chunks: each byte of cuts, in turn, is the
+// length of the next chunk (0 gives an empty one), and the rest of b is
+// the last chunk.
+func splitAt(b, cuts []byte) [][]byte {
+	var parts [][]byte
+	for _, c := range cuts {
+		n := min(int(c)%8, len(b))
+		parts = append(parts, b[:n])
+		b = b[n:]
+	}
+	return append(parts, b)
 }
 
 // FuzzCombineSum: the in-place combines equal the decode-add-encode

@@ -17,11 +17,9 @@ type Mailbox struct {
 	eng     *sim.Engine
 	msgs    []*Message
 	waiters []*mboxWaiter
-	// freeW recycles waiter records across blocking receives and
-	// reasons memoizes the park-reason strings per (src, tag), so the
+	// freeW recycles waiter records across blocking receives, so the
 	// selective-receive hot path allocates nothing in steady state.
-	freeW   []*mboxWaiter
-	reasons map[[2]int]string
+	freeW []*mboxWaiter
 }
 
 type mboxWaiter struct {
@@ -90,7 +88,7 @@ func (m *Mailbox) GetDeadline(p *sim.Proc, src, tag int, timeout time.Duration) 
 	if timeout >= 0 {
 		m.eng.AtCall(m.eng.Now().Add(timeout), "mbox-timeout", expireWaiter, w)
 	}
-	p.Park(m.recvReason(src, tag))
+	p.ParkFor(w)
 	got := w.got
 	// Recycle the waiter unless a still-pending timeout event references
 	// it (message arrived first): reusing it then would let the stale
@@ -127,21 +125,11 @@ func (m *Mailbox) newWaiter(p *sim.Proc, src, tag int) *mboxWaiter {
 	return w
 }
 
-// recvReason memoizes the park-reason string for a (src, tag) pattern:
-// selective receives park constantly with a small set of patterns, and
-// rebuilding the string each time would put two itoa calls and a concat
-// on the hot path.
-func (m *Mailbox) recvReason(src, tag int) string {
-	key := [2]int{src, tag}
-	if s, ok := m.reasons[key]; ok {
-		return s
-	}
-	if m.reasons == nil {
-		m.reasons = make(map[[2]int]string)
-	}
-	s := "recv src=" + itoa(src) + " tag=" + itoa(tag)
-	m.reasons[key] = s
-	return s
+// String is the park reason of a blocked receive. The waiter is the
+// reason (Proc.ParkFor), so the string is built only when a deadlock
+// report or a trace reads it, never on the receive path.
+func (w *mboxWaiter) String() string {
+	return "recv src=" + itoa(w.src) + " tag=" + itoa(w.tag)
 }
 
 func (m *Mailbox) compactWaiters() {

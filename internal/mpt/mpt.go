@@ -19,10 +19,14 @@
 //     buffer as soon as Send returns.
 //   - A delivered Message.Data belongs to the receiver.
 //   - Inside a tool, a payload is immutable once it has been handed on —
-//     to a daemon, a fragment stream or a reassembly buffer — and is
-//     shared there by reference, never cloned. A daemon-to-daemon frame
-//     (NewFrame) is a header plus a chunk that slices the sender's
-//     encoded buffer.
+//     to a daemon or a fragment stream — and is shared there by
+//     reference, never cloned. A daemon-to-daemon frame (NewFrame) is a
+//     header plus a chunk that slices the sender's encoded buffer. A
+//     message of several fragments reaches the receiving task as the
+//     list of those chunks (NewChunked), never gathered into a
+//     reassembly buffer; the task's unpack decodes the list straight
+//     into the one fresh buffer the user gets, and TakeChunks detaches
+//     the list first, so a chunked message never reaches a user.
 //   - A reduction owns its accumulator: TreeReduce's combine adds into
 //     it in place.
 //   - A collective hands the buffers it owns on by reference. The global
@@ -84,6 +88,10 @@ type Message struct {
 	// body is the by-reference second part of a tool-internal frame
 	// (see NewFrame); nil on every message a user receives.
 	body []byte
+	// chunks is the by-reference payload of a chunked message (see
+	// NewChunked); nil on every message a user receives. A pointer, not
+	// a slice, keeps Message in its 96-byte allocation size class.
+	chunks *[][]byte
 }
 
 // NewFrame builds a tool-internal message whose wire form is hdr
@@ -98,6 +106,27 @@ func NewFrame(src, tag int, hdr, body []byte) *Message {
 // FrameBody returns the body of a message built by NewFrame, and nil
 // for any other message. The body is shared: never write into it.
 func FrameBody(m *Message) []byte { return m.body }
+
+// NewChunked builds a tool-internal message whose payload is the
+// concatenation of *chunks, each carried by reference; Data is nil.
+// Every chunk must be a payload already handed on, and so immutable.
+// The receiving side of the tool detaches the chunks with TakeChunks
+// and gives the message a payload of its own before a user sees it.
+func NewChunked(src, tag int, chunks *[][]byte) *Message {
+	return &Message{Src: src, Tag: tag, chunks: chunks}
+}
+
+// TakeChunks detaches and returns the chunk list of a message built by
+// NewChunked, leaving m a plain message, and returns nil for any other
+// message. The chunks are shared: never write into them.
+func TakeChunks(m *Message) [][]byte {
+	if m.chunks == nil {
+		return nil
+	}
+	c := *m.chunks
+	m.chunks = nil
+	return c
+}
 
 // Comm is the per-rank endpoint of a message-passing tool, the common
 // surface of the primitives compared in Table 1 of the paper:

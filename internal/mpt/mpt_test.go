@@ -504,3 +504,50 @@ func TestDecodeLengthValidation(t *testing.T) {
 		t.Fatal("non-multiple-of-8 float64 payload should error")
 	}
 }
+
+// errBoom is a sentinel that ranks fail with in TestRunFoldsRankErrors.
+var errBoom = errors.New("boom")
+
+// TestRunFoldsRankErrors: ranks that fail with identical text share one
+// line naming them, distinct errors keep a line each, and errors.Is
+// still reaches every rank's own error.
+func TestRunFoldsRankErrors(t *testing.T) {
+	pf := mustPlatform(t, "sun-ethernet")
+	f := mustFactory(t, "p4")
+	errOdd := errors.New("odd rank")
+	for _, tc := range []struct {
+		name string
+		fail func(rank int) error
+		want string
+		is   []error
+	}{
+		{"identical", func(int) error { return fmt.Errorf("wrapped: %w", errBoom) }, "ranks 0-3: wrapped: boom", []error{errBoom}},
+		{"distinct", func(rank int) error {
+			switch rank {
+			case 0:
+				return errBoom
+			case 3:
+				return errOdd
+			}
+			return nil
+		}, "rank 0: boom\nrank 3: odd rank", []error{errBoom, errOdd}},
+		{"gap", func(rank int) error {
+			if rank == 2 {
+				return errOdd
+			}
+			return errBoom
+		}, "ranks 0-1,3: boom\nrank 2: odd rank", []error{errBoom, errOdd}},
+	} {
+		_, err := mpt.Run(pf, f, mpt.RunConfig{Procs: 4}, func(c *mpt.Ctx) (any, error) {
+			return nil, tc.fail(c.Rank())
+		})
+		if err == nil || err.Error() != tc.want {
+			t.Errorf("%s: err = %q, want %q", tc.name, err, tc.want)
+		}
+		for _, target := range tc.is {
+			if !errors.Is(err, target) {
+				t.Errorf("%s: errors.Is(err, %v) = false", tc.name, target)
+			}
+		}
+	}
+}

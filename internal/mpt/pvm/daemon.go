@@ -11,7 +11,7 @@ import (
 
 // daemon is one pvmd: a single-threaded select-loop process that routes
 // task messages, runs the acknowledged fragment protocol towards peer
-// daemons, and reassembles incoming messages for local delivery. Being
+// daemons, and collects incoming fragments for local delivery. Being
 // single-threaded is load-bearing: while the daemon is fragmenting an
 // outgoing message or generating acknowledgements it is not doing the
 // other, which is part of PVM's cost under bidirectional traffic.
@@ -24,7 +24,7 @@ type daemon struct {
 	// outgoing streams, FIFO; streams[0] is active (store-and-forward:
 	// one message at a time towards the wire).
 	streams []*outStream
-	// reassembly state by msgid.
+	// incoming messages of several fragments, by msgid.
 	assembling map[uint32]*inStream
 	// delivered msgids (to drop retransmitted duplicates of completed
 	// messages).
@@ -52,15 +52,17 @@ type outStream struct {
 	dead       bool
 }
 
-// inStream reassembles one incoming message in place: fragment i lands
-// at i×FragBytes of one buffer allocated at the first arrival, and the
-// final fragment fixes the message length.
+// inStream collects one incoming message of several fragments without
+// copying it: fragment i's chunk, which slices the sender's immutable
+// encoded frame, is kept by reference in slot i, and the message is the
+// chunks in slot order. The receiving task decodes that list directly
+// (see comm.Recv).
 type inStream struct {
-	hdr   fragHeader // the stream's identity: the first fragment's header, frag zeroed
-	got   []bool
-	buf   []byte
-	size  int
-	count int
+	hdr    fragHeader // the stream's identity: the first fragment's header, frag zeroed
+	got    []bool
+	chunks [][]byte
+	size   int // bytes received so far
+	count  int
 }
 
 // fragHeader is the decoded envelope of one daemon-to-daemon fragment.
@@ -78,8 +80,8 @@ const fragHeaderLen = 25
 // decodeFrag parses a fragment's header and checks the fragment is well
 // formed on its own: the header's length field agrees with the chunk,
 // frag < nfrags, and every chunk but the last is exactly fragBytes long
-// (the last at most that). Anything else could overwrite a neighbouring
-// fragment on reassembly.
+// (the last at most that). Anything else would put a chunk's bytes at
+// the wrong offset of the message.
 func decodeFrag(hdr, chunk []byte, fragBytes int) (fragHeader, error) {
 	if len(hdr) != fragHeaderLen || hdr[0] != kindFrag {
 		return fragHeader{}, fmt.Errorf("%w: %d-byte header", errBadFrag, len(hdr))
@@ -106,17 +108,12 @@ func decodeFrag(hdr, chunk []byte, fragBytes int) (fragHeader, error) {
 
 var errBadFrag = errors.New("pvm: malformed fragment")
 
-// newInStream starts reassembly at fragment h. The buffer has room for
-// nfrags full fragments, unless h is the final fragment, whose length
-// fixes the exact size. The daemon opens one only for a message of
+// newInStream opens the stream that fragment h belongs to, with an
+// empty slot per fragment. The daemon opens one only for a message of
 // several fragments.
-func newInStream(h fragHeader, chunk []byte, fragBytes int) *inStream {
-	size := h.nfrags * fragBytes
-	if h.frag == h.nfrags-1 {
-		size = h.frag*fragBytes + len(chunk)
-	}
+func newInStream(h fragHeader) *inStream {
 	h.frag = 0
-	return &inStream{hdr: h, got: make([]bool, h.nfrags), buf: make([]byte, size)}
+	return &inStream{hdr: h, got: make([]bool, h.nfrags), chunks: make([][]byte, h.nfrags)}
 }
 
 // joins reports whether fragment h belongs to this stream: it must agree
@@ -126,26 +123,21 @@ func (st *inStream) joins(h fragHeader) bool {
 	return h == st.hdr
 }
 
-// add copies a fragment into its slot; decodeFrag and joins must have
-// accepted it. It reports false for a duplicate.
-func (st *inStream) add(frag int, chunk []byte, fragBytes int) bool {
+// add keeps a fragment's chunk, by reference, in its slot; decodeFrag
+// and joins must have accepted it. It reports false for a duplicate.
+func (st *inStream) add(frag int, chunk []byte) bool {
 	if st.got[frag] {
 		return false
 	}
 	st.got[frag] = true
-	copy(st.buf[frag*fragBytes:], chunk)
-	if frag == st.hdr.nfrags-1 {
-		st.size = frag*fragBytes + len(chunk)
-	}
+	st.chunks[frag] = chunk
+	st.size += len(chunk)
 	st.count++
 	return true
 }
 
 // complete reports whether every fragment has arrived.
 func (st *inStream) complete() bool { return st.count == st.hdr.nfrags }
-
-// payload is the reassembled message; valid once complete.
-func (st *inStream) payload() []byte { return st.buf[:st.size] }
 
 func newDaemon(t *Tool, station int) *daemon {
 	return &daemon{
@@ -197,7 +189,7 @@ func (d *daemon) handleRoute(m *mpt.Message) {
 	payload := data[routeHeaderLen : routeHeaderLen+paylen]
 	d.proc.Sleep(d.env().Cost(par.DaemonDispatchOps))
 	if dstTask == d.station {
-		d.deliverLocal(srcTask, dstTask, tag, payload)
+		d.deliverLocal(dstTask, len(payload), &mpt.Message{Src: srcTask, Tag: tag, Data: payload})
 		return
 	}
 	d.enqueue(srcTask, dstTask, tag, payload)
@@ -220,23 +212,23 @@ func (d *daemon) handleMcast(m *mpt.Message) {
 	d.proc.Sleep(d.env().Cost(par.DaemonDispatchOps))
 	for _, dst := range dsts {
 		if dst == d.station {
-			d.deliverLocal(srcTask, dst, tag, payload)
+			d.deliverLocal(dst, len(payload), &mpt.Message{Src: srcTask, Tag: tag, Data: payload})
 			continue
 		}
 		d.enqueue(srcTask, dst, tag, payload)
 	}
 }
 
-// deliverLocal hands a fully assembled message to a task on this station
-// over the loopback channel.
-func (d *daemon) deliverLocal(srcTask, dstTask, tag int, payload []byte) {
+// deliverLocal hands msg, a complete message of size bytes, to a task on
+// this station over the loopback channel.
+func (d *daemon) deliverLocal(dstTask, size int, msg *mpt.Message) {
 	env, par := d.env(), d.t.par
-	arr, err := env.Loop.Transmit(d.proc.Now(), d.station, d.station, len(payload)+par.HeaderBytes)
+	arr, err := env.Loop.Transmit(d.proc.Now(), d.station, d.station, size+par.HeaderBytes)
 	if err != nil {
 		d.dropped++
 		return
 	}
-	env.DeliverAt(arr, env.Boxes[dstTask], &mpt.Message{Src: srcTask, Tag: tag, Data: payload})
+	env.DeliverAt(arr, env.Boxes[dstTask], msg)
 }
 
 func (d *daemon) enqueue(srcTask, dstTask, tag int, payload []byte) {
@@ -345,23 +337,29 @@ func (d *daemon) handleFrag(m *mpt.Message) {
 	if d.delivered[h.msgid] {
 		return // duplicate of a completed message
 	}
-	// A one-fragment message is its chunk, delivered without a
-	// reassembly buffer; joins has already matched any open stream.
-	payload := chunk
+	// A one-fragment message is its chunk; joins has already matched
+	// any open stream. A message of several fragments is delivered as
+	// its chunk list, by reference.
+	var (
+		size = len(chunk)
+		msg  *mpt.Message
+	)
 	if h.nfrags > 1 {
 		if st == nil {
-			st = newInStream(h, chunk, par.FragBytes)
+			st = newInStream(h)
 			d.assembling[h.msgid] = st
 		}
-		if !st.add(h.frag, chunk, par.FragBytes) || !st.complete() {
+		if !st.add(h.frag, chunk) || !st.complete() {
 			return
 		}
 		delete(d.assembling, h.msgid)
-		payload = st.payload()
+		size, msg = st.size, mpt.NewChunked(h.srcTask, h.tag, &st.chunks)
+	} else {
+		msg = &mpt.Message{Src: h.srcTask, Tag: h.tag, Data: chunk}
 	}
 	d.delivered[h.msgid] = true
 	d.proc.Sleep(env.Cost(par.DaemonDispatchOps))
-	d.deliverLocal(h.srcTask, h.dstTask, h.tag, payload)
+	d.deliverLocal(h.dstTask, size, msg)
 }
 
 func (d *daemon) handleAck(m *mpt.Message) {

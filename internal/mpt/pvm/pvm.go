@@ -242,8 +242,18 @@ func (c *comm) Recv(src, tag int) (*mpt.Message, error) {
 		return nil, fmt.Errorf("pvm_recv: interrupted")
 	}
 	c.t.stats.Recvs++
-	c.p.Sleep(env.Cost(par.UnpackFixedOps + par.UnpackOpsPerByte*float64(len(msg.Data))))
-	data, err := mpt.XDROpaqueDecode(msg.Data)
+	// A message of several fragments arrives as its chunk list, by
+	// reference; the unpack decodes it straight into the user's buffer.
+	enc := mpt.TakeChunks(msg)
+	if enc == nil {
+		enc = [][]byte{msg.Data}
+	}
+	size := 0
+	for _, chunk := range enc {
+		size += len(chunk)
+	}
+	c.p.Sleep(env.Cost(par.UnpackFixedOps + par.UnpackOpsPerByte*float64(size)))
+	data, err := mpt.XDROpaqueDecode(enc...)
 	if err != nil {
 		return nil, fmt.Errorf("pvm_recv: %w", err)
 	}

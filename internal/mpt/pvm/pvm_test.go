@@ -228,8 +228,8 @@ func TestDaemonDropsMalformedFragments(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d.assembling[5] = newInStream(h, full, fb)
-	d.assembling[5].add(h.frag, full, fb)
+	d.assembling[5] = newInStream(h)
+	d.assembling[5].add(h.frag, full)
 
 	for _, tc := range []struct {
 		name       string

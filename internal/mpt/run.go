@@ -3,6 +3,9 @@ package mpt
 import (
 	"errors"
 	"fmt"
+	"slices"
+	"strconv"
+	"strings"
 	"time"
 
 	"tooleval/internal/platform"
@@ -96,9 +99,7 @@ func Run(pf platform.Platform, makeTool Factory, cfg RunConfig, body Body) (*Run
 			}
 			v, err := body(ctx)
 			res.PerRank[rank] = (p.Now() - start).Duration()
-			if err != nil {
-				rankErrs[rank] = fmt.Errorf("rank %d: %w", rank, err)
-			}
+			rankErrs[rank] = err
 			if rank == 0 {
 				res.Value = v
 			}
@@ -112,11 +113,72 @@ func Run(pf platform.Platform, makeTool Factory, cfg RunConfig, body Body) (*Run
 			res.Elapsed = d
 		}
 	}
-	if err := errors.Join(rankErrs...); err != nil {
+	if err := foldRankErrors(rankErrs); err != nil {
 		return res, err
 	}
 	if runErr != nil {
 		return res, runErr
 	}
 	return res, nil
+}
+
+// rankError is the error a set of ranks failed with alike: one line
+// that names the ranks, e.g. "ranks 0-3: …", unwrapping to every rank's
+// own error.
+type rankError struct {
+	ranks []int
+	errs  []error
+}
+
+func (e *rankError) Error() string {
+	var b strings.Builder
+	if len(e.ranks) == 1 {
+		b.WriteString("rank ")
+	} else {
+		b.WriteString("ranks ")
+	}
+	for i := 0; i < len(e.ranks); {
+		j := i
+		for j+1 < len(e.ranks) && e.ranks[j+1] == e.ranks[j]+1 {
+			j++
+		}
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		b.WriteString(strconv.Itoa(e.ranks[i]))
+		if j > i {
+			b.WriteByte('-')
+			b.WriteString(strconv.Itoa(e.ranks[j]))
+		}
+		i = j + 1
+	}
+	return b.String() + ": " + e.errs[0].Error()
+}
+
+func (e *rankError) Unwrap() []error { return e.errs }
+
+// foldRankErrors joins the ranks' errors, indexed by rank with nil for
+// a rank that succeeded. Errors with identical text fold into one
+// rankError, so an error every rank hits alike reads as one line; the
+// lines keep the order of each text's lowest rank.
+func foldRankErrors(errs []error) error {
+	var folded []*rankError
+	for rank, err := range errs {
+		if err == nil {
+			continue
+		}
+		text := err.Error()
+		i := slices.IndexFunc(folded, func(re *rankError) bool { return re.errs[0].Error() == text })
+		if i < 0 {
+			i = len(folded)
+			folded = append(folded, &rankError{})
+		}
+		folded[i].ranks = append(folded[i].ranks, rank)
+		folded[i].errs = append(folded[i].errs, err)
+	}
+	joined := make([]error, len(folded))
+	for i, re := range folded {
+		joined[i] = re
+	}
+	return errors.Join(joined...)
 }

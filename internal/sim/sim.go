@@ -249,7 +249,10 @@ type Proc struct {
 	// alternation.
 	ch     chan struct{}
 	parked bool
+	// reason is why the process parked; why, when set, replaces it
+	// with a reason formatted only when read (see ParkFor).
 	reason string
+	why    fmt.Stringer
 	daemon bool
 	killed bool
 	exited bool
@@ -402,8 +405,9 @@ func (e *Engine) schedule(self *Proc) schedResult {
 // park blocks the calling process until the engine resumes it. The
 // parking goroutine itself dispatches the next events (it holds the
 // engine role), so a yield costs at most one channel handoff — and none
-// at all when the next runnable process is this one.
-func (p *Proc) park(reason string) {
+// at all when the next runnable process is this one. The reason is
+// reason, or why.String() when why is set.
+func (p *Proc) park(reason string, why fmt.Stringer) {
 	if p.killed {
 		// Parking from a defer while the shutdown kill unwinds this
 		// process: the dispatch loop is over and nothing could ever
@@ -412,9 +416,11 @@ func (p *Proc) park(reason string) {
 		panic(killedPanic{})
 	}
 	e := p.eng
-	p.reason = reason
+	p.reason, p.why = reason, why
 	p.parked = true
-	e.emit("park", p.name, reason)
+	if e.trace != nil {
+		e.emit("park", p.name, p.reasonText())
+	}
 	switch e.schedule(p) {
 	case schedSelf:
 		// Our own wake was the next event: control never left this
@@ -428,12 +434,28 @@ func (p *Proc) park(reason string) {
 	if p.killed {
 		panic(killedPanic{})
 	}
-	e.emit("wake", p.name, reason)
+	if e.trace != nil {
+		e.emit("wake", p.name, p.reasonText())
+	}
+}
+
+// reasonText is the reason the process last parked for.
+func (p *Proc) reasonText() string {
+	if p.why != nil {
+		return p.why.String()
+	}
+	return p.reason
 }
 
 // Park blocks the process until another event calls Engine.Unpark on it.
 // reason is reported in deadlock diagnostics and traces.
-func (p *Proc) Park(reason string) { p.park(reason) }
+func (p *Proc) Park(reason string) { p.park(reason, nil) }
+
+// ParkFor is Park with a reason that is formatted only when something
+// reads it: a deadlock report or a trace. reason must describe the wait
+// until the process resumes. A pointer reason boxes without allocating,
+// so a hot blocking path can park without building a string.
+func (p *Proc) ParkFor(reason fmt.Stringer) { p.park("", reason) }
 
 // Sleep advances the process's local time by d, yielding to other
 // processes in the meantime. Sleeping for a non-positive duration still
@@ -444,7 +466,7 @@ func (p *Proc) Sleep(d time.Duration) {
 	ev := e.newEvent(e.now.Add(d), evWake)
 	ev.p = p
 	e.queue.push(ev)
-	p.park("sleep")
+	p.park("sleep", nil)
 }
 
 // SleepUntil blocks the process until virtual time t (a no-op yield if t
@@ -454,7 +476,7 @@ func (p *Proc) SleepUntil(t Time) {
 	ev := e.newEvent(t, evWake)
 	ev.p = p
 	e.queue.push(ev)
-	p.park("sleep-until")
+	p.park("sleep-until", nil)
 }
 
 // Unpark schedules p to resume at the current virtual time. It is the
@@ -485,14 +507,16 @@ func (e *Engine) Run() error {
 	var blocked []string
 	for _, p := range e.procs {
 		if p.parked && !p.exited && !p.daemon {
-			blocked = append(blocked, p.name+" ("+p.reason+")")
+			blocked = append(blocked, p.name+" ("+p.reasonText()+")")
 		}
 	}
 	sort.Strings(blocked)
-	// Kill every parked process, daemon or not, so no goroutines leak.
+	// Kill every process that has not exited, daemon or not, so no
+	// goroutines leak: the parked ones, and any whose start event a
+	// panic left in the queue, which unwind from their start path.
 	e.stopping = true
 	for _, p := range e.procs {
-		if p.parked && !p.exited {
+		if !p.exited {
 			p.killed = true
 			p.parked = false
 			p.ch <- struct{}{}

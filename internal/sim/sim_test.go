@@ -114,6 +114,51 @@ func TestDeadlockDetection(t *testing.T) {
 	}
 }
 
+// countedReason is a ParkFor reason that counts how often it is read.
+type countedReason struct{ reads int }
+
+func (r *countedReason) String() string { r.reads++; return "counted" }
+
+// TestParkForFormatsOnlyWhenRead: a ParkFor reason is formatted by a
+// deadlock report or a trace, and never on an untraced park and wake.
+func TestParkForFormatsOnlyWhenRead(t *testing.T) {
+	woken, stuck := &countedReason{}, &countedReason{}
+	e := NewEngine()
+	e.Spawn("stuck", func(p *Proc) {
+		p.Sleep(time.Millisecond)
+		p.ParkFor(stuck)
+	})
+	e.Spawn("woken", func(p *Proc) {
+		e.After(time.Millisecond, "wake", func() { e.Unpark(p) })
+		p.ParkFor(woken)
+	})
+	var dl *DeadlockError
+	if err := e.Run(); !errors.As(err, &dl) || !reflect.DeepEqual(dl.Blocked, []string{"stuck (counted)"}) {
+		t.Fatalf("Run = %v, want stuck blocked on its ParkFor reason", err)
+	}
+	if woken.reads != 0 || stuck.reads != 1 {
+		t.Fatalf("reason reads: woken %d, stuck %d; want 0 and 1 (the deadlock report)", woken.reads, stuck.reads)
+	}
+
+	var details []string
+	e = NewEngine()
+	e.SetTrace(func(ev TraceEvent) {
+		if ev.Proc == "woken" && (ev.Kind == "park" || ev.Kind == "wake") {
+			details = append(details, ev.Kind+" "+ev.Detail)
+		}
+	})
+	e.Spawn("woken", func(p *Proc) {
+		e.After(time.Millisecond, "wake", func() { e.Unpark(p) })
+		p.ParkFor(woken)
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{"park counted", "wake counted"}; !reflect.DeepEqual(details, want) {
+		t.Fatalf("traced park/wake details = %v, want %v", details, want)
+	}
+}
+
 func TestDaemonDoesNotTriggerDeadlock(t *testing.T) {
 	e := NewEngine()
 	e.Spawn("daemon", func(p *Proc) {
@@ -237,6 +282,30 @@ func TestNoGoroutineLeakAfterRun(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 	t.Fatalf("goroutines leaked: before=%d after=%d", before, runtime.NumGoroutine())
+}
+
+// TestNoGoroutineLeakAfterPanic: a panic aborts the run before a
+// process spawned beside it ever starts; shutdown must still unwind that
+// process's goroutine, which would otherwise keep its engine reachable.
+func TestNoGoroutineLeakAfterPanic(t *testing.T) {
+	before := runtime.NumGoroutine()
+	for i := 0; i < 10; i++ {
+		e := NewEngine()
+		e.Spawn("bomb", func(p *Proc) { panic("boom") })
+		e.Spawn("idle", func(p *Proc) { p.Sleep(time.Millisecond) })
+		var pe *PanicError
+		if err := e.Run(); !errors.As(err, &pe) {
+			t.Fatalf("Run = %v, want PanicError", err)
+		}
+	}
+	// The unwound goroutines exit just after their shutdown handshake;
+	// yield until they have.
+	for i := 0; i < 1000 && runtime.NumGoroutine() > before; i++ {
+		runtime.Gosched()
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Fatalf("goroutines leaked: before=%d after=%d", before, after)
+	}
 }
 
 func TestSpawnFromProcess(t *testing.T) {

@@ -16,7 +16,7 @@ func (q *WaitQ) Len() int { return len(q.ps) }
 // event wakes it via WakeOne or WakeAll.
 func (q *WaitQ) Wait(p *Proc, reason string) {
 	q.ps = append(q.ps, p)
-	p.park(reason)
+	p.park(reason, nil)
 }
 
 // WakeOne schedules the longest-waiting process (if any) to resume at the

@@ -185,6 +185,16 @@ func TestSubmitValidation(t *testing.T) {
 		{specs: []tooleval.ExperimentSpec{{}}},
 		// Table 2 names that no experiment measures are not runnable.
 		{specs: app("matmul", 4), want: `apps: unknown application "matmul"`},
+		// An unknown name is rejected before the valid spec ahead of it
+		// simulates anything.
+		{specs: []tooleval.ExperimentSpec{
+			{Kind: tooleval.KindPingPong, Platform: "sun-ethernet", Tool: "p4", Sizes: []int{0, 1 << 10}},
+			app("matmul", 4)[0],
+		}, want: `spec 1: app: apps: unknown application "matmul"`},
+		{specs: []tooleval.ExperimentSpec{
+			{Kind: tooleval.KindPingPong, Platform: "sun-ethernet", Tool: "p4", Sizes: []int{0, 1 << 10}},
+			{Kind: tooleval.KindRing, Platform: "cray-t3d", Tool: "p4", Procs: 4, Sizes: []int{0}},
+		}, want: `spec 1: ring: platform: unknown key "cray-t3d"`},
 		// fft2d's grid is N = 8 at scale 0.1, so it runs only where p divides 8.
 		{specs: app("fft2d", 16), want: "fft2d at scale 0.1 runs on none of the processor counts [16]"},
 		{specs: app("fft2d", 3, 5), want: "fft2d at scale 0.1 runs on none of the processor counts [3 5]"},
