@@ -3,9 +3,8 @@
 // integration, and Parallel Sorting by Regular Sampling. Each has a
 // sequential reference, a parallel SPMD implementation over the mpt.Comm
 // interface, and a verifier that checks the distributed run against the
-// reference. ExtendedRegistry adds four more Table 2 members that are
-// still built; the rest of the suite is catalogued by name only, in
-// paperdata.SuiteTable2.
+// reference. These four are the only runnable applications; the rest of
+// the suite is catalogued by name only, in paperdata.SuiteTable2.
 package apps
 
 import (
@@ -13,12 +12,8 @@ import (
 
 	"tooleval/internal/apps/fft"
 	"tooleval/internal/apps/jpeg"
-	"tooleval/internal/apps/knapsack"
 	"tooleval/internal/apps/montecarlo"
-	"tooleval/internal/apps/psearch"
 	"tooleval/internal/apps/psrs"
-	"tooleval/internal/apps/raytrace"
-	"tooleval/internal/apps/vigenere"
 	"tooleval/internal/mpt"
 )
 
@@ -107,79 +102,9 @@ func Registry() []App {
 	}
 }
 
-// anyProcs accepts any processor count at any scale.
-func anyProcs(p int, _ float64) bool { return p >= 1 }
-
-// ExtendedRegistry returns the four benchmarked applications plus the
-// Table 2 members still built beyond them: branch-and-bound knapsack, ray
-// tracing, Vigenère cryptanalysis and parallel text search. No
-// experiment, figure or benchmark runs these four; they remain runnable
-// through Get until they are deleted like the rest of Table 2.
-func ExtendedRegistry() []App {
-	ext := []App{
-		{
-			Name: "knapsack",
-			Run: func(ctx *mpt.Ctx, scale float64) (any, error) {
-				return knapsack.Parallel(ctx, knapsack.DefaultConfig().Scaled(scale))
-			},
-			Verify: func(v any, procs int, scale float64) error {
-				res, ok := v.(*knapsack.Result)
-				if !ok {
-					return fmt.Errorf("knapsack: unexpected result type %T", v)
-				}
-				return knapsack.VerifyAgainstSequential(knapsack.DefaultConfig().Scaled(scale), res)
-			},
-			ValidProcs: anyProcs,
-		},
-		{
-			Name: "raytrace",
-			Run: func(ctx *mpt.Ctx, scale float64) (any, error) {
-				return raytrace.Parallel(ctx, raytrace.DefaultConfig().Scaled(scale))
-			},
-			Verify: func(v any, procs int, scale float64) error {
-				res, ok := v.(*raytrace.Result)
-				if !ok {
-					return fmt.Errorf("raytrace: unexpected result type %T", v)
-				}
-				return raytrace.VerifyAgainstSequential(raytrace.DefaultConfig().Scaled(scale), res)
-			},
-			ValidProcs: anyProcs,
-		},
-		{
-			Name: "vigenere",
-			Run: func(ctx *mpt.Ctx, scale float64) (any, error) {
-				return vigenere.Parallel(ctx, vigenere.DefaultConfig().Scaled(scale))
-			},
-			Verify: func(v any, procs int, scale float64) error {
-				res, ok := v.(*vigenere.Result)
-				if !ok {
-					return fmt.Errorf("vigenere: unexpected result type %T", v)
-				}
-				return vigenere.VerifyAgainstSequential(vigenere.DefaultConfig().Scaled(scale), res)
-			},
-			ValidProcs: anyProcs,
-		},
-		{
-			Name: "psearch",
-			Run: func(ctx *mpt.Ctx, scale float64) (any, error) {
-				return psearch.Parallel(ctx, psearch.DefaultConfig().Scaled(scale))
-			},
-			Verify: func(v any, procs int, scale float64) error {
-				res, ok := v.(*psearch.Result)
-				if !ok {
-					return fmt.Errorf("psearch: unexpected result type %T", v)
-				}
-				return psearch.VerifyAgainstSequential(psearch.DefaultConfig().Scaled(scale), res)
-			},
-			ValidProcs: anyProcs,
-		},
-	}
-	return append(Registry(), ext...)
-}
-
-// Get returns the named application from the extended registry.
+// Get returns the named application from Registry.
 func Get(name string) (App, error) {
-	for _, a := range ExtendedRegistry() {
+	for _, a := range Registry() {
 		if a.Name == name {
 			return a, nil
 		}

@@ -9,16 +9,17 @@ import (
 	"tooleval/internal/platform"
 )
 
-// TestExtendedSuiteOnEveryTool runs every built SU PDABS suite
-// application (Table 2) on every message-passing tool, verifying against
-// the sequential references.
+// TestExtendedSuiteOnEveryTool runs every application on every
+// message-passing tool on the SP-1 switch, verifying against the
+// sequential references. TestEveryAppOnEveryToolVerifies covers the same
+// pairs on alpha-fddi.
 func TestExtendedSuiteOnEveryTool(t *testing.T) {
 	const scale = 0.15
 	pf, err := platform.Get("sp1-switch")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, app := range apps.ExtendedRegistry() {
+	for _, app := range apps.Registry() {
 		for _, toolName := range tools.Names() {
 			app, toolName := app, toolName
 			t.Run(app.Name+"/"+toolName, func(t *testing.T) {
@@ -42,7 +43,8 @@ func TestExtendedSuiteOnEveryTool(t *testing.T) {
 }
 
 // TestExtendedSuiteOddProcs exercises non-power-of-two and single
-// processor counts, where share arithmetic has its edge cases.
+// processor counts, where share arithmetic has its edge cases; fft2d
+// skips the counts that do not divide its scaled grid.
 func TestExtendedSuiteOddProcs(t *testing.T) {
 	const scale = 0.1
 	pf, err := platform.Get("alpha-fddi")
@@ -53,7 +55,7 @@ func TestExtendedSuiteOddProcs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, app := range apps.ExtendedRegistry() {
+	for _, app := range apps.Registry() {
 		app := app
 		t.Run(app.Name, func(t *testing.T) {
 			for _, procs := range []int{1, 3, 5} {

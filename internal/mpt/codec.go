@@ -53,22 +53,6 @@ func DecodeFloat64s(data []byte) ([]float64, error) {
 	return out, nil
 }
 
-// EncodeUint32 appends v big-endian to dst (header fields of the daemon
-// protocols).
-func EncodeUint32(dst []byte, v uint32) []byte {
-	var b [4]byte
-	binary.BigEndian.PutUint32(b[:], v)
-	return append(dst, b[:]...)
-}
-
-// DecodeUint32 reads a big-endian uint32 at off.
-func DecodeUint32(src []byte, off int) (uint32, error) {
-	if off+4 > len(src) {
-		return 0, fmt.Errorf("%w: short header: need 4 bytes at %d, have %d", ErrMalformed, off, len(src))
-	}
-	return binary.BigEndian.Uint32(src[off:]), nil
-}
-
 // AppendXDROpaque appends data to dst as an XDR opaque: 4-byte
 // big-endian length, payload, zero padding to a 4-byte boundary. This is
 // the real pass PVM makes over every outgoing buffer; the simulation both

@@ -185,6 +185,10 @@ func TestSubmitValidation(t *testing.T) {
 		{specs: []tooleval.ExperimentSpec{{}}},
 		// Table 2 names that no experiment measures are not runnable.
 		{specs: app("matmul", 4), want: `apps: unknown application "matmul"`},
+		{specs: app("knapsack", 4), want: `apps: unknown application "knapsack"`},
+		{specs: app("psearch", 4), want: `apps: unknown application "psearch"`},
+		{specs: app("raytrace", 4), want: `apps: unknown application "raytrace"`},
+		{specs: app("vigenere", 4), want: `apps: unknown application "vigenere"`},
 		// An unknown name is rejected before the valid spec ahead of it
 		// simulates anything.
 		{specs: []tooleval.ExperimentSpec{
