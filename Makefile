@@ -40,18 +40,21 @@ examples:
 	@set -e; for d in examples/*/; do echo "==> $$d"; $(GO) run "./$$d" > /dev/null; done
 
 # toolbenchd-smoke is the local mirror of CI's toolbenchd job: build
-# the daemon, check that a bad config (a negative size, an unknown
-# flag) exits non-zero before listening, run the server suite under the
-# race detector, and stream the short-mode concurrent-tenant load test.
+# the daemon, check that each bad command line fails before listening
+# with its exact exit code (1 for a rejected config value, 2 for a
+# usage error such as the deleted -tier-file flag), run the daemon and
+# server suites under the race detector, and stream the short-mode
+# concurrent-tenant load test.
 toolbenchd-smoke:
 	$(GO) build -o /tmp/toolbenchd ./cmd/toolbenchd
-	@for args in "-j -1" "-cache-stripes 4"; do \
+	@for row in "1:-j -1" "1:-cache-cap -1" "2:-tier-file x"; do \
+		want=$${row%%:*}; args=$${row#*:}; \
 		rc=0; timeout 10 /tmp/toolbenchd -addr 127.0.0.1:0 $$args || rc=$$?; \
-		if [ "$$rc" -eq 0 ] || [ "$$rc" -eq 124 ]; then \
-			echo "toolbenchd $$args started (exit $$rc), want a startup error" >&2; exit 1; \
+		if [ "$$rc" -ne "$$want" ]; then \
+			echo "toolbenchd $$args exited $$rc, want $$want" >&2; exit 1; \
 		fi; \
 	done
-	$(GO) test -race ./internal/server
+	$(GO) test -race ./internal/server ./cmd/toolbenchd
 	$(GO) test -race -short -run TestLoadManyConcurrentTenants -v ./internal/server
 
 # remote-smoke is the local mirror of CI's remote-smoke job: build the

@@ -9,17 +9,17 @@
 // -drain-timeout), flushes the durable store, and exits 0. A second
 // signal exits immediately.
 //
-// SIGHUP hot-reloads the quota-tier catalog from -tier-file without
-// dropping in-flight jobs: the file is re-read, validated whole (a bad
-// file is rejected, keeping the live config), and existing tenants
-// move to their new tiers as they go idle. Without -tier-file, SIGHUP
-// is a logged no-op.
+// Exit status: 0 after -h or a clean drain, 2 on a usage error (an
+// unknown flag, a malformed -tier), 1 when the config is rejected
+// before listening or the server fails.
 package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"os/signal"
@@ -30,17 +30,29 @@ import (
 
 func main() {
 	log.SetFlags(0)
-	if err := run(os.Args[1:]); err != nil {
+	cfg, err := parseFlags(os.Args[1:], os.Stderr)
+	if errors.Is(err, flag.ErrHelp) {
+		os.Exit(0)
+	}
+	if err != nil {
+		os.Exit(2) // parseFlags has printed the error and the usage
+	}
+	cfg.Logf = log.Printf
+	if err := run(cfg); err != nil {
 		log.Fatalf("toolbenchd: %v", err)
 	}
 }
 
-func run(args []string) error {
-	fs := flag.NewFlagSet("toolbenchd", flag.ExitOnError)
+// parseFlags builds the server config from the command line. A usage
+// error is printed to w together with the usage text; -h prints the
+// usage and returns flag.ErrHelp. The config is not validated here:
+// server.New does that.
+func parseFlags(args []string, w io.Writer) (server.Config, error) {
+	fs := flag.NewFlagSet("toolbenchd", flag.ContinueOnError)
+	fs.SetOutput(w)
 	cfg := server.Config{
 		Tiers:       make(map[string]server.QuotaTier),
 		TenantTiers: make(map[string]string),
-		Logf:        log.Printf,
 	}
 	fs.StringVar(&cfg.Addr, "addr", ":8080", "listen address")
 	fs.IntVar(&cfg.Parallelism, "j", 0, "per-tenant worker parallelism (0 = GOMAXPROCS)")
@@ -68,32 +80,29 @@ func run(args []string) error {
 			cfg.TenantTiers[tenant] = tier
 			return nil
 		})
-	tierFile := fs.String("tier-file", "", "tier catalog `file` (tier/tenant-tier/default-tier directives); re-read on SIGHUP")
 	fs.Usage = func() {
-		fmt.Fprintf(fs.Output(), "usage: toolbenchd [flags]\n\n")
-		fmt.Fprintf(fs.Output(), "Serve the evaluation methodology as a multi-tenant HTTP daemon.\n\n")
+		fmt.Fprintf(w, "usage: toolbenchd [flags]\n\n")
+		fmt.Fprintf(w, "Serve the evaluation methodology as a multi-tenant HTTP daemon.\n\n")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
-		return err
+		return cfg, err
 	}
 	if fs.NArg() > 0 {
-		return fmt.Errorf("unexpected arguments: %v", fs.Args())
+		err := fmt.Errorf("unexpected arguments: %v", fs.Args())
+		fmt.Fprintln(w, err)
+		fs.Usage()
+		return cfg, err
 	}
+	return cfg, nil
+}
 
-	if *tierFile != "" {
-		tiers, def, tenants, err := loadTierFile(*tierFile)
-		if err != nil {
-			return err
-		}
-		mergeTierCatalog(&cfg, tiers, def, tenants)
-	}
-
+// run serves cfg until the first SIGTERM/SIGINT, then drains.
+func run(cfg server.Config) error {
 	srv, err := server.New(cfg)
 	if err != nil {
 		return err
 	}
-
 	// First SIGTERM/SIGINT cancels ctx and starts the drain; a second
 	// one restores default handling, so it kills the process.
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, syscall.SIGINT)
@@ -102,75 +111,5 @@ func run(args []string) error {
 		<-ctx.Done()
 		stop()
 	}()
-
-	// SIGHUP: re-read the tier file and swap the catalog in place.
-	// In-flight jobs keep their tiers; a rejected file changes nothing.
-	hup := make(chan os.Signal, 1)
-	signal.Notify(hup, syscall.SIGHUP)
-	defer signal.Stop(hup)
-	go func() {
-		for {
-			select {
-			case <-hup:
-			case <-ctx.Done():
-				return
-			}
-			if *tierFile == "" {
-				log.Printf("toolbenchd: SIGHUP ignored (no -tier-file to reload)")
-				continue
-			}
-			tiers, def, tenants, err := loadTierFile(*tierFile)
-			if err != nil {
-				log.Printf("toolbenchd: SIGHUP reload rejected: %v", err)
-				continue
-			}
-			reloaded := cfg // copy of the flag-derived baseline
-			mergeTierCatalog(&reloaded, tiers, def, tenants)
-			if err := srv.ReloadTiers(reloaded.Tiers, reloaded.DefaultTier, reloaded.TenantTiers); err != nil {
-				log.Printf("toolbenchd: SIGHUP reload rejected: %v", err)
-			}
-		}
-	}()
-
 	return srv.ListenAndServe(ctx)
-}
-
-// loadTierFile reads and parses one tier-catalog file.
-func loadTierFile(path string) (map[string]server.QuotaTier, string, map[string]string, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, "", nil, fmt.Errorf("tier file: %w", err)
-	}
-	defer f.Close()
-	tiers, def, tenants, err := server.ParseTierConfig(f)
-	if err != nil {
-		return nil, "", nil, fmt.Errorf("tier file %s: %w", path, err)
-	}
-	return tiers, def, tenants, nil
-}
-
-// mergeTierCatalog overlays a tier file onto the flag-derived config:
-// file entries win per key, and a default-tier directive overrides the
-// flag. The merged maps are fresh — cfg's originals are not mutated, so
-// the flag baseline survives for the next SIGHUP to merge onto.
-func mergeTierCatalog(cfg *server.Config, tiers map[string]server.QuotaTier, def string, tenants map[string]string) {
-	merged := make(map[string]server.QuotaTier, len(cfg.Tiers)+len(tiers))
-	for k, v := range cfg.Tiers {
-		merged[k] = v
-	}
-	for k, v := range tiers {
-		merged[k] = v
-	}
-	cfg.Tiers = merged
-	mergedTenants := make(map[string]string, len(cfg.TenantTiers)+len(tenants))
-	for k, v := range cfg.TenantTiers {
-		mergedTenants[k] = v
-	}
-	for k, v := range tenants {
-		mergedTenants[k] = v
-	}
-	cfg.TenantTiers = mergedTenants
-	if def != "" {
-		cfg.DefaultTier = def
-	}
 }

@@ -25,9 +25,7 @@
 package server
 
 import (
-	"bufio"
 	"fmt"
-	"io"
 	"regexp"
 	"strconv"
 	"strings"
@@ -74,14 +72,15 @@ type Config struct {
 	// DrainTimeout bounds how long Shutdown waits for in-flight sweeps
 	// before cancelling them (0 = 30s).
 	DrainTimeout time.Duration
-	// Tiers is the quota-tier catalog by name. A tier named
-	// DefaultTier must exist if any tenant maps to it.
+	// Tiers is the quota-tier catalog by name. DefaultTier and every
+	// TenantTiers value must name a tier in it. The catalog is fixed
+	// at New: a tenant keeps the tier it was built under until drain.
 	Tiers map[string]QuotaTier
 	// DefaultTier names the tier for tenants absent from TenantTiers
 	// ("" = a built-in unlimited tier).
 	DefaultTier string
 	// TenantTiers maps tenant id -> tier name for tenants with a
-	// non-default tier.
+	// non-default tier; like Tiers, it is read once, at New.
 	TenantTiers map[string]string
 	// MaxJobsRetained bounds how many finished jobs are kept per
 	// tenant for report fetching; the oldest finished job is evicted
@@ -218,60 +217,6 @@ func ParseTier(s string) (QuotaTier, error) {
 		}
 	}
 	return t, nil
-}
-
-// ParseTierConfig reads a tier-catalog file (the -tier-file flag, re-
-// read on SIGHUP): one directive per line, in exactly the grammar the
-// command-line flags use —
-//
-//	tier <name>=<budgets>        # ParseTier form, e.g. free=cells:500,jobs:2
-//	tenant-tier <tenant>=<tier>  # ParseTenantTier form
-//	default-tier <name>
-//
-// Blank lines and #-comments are ignored. The catalog is returned
-// unvalidated; ReloadTiers (or Normalize) checks the wiring, so a bad
-// file rejects atomically without disturbing the live config.
-func ParseTierConfig(r io.Reader) (tiers map[string]QuotaTier, defaultTier string, tenantTiers map[string]string, err error) {
-	tiers = make(map[string]QuotaTier)
-	tenantTiers = make(map[string]string)
-	sc := bufio.NewScanner(r)
-	for lineNo := 1; sc.Scan(); lineNo++ {
-		line := sc.Text()
-		if i := strings.IndexByte(line, '#'); i >= 0 {
-			line = line[:i]
-		}
-		line = strings.TrimSpace(line)
-		if line == "" {
-			continue
-		}
-		directive, arg, ok := strings.Cut(line, " ")
-		arg = strings.TrimSpace(arg)
-		if !ok || arg == "" {
-			return nil, "", nil, fmt.Errorf("tier config line %d: want \"<directive> <value>\", got %q", lineNo, line)
-		}
-		switch directive {
-		case "tier":
-			t, perr := ParseTier(arg)
-			if perr != nil {
-				return nil, "", nil, fmt.Errorf("tier config line %d: %w", lineNo, perr)
-			}
-			tiers[t.Name] = t
-		case "tenant-tier":
-			tenant, tier, perr := ParseTenantTier(arg)
-			if perr != nil {
-				return nil, "", nil, fmt.Errorf("tier config line %d: %w", lineNo, perr)
-			}
-			tenantTiers[tenant] = tier
-		case "default-tier":
-			defaultTier = arg
-		default:
-			return nil, "", nil, fmt.Errorf("tier config line %d: unknown directive %q (want tier, tenant-tier, or default-tier)", lineNo, directive)
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, "", nil, fmt.Errorf("tier config: %w", err)
-	}
-	return tiers, defaultTier, tenantTiers, nil
 }
 
 // ParseTenantTier parses one -tenant-tier flag value "tenant=tier".

@@ -2,7 +2,7 @@ package server
 
 import (
 	"context"
-	"fmt"
+	"maps"
 	"net"
 	"net/http"
 	"sync"
@@ -21,11 +21,6 @@ type Server struct {
 	cache *tooleval.Cache
 	store *tooleval.ResultStore // nil without StoreDir
 	mux   *http.ServeMux
-
-	// tierMu guards the tier-catalog fields of cfg (Tiers, DefaultTier,
-	// TenantTiers), which ReloadTiers swaps at runtime; everything else
-	// in cfg is immutable after New.
-	tierMu sync.RWMutex
 
 	tenants *registry
 	jobs    *jobStore
@@ -52,6 +47,9 @@ func New(cfg Config) (*Server, error) {
 	if err := cfg.Normalize(); err != nil {
 		return nil, err
 	}
+	// The server's own copy of the tier catalog: later writes to the
+	// caller's maps cannot reach a running server.
+	cfg.Tiers, cfg.TenantTiers = maps.Clone(cfg.Tiers), maps.Clone(cfg.TenantTiers)
 	cache := tooleval.NewCache()
 	cache.SetCapacity(cfg.CacheCapacity)
 	s := &Server{cfg: cfg, cache: cache, started: time.Now()}
@@ -82,12 +80,9 @@ func New(cfg Config) (*Server, error) {
 
 // buildTenant materializes a tenant under its configured quota tier:
 // an isolated Session (own executor and budgets) memoizing into the
-// server's shared cache. gen stamps which tier-catalog generation the
-// tenant was built under; a later ReloadTiers makes it stale.
-func (s *Server) buildTenant(id string, gen int64) *tenant {
-	s.tierMu.RLock()
+// server's shared cache.
+func (s *Server) buildTenant(id string) *tenant {
 	tier := s.cfg.tierFor(id)
-	s.tierMu.RUnlock()
 	opts := []tooleval.Option{tooleval.WithCache(s.cache)}
 	if s.cfg.Parallelism > 0 {
 		opts = append(opts, tooleval.WithParallelism(s.cfg.Parallelism))
@@ -98,43 +93,12 @@ func (s *Server) buildTenant(id string, gen int64) *tenant {
 	if tier.MaxVirtualTime > 0 {
 		opts = append(opts, tooleval.WithMaxVirtualTime(tier.MaxVirtualTime))
 	}
-	t := &tenant{id: id, tier: tier, gen: gen, sess: tooleval.NewSession(opts...)}
+	t := &tenant{id: id, tier: tier, sess: tooleval.NewSession(opts...)}
 	if tier.MaxConcurrentJobs > 0 {
 		t.jobSlots = make(chan struct{}, tier.MaxConcurrentJobs)
 	}
 	s.logf("toolbenchd: tenant %q admitted (tier %q)", id, tier.Name)
 	return t
-}
-
-// ReloadTiers swaps the quota-tier catalog at runtime (the SIGHUP
-// path in cmd/toolbenchd). The new catalog is validated first — a bad
-// reload is rejected whole, keeping the old config live. In-flight
-// jobs are untouched: existing tenants are marked stale and each is
-// rebuilt under its new tier at its next admission with no jobs
-// active, so a session is never closed or re-budgeted mid-sweep.
-func (s *Server) ReloadTiers(tiers map[string]QuotaTier, defaultTier string, tenantTiers map[string]string) error {
-	if defaultTier != "" {
-		if _, ok := tiers[defaultTier]; !ok {
-			return fmt.Errorf("server: reload: default tier %q is not in the tier catalog", defaultTier)
-		}
-	}
-	for tenant, tier := range tenantTiers {
-		if _, ok := tiers[tier]; !ok {
-			return fmt.Errorf("server: reload: tenant %q maps to unknown tier %q", tenant, tier)
-		}
-	}
-	s.tierMu.Lock()
-	s.cfg.Tiers = tiers
-	s.cfg.DefaultTier = defaultTier
-	s.cfg.TenantTiers = tenantTiers
-	s.tierMu.Unlock()
-	// Bumping after the swap means a tenant built in between is stamped
-	// stale and rebuilt once more — harmless; the catalog it read is
-	// already the new one.
-	s.tenants.bumpGen()
-	s.logf("toolbenchd: tier catalog reloaded (%d tiers, default %q, %d tenant mappings)",
-		len(tiers), defaultTier, len(tenantTiers))
-	return nil
 }
 
 // Handler returns the server's HTTP surface (for httptest and for

@@ -798,3 +798,32 @@ func TestConfigParsing(t *testing.T) {
 		t.Fatalf("tierFor(other) = %+v", got)
 	}
 }
+
+// TestTierCatalogFixedAtNew pins that New keeps its own copy of the
+// tier catalog: writes to the caller's maps afterwards change no
+// tenant's tier.
+func TestTierCatalogFixedAtNew(t *testing.T) {
+	cfg := Config{
+		Tiers:       map[string]QuotaTier{"solo": {Name: "solo", MaxConcurrentJobs: 1}},
+		TenantTiers: map[string]string{"erin": "solo"},
+	}
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	cfg.Tiers["solo"] = QuotaTier{Name: "solo"}
+	cfg.TenantTiers["erin"] = "ghost"
+
+	tn, release, err := s.tenants.admit("erin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer release()
+	if tn.tier.Name != "solo" || tn.tier.MaxConcurrentJobs != 1 {
+		t.Fatalf("erin's tier = %+v, want solo with one job slot", tn.tier)
+	}
+	if _, _, err := s.tenants.admit("erin"); err == nil {
+		t.Fatal("second concurrent job admitted past the one-slot tier")
+	}
+}

@@ -17,7 +17,6 @@ type tenant struct {
 	id   string
 	tier QuotaTier
 	sess *tooleval.Session
-	gen  int64 // registry generation this tenant was built under
 
 	// jobSlots is the concurrent-job gate (nil = unlimited): acquire
 	// is non-blocking, because the tier's job limit is a refusal
@@ -38,10 +37,8 @@ type tenant struct {
 // acquireJob takes a job slot, or refuses with a typed quota error —
 // the same *tooleval.QuotaError shape session budgets raise, so one
 // errors.As covers every 429 the server produces. On success the
-// returned closure releases exactly the slot taken: it binds this
-// tenant object and its channel, so a tier reload that rebuilds the
-// tenant can never strand an in-flight job's release on a fresh
-// channel.
+// returned closure ends the job: it releases the slot taken and folds
+// the job's duration, timed from this call, into the Retry-After EWMA.
 func (t *tenant) acquireJob() (release func(), err error) {
 	if t.jobSlots != nil {
 		select {
@@ -64,19 +61,6 @@ func (t *tenant) acquireJob() (release func(), err error) {
 			<-t.jobSlots
 		}
 	}, nil
-}
-
-// carryCounters copies the cumulative counters from the tenant this
-// one replaces, so a tier reload does not reset /statsz history.
-func (t *tenant) carryCounters(old *tenant) {
-	t.jobsStarted.Store(old.jobsStarted.Load())
-	t.jobsDone.Store(old.jobsDone.Load())
-	t.jobsRefused.Store(old.jobsRefused.Load())
-	t.specsDone.Store(old.specsDone.Load())
-	t.specsFailed.Store(old.specsFailed.Load())
-	t.cells.Store(old.cells.Load())
-	t.cellsCached.Store(old.cellsCached.Load())
-	t.jobNanosEWMA.Store(old.jobNanosEWMA.Load())
 }
 
 // recordJobDuration folds one finished job into the duration EWMA
@@ -112,31 +96,24 @@ func (t *tenant) retryAfter() time.Duration {
 	return est.Round(time.Second)
 }
 
-// registry owns the tenant set: tenants materialize on first request
-// and live until the server drains. All sessions share srvCache.
-//
-// The registry is also the reload point: bumping gen (Server.
-// ReloadTiers) marks every tenant stale, and a stale tenant is rebuilt
-// under the new tier catalog at its next idle admission — no in-flight
-// job ever has its session closed or its quota changed underneath it.
+// registry owns the tenant set: a tenant is built under its quota
+// tier on first request and lives until the server drains. The tier
+// catalog is fixed when the server is built, so a tenant's tier never
+// changes. All sessions share the server's cache.
 type registry struct {
 	mu      sync.Mutex
 	tenants map[string]*tenant
-	build   func(id string, gen int64) *tenant
-	gen     int64
+	build   func(id string) *tenant
 	closed  bool
 }
 
-func newRegistry(build func(id string, gen int64) *tenant) *registry {
+func newRegistry(build func(id string) *tenant) *registry {
 	return &registry{tenants: make(map[string]*tenant), build: build}
 }
 
-// admit returns the tenant for id with a job slot acquired, creating
-// the tenant on first use and rebuilding it when a tier reload left it
-// stale and it has no jobs in flight. Resolution and slot acquisition
-// happen under one lock, so a job can never start on a session that a
-// concurrent reload is about to retire. After the registry is closed
-// (drain completed) no new tenants are admitted.
+// admit returns the tenant for id, creating it on first use, with a
+// job slot acquired. After the registry is closed (drain completed) no
+// new jobs are admitted.
 func (r *registry) admit(id string) (*tenant, func(), error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -144,36 +121,12 @@ func (r *registry) admit(id string) (*tenant, func(), error) {
 		return nil, nil, fmt.Errorf("server: draining, not admitting tenants")
 	}
 	t, ok := r.tenants[id]
-	var retired *tooleval.Session
-	switch {
-	case ok && t.gen != r.gen && t.jobsActive.Load() == 0:
-		old := t
-		retired = old.sess
-		t = r.build(id, r.gen)
-		t.carryCounters(old)
-		r.tenants[id] = t
-	case !ok:
-		t = r.build(id, r.gen)
+	if !ok {
+		t = r.build(id)
 		r.tenants[id] = t
 	}
 	release, err := t.acquireJob()
-	if err != nil {
-		return t, nil, err
-	}
-	if retired != nil {
-		// Close the replaced session only after its successor holds the
-		// admission; an idempotent close outside the job path.
-		retired.Close()
-	}
-	return t, release, nil
-}
-
-// bumpGen marks every tenant stale (rebuilt at next idle admission)
-// after a tier-catalog swap.
-func (r *registry) bumpGen() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.gen++
+	return t, release, err
 }
 
 // snapshot returns the tenants sorted by id (for deterministic
