@@ -42,9 +42,10 @@ examples:
 # toolbenchd-smoke is the local mirror of CI's toolbenchd job: build
 # the daemon, check that each bad command line fails before listening
 # with its exact exit code (1 for a rejected config value, 2 for a
-# usage error such as the deleted -tier-file flag), run the daemon and
-# server suites under the race detector, and stream the short-mode
-# concurrent-tenant load test.
+# usage error such as the deleted -tier-file flag), check that both
+# daemons drain on SIGHUP and exit 0, run the daemon and server suites
+# under the race detector, and stream the short-mode concurrent-tenant
+# load test.
 toolbenchd-smoke:
 	$(GO) build -o /tmp/toolbenchd ./cmd/toolbenchd
 	@for row in "1:-j -1" "1:-cache-cap -1" "2:-tier-file x"; do \
@@ -52,6 +53,16 @@ toolbenchd-smoke:
 		rc=0; timeout 10 /tmp/toolbenchd -addr 127.0.0.1:0 $$args || rc=$$?; \
 		if [ "$$rc" -ne "$$want" ]; then \
 			echo "toolbenchd $$args exited $$rc, want $$want" >&2; exit 1; \
+		fi; \
+	done
+	$(GO) build -o /tmp/toolbench-worker ./cmd/toolbench-worker
+	@for d in toolbenchd toolbench-worker; do \
+		timeout 20 /tmp/$$d -addr 127.0.0.1:0 2> /tmp/$$d.log & pid=$$!; \
+		for _ in $$(seq 100); do grep -q 'listening on' /tmp/$$d.log && break; sleep 0.1; done; \
+		kill -HUP $$pid; \
+		rc=0; wait $$pid || rc=$$?; \
+		if [ "$$rc" -ne 0 ]; then \
+			cat /tmp/$$d.log >&2; echo "$$d exited $$rc after SIGHUP, want 0" >&2; exit 1; \
 		fi; \
 	done
 	$(GO) test -race ./internal/server ./cmd/toolbenchd

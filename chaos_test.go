@@ -61,7 +61,6 @@ func TestChaosFaultyTierKeepsReportsByteIdentical(t *testing.T) {
 	clean := tooleval.NewSession()
 	wantRes, wantErrs := clean.SubmitAll(bg, chaosBatch)
 	want := chaosReport(t, wantRes, wantErrs)
-	clean.Close()
 
 	dir := t.TempDir()
 	st, err := tooleval.OpenResultStore(dir)
@@ -90,9 +89,6 @@ func TestChaosFaultyTierKeepsReportsByteIdentical(t *testing.T) {
 				pass, got, want)
 		}
 	}
-	if err := sess.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
 	if err := st.Close(); err != nil {
 		t.Fatalf("store Close: %v", err)
 	}
@@ -106,13 +102,14 @@ func TestChaosFaultyTierKeepsReportsByteIdentical(t *testing.T) {
 	// Whatever subset of cells survived the dropped fills, a fresh
 	// session replaying from the store must still render the exact same
 	// bytes — stored cells are indistinguishable from simulated ones.
-	replay := tooleval.NewSession(tooleval.WithResultStore(dir))
+	replayStore, replayCache := openTier(t, dir)
+	replay := tooleval.NewSession(tooleval.WithCache(replayCache))
 	res, errs := replay.SubmitAll(bg, chaosBatch)
 	got := chaosReport(t, res, errs)
 	if !bytes.Equal(got, want) {
 		t.Fatalf("replay from post-chaos store differs from fault-free run")
 	}
-	if err := replay.Close(); err != nil {
-		t.Fatalf("replay Close: %v", err)
+	if err := replayStore.Close(); err != nil {
+		t.Fatalf("replay store Close: %v", err)
 	}
 }

@@ -12,8 +12,13 @@
 // computed under the wrong engine. GET /healthz reports liveness; GET
 // /statsz reports the engine version, uptime, and cache counters.
 //
-// SIGTERM or SIGINT drains gracefully: in-flight cells finish, the
-// store is flushed, and the daemon exits 0. A second signal kills it.
+// SIGTERM, SIGINT or SIGHUP drains gracefully: in-flight cells finish,
+// the store is flushed, and the daemon exits 0. A second signal kills
+// it.
+//
+// Exit status: 0 after -h or a clean drain, 2 on a usage error (an
+// unknown flag, a malformed flag value), 1 when the flags are rejected
+// before listening or the server fails.
 package main
 
 import (
@@ -21,6 +26,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"net"
 	"net/http"
@@ -39,37 +45,62 @@ import (
 
 func main() {
 	log.SetFlags(0)
-	if err := run(os.Args[1:]); err != nil {
+	cfg, err := parseFlags(os.Args[1:], os.Stderr)
+	if errors.Is(err, flag.ErrHelp) {
+		os.Exit(0)
+	}
+	if err != nil {
+		os.Exit(2) // parseFlags has printed the error and the usage
+	}
+	if err := run(cfg); err != nil {
 		log.Fatalf("toolbench-worker: %v", err)
 	}
 }
 
-func run(args []string) error {
-	fs := flag.NewFlagSet("toolbench-worker", flag.ExitOnError)
-	addr := fs.String("addr", ":8701", "listen address")
-	jobs := fs.Int("j", runtime.GOMAXPROCS(0), "max concurrent simulations")
-	storeDir := fs.String("store", "", "durable result store directory (empty = memory only; each worker needs its own)")
-	drain := fs.Duration("drain-timeout", 30*time.Second, "graceful shutdown deadline for in-flight cells")
+type config struct {
+	addr     string
+	jobs     int
+	storeDir string
+	drain    time.Duration
+	args     []string // positional arguments; the daemon takes none
+}
+
+// parseFlags reads the command line into a config. A usage error is
+// printed to w together with the usage text; -h prints the usage and
+// returns flag.ErrHelp. The values are not validated here: run does
+// that.
+func parseFlags(args []string, w io.Writer) (config, error) {
+	fs := flag.NewFlagSet("toolbench-worker", flag.ContinueOnError)
+	fs.SetOutput(w)
+	var cfg config
+	fs.StringVar(&cfg.addr, "addr", ":8701", "listen address")
+	fs.IntVar(&cfg.jobs, "j", runtime.GOMAXPROCS(0), "max concurrent simulations")
+	fs.StringVar(&cfg.storeDir, "store", "", "durable result store directory (empty = memory only; each worker needs its own)")
+	fs.DurationVar(&cfg.drain, "drain-timeout", 30*time.Second, "graceful shutdown deadline for in-flight cells")
 	fs.Usage = func() {
-		fmt.Fprintf(fs.Output(), "usage: toolbench-worker [flags]\n\n")
-		fmt.Fprintf(fs.Output(), "Serve simulation cells to a `toolbench -workers ...` coordinator.\n\n")
+		fmt.Fprintf(w, "usage: toolbench-worker [flags]\n\n")
+		fmt.Fprintf(w, "Serve simulation cells to a `toolbench -workers ...` coordinator.\n\n")
 		fs.PrintDefaults()
 	}
-	if err := fs.Parse(args); err != nil {
-		return err
+	err := fs.Parse(args)
+	cfg.args = fs.Args()
+	return cfg, err
+}
+
+// run serves cells until the first SIGTERM/SIGINT/SIGHUP, then drains.
+func run(cfg config) error {
+	if len(cfg.args) > 0 {
+		return fmt.Errorf("unexpected arguments: %v", cfg.args)
 	}
-	if fs.NArg() > 0 {
-		return fmt.Errorf("unexpected arguments: %v", fs.Args())
-	}
-	if *jobs < 1 {
-		return fmt.Errorf("-j %d: need at least one worker", *jobs)
+	if cfg.jobs < 1 {
+		return fmt.Errorf("-j %d: need at least one worker", cfg.jobs)
 	}
 
-	x := runner.New(*jobs)
-	if *storeDir != "" {
-		st, err := store.Open(*storeDir, sim.EngineVersion)
+	x := runner.New(cfg.jobs)
+	if cfg.storeDir != "" {
+		st, err := store.Open(cfg.storeDir, sim.EngineVersion)
 		if err != nil {
-			return fmt.Errorf("-store %s: %w", *storeDir, err)
+			return fmt.Errorf("-store %s: %w", cfg.storeDir, err)
 		}
 		defer func() {
 			if err := st.Close(); err != nil {
@@ -80,22 +111,22 @@ func run(args []string) error {
 	}
 
 	w := remote.NewWorker(x, bench.ComputeCell)
-	ln, err := net.Listen("tcp", *addr)
+	ln, err := net.Listen("tcp", cfg.addr)
 	if err != nil {
 		return err
 	}
 	srv := &http.Server{Handler: w.Handler()}
 	log.Printf("toolbench-worker: listening on %s (engine v%d, protocol v%d, -j %d)",
-		ln.Addr(), sim.EngineVersion, remote.ProtocolVersion, *jobs)
+		ln.Addr(), sim.EngineVersion, remote.ProtocolVersion, cfg.jobs)
 
-	// First SIGTERM/SIGINT starts the drain; a second one restores
-	// default handling, so it kills the process.
-	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, syscall.SIGINT)
+	// First SIGTERM/SIGINT/SIGHUP starts the drain; a second one
+	// restores default handling, so it kills the process.
+	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, syscall.SIGINT, syscall.SIGHUP)
 	defer stop()
 	go func() {
 		<-ctx.Done()
 		stop()
-		dctx, cancel := context.WithTimeout(context.Background(), *drain)
+		dctx, cancel := context.WithTimeout(context.Background(), cfg.drain)
 		defer cancel()
 		if err := srv.Shutdown(dctx); err != nil {
 			srv.Close()

@@ -45,10 +45,14 @@
 // Every invocation builds one tooleval.Session from the flags and runs
 // the experiments through it; Ctrl-C cancels the session's context and
 // aborts the sweep between simulation cells.
+//
+// Exit status: 0 on success or after -h, 2 on a usage error (an unknown
+// flag, a malformed flag value), 1 on any other failure.
 package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -70,11 +74,31 @@ import (
 
 func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	if err := run(ctx, os.Args[1:], os.Stdout); err != nil {
-		fmt.Fprintln(os.Stderr, "toolbench:", err)
-		os.Exit(1)
+	code := exitCode(run(ctx, os.Args[1:], os.Stdout), os.Stderr)
+	stop()
+	os.Exit(code)
+}
+
+// usageError is a command line the flag parser rejected; the parser has
+// already printed it together with the usage text.
+type usageError struct{ err error }
+
+func (e *usageError) Error() string { return e.err.Error() }
+func (e *usageError) Unwrap() error { return e.err }
+
+// exitCode maps run's error to the process exit status: 0 on success
+// or -h, 2 on a usage error, and 1 otherwise, after printing the error
+// to errw.
+func exitCode(err error, errw io.Writer) int {
+	var uerr *usageError
+	switch {
+	case err == nil, errors.Is(err, flag.ErrHelp):
+		return 0
+	case errors.As(err, &uerr):
+		return 2
 	}
+	fmt.Fprintln(errw, "toolbench:", err)
+	return 1
 }
 
 type config struct {
@@ -90,6 +114,7 @@ type config struct {
 	stats      bool
 	cpuprofile string
 	memprofile string
+	exp        string // the one positional argument
 }
 
 // experiments lists the experiment ids in paper order.
@@ -99,11 +124,13 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 	return runIO(ctx, args, w, os.Stderr)
 }
 
-// runIO is run with the progress stream explicit, so tests can capture
-// it. Experiment output goes to w; -progress lines go to errw only —
-// w stays byte-identical whether progress is on or off.
-func runIO(ctx context.Context, args []string, w, errw io.Writer) (err error) {
+// parseFlags reads the command line into a config. -h prints the usage
+// to w and returns flag.ErrHelp; a flag the parser rejects is printed to
+// w with the usage and comes back as a *usageError. Flag values are not
+// validated here: runIO does that.
+func parseFlags(args []string, w io.Writer) (config, error) {
 	fs := flag.NewFlagSet("toolbench", flag.ContinueOnError)
+	fs.SetOutput(w)
 	cfg := config{}
 	fs.Float64Var(&cfg.scale, "scale", 1.0, "workload scale for APL figures (1.0 = paper scale)")
 	fs.StringVar(&cfg.outDir, "out", "", "directory for .txt/.dat artifacts (optional)")
@@ -117,7 +144,33 @@ func runIO(ctx context.Context, args []string, w, errw io.Writer) (err error) {
 	fs.BoolVar(&cfg.stats, "stats", false, "print cache hit/miss counters to stderr after the run")
 	fs.StringVar(&cfg.cpuprofile, "cpuprofile", "", "write a CPU profile of the sweep to this file")
 	fs.StringVar(&cfg.memprofile, "memprofile", "", "write a post-sweep heap profile to this file")
+	fs.Usage = func() {
+		fmt.Fprintf(w, "usage: toolbench [flags] <experiment>\n\n")
+		fmt.Fprintf(w, "Regenerate the paper's tables and figures and run the evaluation.\n")
+		fmt.Fprintf(w, "Experiments: %s, trace, report, all, list.\n\n", strings.Join(experiments(), ", "))
+		fs.PrintDefaults()
+	}
 	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return cfg, err
+		}
+		return cfg, &usageError{err}
+	}
+	if fs.NArg() != 1 {
+		fs.Usage()
+		return cfg, fmt.Errorf("need exactly one experiment (one of %v, trace, report, all, list)", experiments())
+	}
+	cfg.exp = fs.Arg(0)
+	return cfg, nil
+}
+
+// runIO is run with the progress stream explicit, so tests can capture
+// it. Experiment output goes to w; -progress lines and the usage text
+// go to errw only — w stays byte-identical whether progress is on or
+// off.
+func runIO(ctx context.Context, args []string, w, errw io.Writer) (err error) {
+	cfg, err := parseFlags(args, errw)
+	if err != nil {
 		return err
 	}
 	if cfg.jobs < 1 {
@@ -130,13 +183,8 @@ func runIO(ctx context.Context, args []string, w, errw io.Writer) (err error) {
 	if cfg.format != "text" && cfg.format != "json" {
 		return fmt.Errorf("-format %q: want text or json", cfg.format)
 	}
-	if fs.NArg() != 1 {
-		fs.Usage()
-		return fmt.Errorf("need exactly one experiment (one of %v, trace, report, all, list)", experiments())
-	}
-	exp := fs.Arg(0)
-	if cfg.format == "json" && exp != "report" && exp != "all" {
-		return fmt.Errorf("-format json only applies to report and all (got %q)", exp)
+	if cfg.format == "json" && cfg.exp != "report" && cfg.exp != "all" {
+		return fmt.Errorf("-format json only applies to report and all (got %q)", cfg.exp)
 	}
 	if cfg.outDir != "" {
 		if err := os.MkdirAll(cfg.outDir, 0o755); err != nil {
@@ -171,27 +219,22 @@ func runIO(ctx context.Context, args []string, w, errw io.Writer) (err error) {
 		opts = append(opts, tooleval.WithEvents(progressSink(errw)))
 	}
 	if cfg.store != "" {
-		// Pre-flight the store so real IO problems (permissions, the path
-		// is a file) surface as ordinary CLI errors — NewSession panics on
-		// them. This also runs crash recovery up front; the session then
-		// opens the already-intact segment.
 		st, err := tooleval.OpenResultStore(cfg.store)
 		if err != nil {
 			return fmt.Errorf("-store %s: %w", cfg.store, err)
 		}
-		if err := st.Close(); err != nil {
-			return fmt.Errorf("-store %s: %w", cfg.store, err)
-		}
-		opts = append(opts, tooleval.WithResultStore(cfg.store))
+		defer func() {
+			// Close syncs the segment; a latched write error means some
+			// results were not persisted and must fail the run.
+			if cerr := st.Close(); cerr != nil && err == nil {
+				err = cerr
+			}
+		}()
+		cache := tooleval.NewCache()
+		cache.SetTier(st)
+		opts = append(opts, tooleval.WithCache(cache))
 	}
 	sess := tooleval.NewSession(opts...)
-	defer func() {
-		// Close syncs the durable store; a latched write error means some
-		// results were not persisted and must fail the run.
-		if cerr := sess.Close(); cerr != nil && err == nil {
-			err = cerr
-		}
-	}()
 	if cfg.stats {
 		defer func() {
 			hits, misses := sess.Stats()
@@ -205,7 +248,7 @@ func runIO(ctx context.Context, args []string, w, errw io.Writer) (err error) {
 			}
 		}()
 	}
-	switch exp {
+	switch cfg.exp {
 	case "list":
 		fmt.Fprintln(w, "experiments:", experiments())
 		fmt.Fprintln(w, "tools:", sess.Tools())
@@ -236,7 +279,7 @@ func runIO(ctx context.Context, args []string, w, errw io.Writer) (err error) {
 	case "report":
 		return runReport(ctx, sess, cfg, w)
 	default:
-		return runExperiment(ctx, sess, exp, cfg, w)
+		return runExperiment(ctx, sess, cfg.exp, cfg, w)
 	}
 }
 

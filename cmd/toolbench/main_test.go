@@ -14,6 +14,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"strings"
 	"sync/atomic"
@@ -83,55 +84,57 @@ func TestRunCancelledContext(t *testing.T) {
 // runArgsTable drives TestRunArgs; TestExperimentIDsCovered checks it
 // stays exhaustive over tooleval.Experiments().
 var runArgsTable = []struct {
-	name    string
-	args    []string
-	wantErr bool
+	name string
+	args []string
+	code int // exit status: 0 success or -h, 1 failure, 2 usage error
 }{
 	// Every experiment id dispatches (small scale keeps APL cheap).
-	{"table3", []string{"-scale", "0.05", "table3"}, false},
-	{"table4", []string{"-scale", "0.05", "table4"}, false},
-	{"fig2", []string{"-scale", "0.05", "fig2"}, false},
-	{"fig3", []string{"-scale", "0.05", "fig3"}, false},
-	{"fig4", []string{"-scale", "0.05", "fig4"}, false},
-	{"fig5", []string{"-scale", "0.05", "fig5"}, false},
-	{"fig6", []string{"-scale", "0.05", "fig6"}, false},
-	{"fig7", []string{"-scale", "0.05", "fig7"}, false},
-	{"fig8", []string{"-scale", "0.05", "fig8"}, false},
-	{"adl", []string{"adl"}, false},
-	{"trace", []string{"trace"}, false},
-	{"list", []string{"list"}, false},
-	{"report", []string{"-scale", "0.05", "report"}, false},
-	{"all", []string{"-scale", "0.05", "all"}, false},
+	{"table3", []string{"-scale", "0.05", "table3"}, 0},
+	{"table4", []string{"-scale", "0.05", "table4"}, 0},
+	{"fig2", []string{"-scale", "0.05", "fig2"}, 0},
+	{"fig3", []string{"-scale", "0.05", "fig3"}, 0},
+	{"fig4", []string{"-scale", "0.05", "fig4"}, 0},
+	{"fig5", []string{"-scale", "0.05", "fig5"}, 0},
+	{"fig6", []string{"-scale", "0.05", "fig6"}, 0},
+	{"fig7", []string{"-scale", "0.05", "fig7"}, 0},
+	{"fig8", []string{"-scale", "0.05", "fig8"}, 0},
+	{"adl", []string{"adl"}, 0},
+	{"trace", []string{"trace"}, 0},
+	{"list", []string{"list"}, 0},
+	{"report", []string{"-scale", "0.05", "report"}, 0},
+	{"all", []string{"-scale", "0.05", "all"}, 0},
 	// Parallelism flags.
-	{"explicit -j", []string{"-j", "4", "-scale", "0.05", "fig2"}, false},
-	{"serial -j", []string{"-j", "1", "fig3"}, false},
-	{"zero -j", []string{"-j", "0", "fig2"}, true},
-	{"negative -j", []string{"-j", "-2", "fig2"}, true},
-	{"non-numeric -j", []string{"-j", "many", "fig2"}, true},
+	{"explicit -j", []string{"-j", "4", "-scale", "0.05", "fig2"}, 0},
+	{"serial -j", []string{"-j", "1", "fig3"}, 0},
+	{"zero -j", []string{"-j", "0", "fig2"}, 1},
+	{"negative -j", []string{"-j", "-2", "fig2"}, 1},
+	{"non-numeric -j", []string{"-j", "many", "fig2"}, 2},
 	// Remote backend flag.
-	{"workers unreachable", []string{"-workers", "127.0.0.1:1", "-scale", "0.05", "fig2"}, true},
-	{"duplicate workers", []string{"-workers", "127.0.0.1:1,127.0.0.1:1", "-scale", "0.05", "fig2"}, true},
-	{"duplicate workers after trim", []string{"-workers", "127.0.0.1:1, 127.0.0.1:1", "fig2"}, true},
-	{"removed shards flag", []string{"-shards", "4", "fig2"}, true},
+	{"workers unreachable", []string{"-workers", "127.0.0.1:1", "-scale", "0.05", "fig2"}, 1},
+	{"duplicate workers", []string{"-workers", "127.0.0.1:1,127.0.0.1:1", "-scale", "0.05", "fig2"}, 1},
+	{"duplicate workers after trim", []string{"-workers", "127.0.0.1:1, 127.0.0.1:1", "fig2"}, 1},
+	{"removed shards flag", []string{"-shards", "4", "fig2"}, 2},
 	// Report format flag.
-	{"json report", []string{"-scale", "0.05", "-format", "json", "report"}, false},
-	{"json all", []string{"-scale", "0.05", "-format", "json", "all"}, false},
-	{"json non-report", []string{"-format", "json", "fig2"}, true},
-	{"unknown format", []string{"-format", "xml", "report"}, true},
+	{"json report", []string{"-scale", "0.05", "-format", "json", "report"}, 0},
+	{"json all", []string{"-scale", "0.05", "-format", "json", "all"}, 0},
+	{"json non-report", []string{"-format", "json", "fig2"}, 1},
+	{"unknown format", []string{"-format", "xml", "report"}, 1},
 	// Invalid invocations.
-	{"no experiment", []string{}, true},
-	{"two experiments", []string{"fig2", "fig3"}, true},
-	{"unknown experiment", []string{"fig99"}, true},
-	{"unknown profile", []string{"-profile", "operator", "report"}, true},
-	{"non-numeric scale", []string{"-scale", "big", "fig2"}, true},
+	{"no experiment", []string{}, 1},
+	{"two experiments", []string{"fig2", "fig3"}, 1},
+	{"unknown experiment", []string{"fig99"}, 1},
+	{"unknown profile", []string{"-profile", "operator", "report"}, 1},
+	{"non-numeric scale", []string{"-scale", "big", "fig2"}, 2},
+	{"unknown flag", []string{"-bogus", "fig2"}, 2},
+	{"help", []string{"-h"}, 0},
 }
 
 func TestRunArgs(t *testing.T) {
 	for _, tt := range runArgsTable {
 		t.Run(tt.name, func(t *testing.T) {
-			err := run(bg, tt.args, io.Discard)
-			if (err != nil) != tt.wantErr {
-				t.Errorf("run(%v) error = %v, wantErr %v", tt.args, err, tt.wantErr)
+			err := runIO(bg, tt.args, io.Discard, io.Discard)
+			if got := exitCode(err, io.Discard); got != tt.code {
+				t.Errorf("run(%v) error = %v, exit status %d, want %d", tt.args, err, got, tt.code)
 			}
 		})
 	}
@@ -144,7 +147,7 @@ func TestExperimentIDsCovered(t *testing.T) {
 	// already performs the actual dispatch.
 	covered := map[string]bool{}
 	for _, tt := range runArgsTable {
-		if !tt.wantErr && len(tt.args) > 0 {
+		if tt.code == 0 && len(tt.args) > 0 {
 			covered[tt.args[len(tt.args)-1]] = true
 		}
 	}
@@ -572,5 +575,32 @@ func TestStoreFlagRejectsBadDir(t *testing.T) {
 	err := run(bg, []string{"-store", filepath.Join(file, "sub"), "table4"}, io.Discard)
 	if err == nil || !strings.Contains(err.Error(), "-store") {
 		t.Fatalf("run error = %v, want a -store IO error", err)
+	}
+}
+
+// TestParseFlagsHelp pins the -h output, and with it the flag set:
+// adding, removing or rewording a flag must update
+// testdata/flags.golden (go test ./cmd/toolbench -run
+// TestParseFlagsHelp -update).
+func TestParseFlagsHelp(t *testing.T) {
+	// The -j default is GOMAXPROCS; pin it so the text is the same on
+	// every machine.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	var out bytes.Buffer
+	if _, err := parseFlags([]string{"-h"}, &out); !errors.Is(err, flag.ErrHelp) {
+		t.Fatalf("parseFlags(-h) = %v, want flag.ErrHelp", err)
+	}
+	golden := filepath.Join("testdata", "flags.golden")
+	if *update {
+		if err := os.WriteFile(golden, out.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := out.String(); got != string(want) {
+		t.Errorf("-h output differs from %s (rerun with -update after an intended flag change):\n%s", golden, got)
 	}
 }

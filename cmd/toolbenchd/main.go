@@ -4,7 +4,7 @@
 // events, and fetch the final report from /v1/jobs/{id}/report; see
 // internal/server for the API and README.md for examples.
 //
-// SIGTERM or SIGINT starts a graceful drain: the daemon stops
+// SIGTERM, SIGINT or SIGHUP starts a graceful drain: the daemon stops
 // admitting jobs, finishes in-flight sweeps (bounded by
 // -drain-timeout), flushes the durable store, and exits 0. A second
 // signal exits immediately.
@@ -97,15 +97,15 @@ func parseFlags(args []string, w io.Writer) (server.Config, error) {
 	return cfg, nil
 }
 
-// run serves cfg until the first SIGTERM/SIGINT, then drains.
+// run serves cfg until the first SIGTERM/SIGINT/SIGHUP, then drains.
 func run(cfg server.Config) error {
 	srv, err := server.New(cfg)
 	if err != nil {
 		return err
 	}
-	// First SIGTERM/SIGINT cancels ctx and starts the drain; a second
-	// one restores default handling, so it kills the process.
-	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, syscall.SIGINT)
+	// First SIGTERM/SIGINT/SIGHUP cancels ctx and starts the drain; a
+	// second one restores default handling, so it kills the process.
+	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, syscall.SIGINT, syscall.SIGHUP)
 	defer stop()
 	go func() {
 		<-ctx.Done()

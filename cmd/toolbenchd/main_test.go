@@ -1,19 +1,36 @@
 package main
 
 import (
+	"bufio"
 	"bytes"
 	"errors"
 	"flag"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
+	"syscall"
 	"testing"
+	"time"
 
 	"tooleval/internal/server"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files")
+
+// asDaemonEnv makes the test binary run main instead of the tests, so
+// a test can drive the real daemon as a child process.
+const asDaemonEnv = "TOOLBENCHD_TEST_AS_DAEMON"
+
+func TestMain(m *testing.M) {
+	if os.Getenv(asDaemonEnv) == "1" {
+		main() // os.Args hold the daemon's flags
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
 
 // TestParseFlags pins where each bad command line is caught: a usage
 // error comes out of parseFlags (main exits 2), a config error out of
@@ -106,4 +123,72 @@ func TestParseFlagsTierCatalog(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv.Close()
+}
+
+// TestSIGHUPDrains runs the daemon as a child process and sends it
+// SIGHUP, as a closed controlling terminal would: it must drain like
+// SIGTERM and exit 0, not die of the signal.
+func TestSIGHUPDrains(t *testing.T) {
+	cmd := exec.Command(os.Args[0], "-addr", "127.0.0.1:0")
+	cmd.Env = append(os.Environ(), asDaemonEnv+"=1")
+	stderr, err := cmd.StderrPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	var (
+		mu      sync.Mutex
+		logs    strings.Builder
+		waitErr error
+	)
+	logText := func() string {
+		mu.Lock()
+		defer mu.Unlock()
+		return logs.String()
+	}
+	listening := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		sc := bufio.NewScanner(stderr)
+		seen := false
+		for sc.Scan() {
+			mu.Lock()
+			logs.WriteString(sc.Text() + "\n")
+			mu.Unlock()
+			if !seen && strings.Contains(sc.Text(), "listening on") {
+				seen = true
+				close(listening)
+			}
+		}
+		waitErr = cmd.Wait()
+	}()
+	t.Cleanup(func() {
+		cmd.Process.Kill()
+		<-done
+	})
+
+	select {
+	case <-listening:
+	case <-done:
+		t.Fatalf("daemon exited before listening: %v\n%s", waitErr, logText())
+	case <-time.After(30 * time.Second):
+		t.Fatalf("daemon did not log \"listening on\" within 30s:\n%s", logText())
+	}
+	if err := cmd.Process.Signal(syscall.SIGHUP); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-done:
+	case <-time.After(30 * time.Second):
+		t.Fatalf("daemon still running 30s after SIGHUP:\n%s", logText())
+	}
+	if waitErr != nil {
+		t.Fatalf("daemon exited with %v after SIGHUP, want exit 0:\n%s", waitErr, logText())
+	}
+	if !strings.Contains(logText(), "in-flight jobs finished") {
+		t.Errorf("daemon did not drain on SIGHUP:\n%s", logText())
+	}
 }

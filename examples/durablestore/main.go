@@ -1,10 +1,10 @@
-// durablestore demonstrates the disk-backed result tier: a session
-// built with WithResultStore persists every simulated cell to an
-// append-only segment file, so a second session over the same
-// directory — a process restart, in real life — replays the whole
-// sweep from disk without simulating a single cell. Results are pure
-// functions of their content keys, so the replayed numbers are
-// identical to the simulated ones.
+// durablestore demonstrates the disk-backed result tier: a store
+// opened with OpenResultStore and attached to a session's cache
+// persists every simulated cell to an append-only segment file, so a
+// second session over the same directory — a process restart, in real
+// life — replays the whole sweep from disk without simulating a single
+// cell. Results are pure functions of their content keys, so the
+// replayed numbers are identical to the simulated ones.
 //
 // It also shows the recovery contract: flipping a byte in the middle
 // of the segment file does not crash the next session — the corrupt
@@ -21,6 +21,30 @@ import (
 	"tooleval"
 )
 
+var sizes = []int{64, 1 << 10, 16 << 10, 64 << 10}
+
+// sweep is one process lifetime: open the store in dir, attach it to a
+// fresh cache, run the ping-pong sweep through a session over that
+// cache, and close the store (which returns any latched write error).
+func sweep(ctx context.Context, dir string) (times []float64, hits, misses int64, persisted int) {
+	st, err := tooleval.OpenResultStore(dir)
+	if err != nil {
+		log.Fatal(err)
+	}
+	cache := tooleval.NewCache()
+	cache.SetTier(st)
+	sess := tooleval.NewSession(tooleval.WithCache(cache))
+	times, err = sess.PingPong(ctx, "sun-ethernet", "p4", sizes)
+	if err != nil {
+		log.Fatal(err)
+	}
+	hits, misses = sess.Stats()
+	if err := st.Close(); err != nil {
+		log.Fatal(err)
+	}
+	return times, hits, misses, st.Len()
+}
+
 func main() {
 	ctx := context.Background()
 	dir, err := os.MkdirTemp("", "tooleval-store")
@@ -29,32 +53,13 @@ func main() {
 	}
 	defer os.RemoveAll(dir)
 
-	sizes := []int{64, 1 << 10, 16 << 10, 64 << 10}
-
 	// Cold: an empty store. Every cell simulates and is persisted.
-	cold := tooleval.NewSession(tooleval.WithResultStore(dir))
-	coldTimes, err := cold.PingPong(ctx, "sun-ethernet", "p4", sizes)
-	if err != nil {
-		log.Fatal(err)
-	}
-	_, coldMisses := cold.Stats()
-	if err := cold.Close(); err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("cold session: %d cells simulated, %d persisted\n",
-		coldMisses, cold.ResultStore().Len())
+	coldTimes, _, coldMisses, persisted := sweep(ctx, dir)
+	fmt.Printf("cold session: %d cells simulated, %d persisted\n", coldMisses, persisted)
 
 	// Warm: a fresh session (think: restarted process) over the same
 	// directory replays everything from disk.
-	warm := tooleval.NewSession(tooleval.WithResultStore(dir))
-	warmTimes, err := warm.PingPong(ctx, "sun-ethernet", "p4", sizes)
-	if err != nil {
-		log.Fatal(err)
-	}
-	warmHits, warmMisses := warm.Stats()
-	if err := warm.Close(); err != nil {
-		log.Fatal(err)
-	}
+	warmTimes, warmHits, warmMisses, _ := sweep(ctx, dir)
 	fmt.Printf("warm session: %d cells simulated, %d replayed from the store\n",
 		warmMisses, warmHits)
 	for i := range coldTimes {
@@ -75,15 +80,7 @@ func main() {
 	if err := os.WriteFile(seg, blob, 0o644); err != nil {
 		log.Fatal(err)
 	}
-	healed := tooleval.NewSession(tooleval.WithResultStore(dir))
-	healedTimes, err := healed.PingPong(ctx, "sun-ethernet", "p4", sizes)
-	if err != nil {
-		log.Fatal(err)
-	}
-	_, healedMisses := healed.Stats()
-	if err := healed.Close(); err != nil {
-		log.Fatal(err)
-	}
+	healedTimes, _, healedMisses, _ := sweep(ctx, dir)
 	for i := range coldTimes {
 		if healedTimes[i] != coldTimes[i] {
 			log.Fatalf("size %d: post-corruption %v != original %v", sizes[i], healedTimes[i], coldTimes[i])

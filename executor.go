@@ -45,9 +45,9 @@ type QuotaError = runner.QuotaError
 // WithExecutor makes the session schedule through x instead of the
 // built-in worker pool. The executor owns parallelism, so
 // [WithParallelism] is ignored when this option is present. Everything
-// else layers onto x as it would onto the built-in pool:
-// [WithResultStore] attaches its tier to x's cache, quota budgets wrap
-// x, and [WithRemoteExecutor] computes on the workers the cells x
+// else layers onto x as it would onto the built-in pool: a
+// [ResultStore] attached to x's cache serves its misses, quota budgets
+// wrap x, and [WithRemoteExecutor] computes on the workers the cells x
 // memoizes. To bound x's cache, call SetCapacity on it (or on
 // [Session.Cache] afterwards).
 //
@@ -72,7 +72,7 @@ func WithExecutor(x Executor) Option {
 // byte-identical to a local one. The workers replace only the compute
 // step of a cache miss: the session's executor (the built-in pool, or
 // the one given to [WithExecutor]) stays on the coordinator and keeps
-// memoization, the optional [WithResultStore] tier, quota budgets,
+// memoization, the cache's optional [ResultStore] tier, quota budgets,
 // and event observers; its concurrency bound ([WithParallelism] for
 // the built-in pool) bounds the in-flight RPCs. Cells of a [WithTool]
 // custom tool compute on the coordinator: the factory exists only in
@@ -87,7 +87,7 @@ func WithExecutor(x Executor) Option {
 // result computed under the wrong engine.
 //
 // NewSession panics when the address list holds a blank or duplicate
-// address — one of the four panics listed on [NewSession].
+// address — one of the two panics listed on [NewSession].
 func WithRemoteExecutor(nodes ...string) Option {
 	return func(c *sessionConfig) {
 		c.workers = append([]string(nil), nodes...)

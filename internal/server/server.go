@@ -33,9 +33,6 @@ type Server struct {
 	hardCtx    context.Context
 	hardCancel context.CancelFunc
 	activeJobs sync.WaitGroup
-
-	closeOnce sync.Once
-	closeErr  error
 }
 
 // New builds a Server from cfg (normalized in place: defaults filled,
@@ -126,9 +123,8 @@ func (s *Server) ListenAndServe(ctx context.Context) error {
 // path in cmd/toolbenchd), then drains gracefully: stop admitting
 // jobs, let in-flight sweeps and their streams finish, and — if the
 // drain deadline passes first — cancel the stragglers' contexts and
-// force-close their connections. Either way the tenant sessions are
-// closed and the durable store is flushed before Serve returns; the
-// error is nil on a clean drain.
+// force-close their connections. Either way the durable store is
+// flushed before Serve returns; the error is nil on a clean drain.
 func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
 	srv := &http.Server{Handler: s.Handler()}
 	errc := make(chan error, 1)
@@ -168,23 +164,19 @@ func (s *Server) drain(srv *http.Server) error {
 	return err
 }
 
-// Close releases what the server owns — tenant sessions, then the
-// durable store (synced so every persisted cell survives the exit).
-// Idempotent and safe to call concurrently with itself; callers still
+// Close stops admitting tenants and closes the durable store (synced
+// so every persisted cell survives the exit), returning the store's
+// close error. Idempotent and safe to call concurrently with itself:
+// the store closes once and repeats that answer. Callers still
 // streaming jobs should drain first (Serve does).
 func (s *Server) Close() error {
-	s.closeOnce.Do(func() {
-		s.draining.Store(true)
-		s.hardCancel()
-		err := s.tenants.closeAll()
-		if s.store != nil {
-			if serr := s.store.Close(); err == nil {
-				err = serr
-			}
-		}
-		s.closeErr = err
-	})
-	return s.closeErr
+	s.draining.Store(true)
+	s.hardCancel()
+	s.tenants.close()
+	if s.store == nil {
+		return nil
+	}
+	return s.store.Close()
 }
 
 // Draining reports whether the server has stopped admitting jobs.

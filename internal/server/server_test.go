@@ -133,7 +133,6 @@ func collectEvents(t *testing.T, r io.Reader) []sseEvent {
 func localReport(t *testing.T, specs []tooleval.ExperimentSpec) []byte {
 	t.Helper()
 	sess := tooleval.NewSession()
-	defer sess.Close()
 	results, errs := sess.SubmitAll(t.Context(), specs)
 	blob, err := MarshalBatchReport(results, errs)
 	if err != nil {

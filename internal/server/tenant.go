@@ -142,27 +142,9 @@ func (r *registry) snapshot() []*tenant {
 	return out
 }
 
-// closeAll closes every tenant session exactly once and stops
-// admitting new tenants. Safe to call repeatedly (drain retries,
-// server Close after Run): Session.Close is idempotent and the closed
-// flag makes the sweep itself one-shot per tenant set.
-func (r *registry) closeAll() error {
+// close stops admitting new tenants and jobs.
+func (r *registry) close() {
 	r.mu.Lock()
 	r.closed = true
-	tenants := make([]*tenant, 0, len(r.tenants))
-	for _, t := range r.tenants {
-		tenants = append(tenants, t)
-	}
-	// Sorted close order makes the returned "first" error deterministic
-	// — in map order, which tenant's close failure wins would vary from
-	// run to run.
-	sort.Slice(tenants, func(i, j int) bool { return tenants[i].id < tenants[j].id })
 	r.mu.Unlock()
-	var first error
-	for _, t := range tenants {
-		if err := t.sess.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
 }

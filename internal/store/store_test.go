@@ -3,6 +3,8 @@ package store
 import (
 	"fmt"
 	"os"
+	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -119,6 +121,63 @@ func TestFillAfterCloseIsNoOp(t *testing.T) {
 	wantCells(t, s, seq(0, 3), []int{9})
 	if err := s.Close(); err != nil {
 		t.Fatalf("second Close: %v", err)
+	}
+}
+
+// TestCloseIdempotentConcurrent is the -race regression test for
+// double Close: an owner may close the store on shutdown while another
+// path closes it too, possibly from different goroutines at once.
+// Every call must agree on the single close outcome.
+func TestCloseIdempotentConcurrent(t *testing.T) {
+	t.Parallel()
+	s := openT(t, t.TempDir(), testEngine)
+	fillN(t, s, 1)
+	if err := s.Err(); err != nil {
+		t.Fatalf("Err on healthy store: %v", err)
+	}
+	const callers = 8
+	errs := make([]error, callers)
+	var wg sync.WaitGroup
+	wg.Add(callers)
+	for i := 0; i < callers; i++ {
+		go func(i int) {
+			defer wg.Done()
+			errs[i] = s.Close()
+		}(i)
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != errs[0] {
+			t.Fatalf("Close call %d returned %v, call 0 returned %v — calls disagree", i, err, errs[0])
+		}
+		if err != nil {
+			t.Fatalf("Close call %d: %v", i, err)
+		}
+	}
+	// A late straggler after everything settled gets the same answer,
+	// and the closed store still answers lookups (it just stops
+	// persisting).
+	if err := s.Close(); err != nil {
+		t.Fatalf("repeated Close: %v", err)
+	}
+	wantCells(t, s, []int{0}, nil)
+}
+
+// TestOpenFailsWhenDirIsAFile: a regular file where the store
+// directory should be is a real IO error, not damage the store could
+// recover from.
+func TestOpenFailsWhenDirIsAFile(t *testing.T) {
+	file := filepath.Join(t.TempDir(), "not-a-dir")
+	if err := os.WriteFile(file, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, err := Open(file, testEngine)
+	if err == nil {
+		s.Close()
+		t.Fatalf("Open(%q) over a regular file succeeded", file)
+	}
+	if !strings.HasPrefix(err.Error(), "store: ") {
+		t.Errorf("Open error %q does not name the store", err)
 	}
 }
 

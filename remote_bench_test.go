@@ -26,7 +26,6 @@ func BenchmarkRemoteSweep(b *testing.B) {
 		tooleval.WithParallelism(8),
 		tooleval.WithRemoteExecutor(w1.URL, w2.URL),
 	)
-	defer sess.Close()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := sess.Fig2(benchCtx, 4); err != nil {

@@ -36,7 +36,6 @@ func startBenchWorker(t *testing.T, opts ...remote.WorkerOption) *httptest.Serve
 func TestRemoteSessionMatchesLocal(t *testing.T) {
 	ctx := context.Background()
 	local := tooleval.NewSession(tooleval.WithParallelism(2))
-	defer local.Close()
 	want, err := local.Fig2(ctx, 16)
 	if err != nil {
 		t.Fatal(err)
@@ -47,7 +46,6 @@ func TestRemoteSessionMatchesLocal(t *testing.T) {
 		tooleval.WithParallelism(4),
 		tooleval.WithRemoteExecutor(w1.URL, w2.URL),
 	)
-	defer rem.Close()
 	got, err := rem.Fig2(ctx, 16)
 	if err != nil {
 		t.Fatal(err)
@@ -81,7 +79,6 @@ func TestRemoteSessionMatchesLocal(t *testing.T) {
 func TestRemoteSessionVersionMismatch(t *testing.T) {
 	skewed := startBenchWorker(t, remote.WithWorkerEngine(999))
 	sess := tooleval.NewSession(tooleval.WithRemoteExecutor(skewed.URL))
-	defer sess.Close()
 	_, err := sess.Fig2(context.Background(), 16)
 	var ve *tooleval.RemoteVersionError
 	if !errors.As(err, &ve) {
@@ -130,7 +127,6 @@ func TestWithToolComposesWithRemoteExecutor(t *testing.T) {
 		{Kind: tooleval.KindPingPong, Platform: "sun-ethernet", Tool: "mine", Sizes: []int{0, 4 << 10, 16 << 10}},
 	}
 	local := tooleval.NewSession(tooleval.WithTool("mine", mpiLite))
-	defer local.Close()
 	want, err := local.Submit(ctx, specs)
 	if err != nil {
 		t.Fatal(err)
@@ -150,7 +146,6 @@ func TestWithToolComposesWithRemoteExecutor(t *testing.T) {
 		tooleval.WithTool("mine", mpiLite),
 		tooleval.WithRemoteExecutor(nodes...),
 	)
-	defer rem.Close()
 	got, err := rem.Submit(ctx, specs)
 	if err != nil {
 		t.Fatal(err)
@@ -250,7 +245,6 @@ func TestWithExecutorComposesWithRemoteExecutor(t *testing.T) {
 	x := newCountingExecutor(4)
 	w1, w2 := startBenchWorker(t), startBenchWorker(t)
 	rem := tooleval.NewSession(tooleval.WithExecutor(x), tooleval.WithRemoteExecutor(w1.URL, w2.URL))
-	defer rem.Close()
 	got, err := rem.Fig2(ctx, 4)
 	if err != nil {
 		t.Fatal(err)

@@ -3,15 +3,12 @@ package tooleval
 import (
 	"context"
 	"fmt"
-	"sync"
 
 	"tooleval/internal/bench"
 	"tooleval/internal/core"
 	"tooleval/internal/mpt"
 	"tooleval/internal/remote"
 	"tooleval/internal/runner"
-	"tooleval/internal/sim"
-	"tooleval/internal/store"
 )
 
 // Cache is a shareable store of memoized simulation cells. Every cell
@@ -67,10 +64,7 @@ type Session struct {
 	h           *bench.Harness
 	parallelism int
 	sinks       []func(Event)
-	store       *store.Store   // owned durable tier (WithResultStore), nil otherwise
 	remote      *remote.Remote // worker compute step (WithRemoteExecutor), nil otherwise
-	closeOnce   sync.Once
-	closeErr    error
 }
 
 type sessionConfig struct {
@@ -80,7 +74,6 @@ type sessionConfig struct {
 	sinks       []func(Event)
 	executor    Executor
 	limits      runner.Limits
-	storeDir    string
 	workers     []string // worker daemon addresses (WithRemoteExecutor)
 }
 
@@ -126,19 +119,20 @@ func WithTool(name string, factory Factory) Option {
 // sinks.
 //
 // Construction follows one path whatever the options: pick the local
-// executor ([WithExecutor], else the built-in pool), attach the
-// [WithResultStore] tier to its cache, and wrap it in the quota
-// budgets. Every cell memoizes through that one executor; only the
-// compute step on a miss varies — [WithRemoteExecutor] sends
+// executor ([WithExecutor], else the built-in pool) and wrap it in the
+// quota budgets. Every cell memoizes through that one executor; only
+// the compute step on a miss varies — [WithRemoteExecutor] sends
 // built-in-tool cells to the workers, while [WithTool] cells always
-// compute in this process. The options therefore compose; NewSession
-// panics only on a configuration it cannot honor, each documented on
-// its option:
+// compute in this process. A durable tier rides on the cache, not the
+// session: attach a [ResultStore] with [Cache.SetTier] before passing
+// the cache, and close the store when done. A session owns no
+// resource, so there is nothing to close.
+//
+// The options compose; NewSession panics only on a configuration it
+// cannot honor, each documented on its option:
 //   - [WithCache] alongside [WithExecutor];
 //   - a [WithRemoteExecutor] address list holding a blank or
-//     duplicate address;
-//   - a [WithResultStore] directory that fails to open;
-//   - a [WithResultStore] over a cache that already carries a tier.
+//     duplicate address.
 func NewSession(opts ...Option) *Session {
 	var cfg sessionConfig
 	for _, opt := range opts {
@@ -153,31 +147,12 @@ func NewSession(opts ...Option) *Session {
 		// options is a configuration bug, not a preference to drop.
 		panic("tooleval: WithCache conflicts with WithExecutor — the executor owns its cache; build the executor over the shared cache instead")
 	}
-	var durable *store.Store
-	if cfg.storeDir != "" {
-		var err error
-		durable, err = store.Open(cfg.storeDir, sim.EngineVersion)
-		if err != nil {
-			panic(fmt.Sprintf("tooleval: WithResultStore(%q): %v", cfg.storeDir, err))
-		}
-		// SetTier panics if the cache (possibly shared via WithCache)
-		// already carries a tier — release the file first so the panic
-		// does not leak the handle.
-		if x.Cache().Tier() != nil {
-			durable.Close()
-			panic("tooleval: WithResultStore — the session's cache already has a result store attached; attach the store to the shared cache once instead")
-		}
-		x.Cache().SetTier(durable)
-	}
 	x = runner.NewQuota(x, cfg.limits)
 	var rem *remote.Remote
 	if len(cfg.workers) > 0 {
 		var err error
 		rem, err = remote.New(cfg.workers)
 		if err != nil {
-			if durable != nil {
-				durable.Close()
-			}
 			panic(fmt.Sprintf("tooleval: WithRemoteExecutor: %v", err))
 		}
 	}
@@ -192,7 +167,6 @@ func NewSession(opts ...Option) *Session {
 		h:           bench.NewHarness(x, custom),
 		parallelism: x.Workers(),
 		sinks:       cfg.sinks,
-		store:       durable,
 		remote:      rem,
 	}
 	if rem != nil {
@@ -228,44 +202,6 @@ func (s *Session) emit(ctx context.Context, ev Event) {
 
 // Parallelism reports the session's simulation concurrency bound.
 func (s *Session) Parallelism() int { return s.parallelism }
-
-// Close releases resources the session owns — today, the durable
-// result store opened by [WithResultStore]: it syncs and closes the
-// segment file and returns the first write error the store hit (a
-// latched Fill error means some cells were simulated but not
-// persisted; results were still correct). Sessions without a store
-// return nil. The session remains usable for evaluation after Close —
-// it just stops persisting new cells.
-//
-// Close is idempotent and safe for concurrent callers: the store is
-// closed exactly once, and every call — first, repeated, or racing —
-// returns that close's error. A server evicting a tenant while a
-// drain sweep closes every session must not double-close the store.
-func (s *Session) Close() error {
-	if s.store == nil {
-		return nil
-	}
-	s.closeOnce.Do(func() { s.closeErr = s.store.Close() })
-	return s.closeErr
-}
-
-// Err reports the first write error the session's durable result store
-// has latched, without closing anything — nil when the store is
-// healthy or the session has none. A non-nil Err means the store went
-// lookup-only mid-run: results are still correct, but cells simulated
-// since the error are not being persisted. Long-running servers poll
-// it to report a degraded store (e.g. a /healthz endpoint) instead of
-// discovering the error only at [Session.Close].
-func (s *Session) Err() error {
-	if s.store == nil {
-		return nil
-	}
-	return s.store.Err()
-}
-
-// ResultStore returns the durable tier opened by [WithResultStore],
-// or nil.
-func (s *Session) ResultStore() *ResultStore { return s.store }
 
 // Executor returns the session's execution backend: the quota-wrapped
 // view of the built-in pool or of the [WithExecutor] replacement —

@@ -136,12 +136,15 @@ func TestEventContextPhases(t *testing.T) {
 }
 
 // TestSessionCloseIdempotentConcurrent is the -race regression test
-// for double Close: a server closes sessions on tenant eviction and
-// again on drain, possibly from different goroutines at once. Every
-// call must agree on the store's single close outcome.
+// for double Close of a session's durable tier: a server closes the
+// store on drain while another path may close it too, possibly from
+// different goroutines at once. Every call must agree on the store's
+// single close outcome, and the session over it stays usable for
+// evaluation (it just stops persisting).
 func TestSessionCloseIdempotentConcurrent(t *testing.T) {
 	t.Parallel()
-	sess := tooleval.NewSession(tooleval.WithResultStore(t.TempDir()))
+	st, cache := openTier(t, t.TempDir())
+	sess := tooleval.NewSession(tooleval.WithCache(cache))
 	if _, err := sess.PingPong(context.Background(), "sun-ethernet", "p4", []int{64}); err != nil {
 		t.Fatalf("PingPong: %v", err)
 	}
@@ -152,7 +155,7 @@ func TestSessionCloseIdempotentConcurrent(t *testing.T) {
 	for i := 0; i < callers; i++ {
 		go func(i int) {
 			defer wg.Done()
-			errs[i] = sess.Close()
+			errs[i] = st.Close()
 		}(i)
 	}
 	wg.Wait()
@@ -164,10 +167,8 @@ func TestSessionCloseIdempotentConcurrent(t *testing.T) {
 			t.Fatalf("Close call %d: %v", i, err)
 		}
 	}
-	// A late straggler after everything settled gets the same answer,
-	// and the session stays usable for evaluation (it just stops
-	// persisting).
-	if err := sess.Close(); err != nil {
+	// A late straggler after everything settled gets the same answer.
+	if err := st.Close(); err != nil {
 		t.Fatalf("repeated Close: %v", err)
 	}
 	if _, err := sess.PingPong(context.Background(), "sun-ethernet", "p4", []int{128}); err != nil {
@@ -175,30 +176,17 @@ func TestSessionCloseIdempotentConcurrent(t *testing.T) {
 	}
 }
 
-// TestSessionCloseNoStore: Close without a store is a nil no-op,
-// repeatable.
-func TestSessionCloseNoStore(t *testing.T) {
-	t.Parallel()
-	sess := tooleval.NewSession()
-	for i := 0; i < 3; i++ {
-		if err := sess.Close(); err != nil {
-			t.Fatalf("Close %d: %v", i, err)
-		}
-	}
-	if err := sess.Err(); err != nil {
-		t.Fatalf("Err without store: %v", err)
-	}
-}
-
-// TestSessionErrHealthy: a working store reports no error mid-run.
+// TestSessionErrHealthy: a working store under a session reports no
+// error mid-run.
 func TestSessionErrHealthy(t *testing.T) {
 	t.Parallel()
-	sess := tooleval.NewSession(tooleval.WithResultStore(t.TempDir()))
-	defer sess.Close()
+	st, cache := openTier(t, t.TempDir())
+	defer st.Close()
+	sess := tooleval.NewSession(tooleval.WithCache(cache))
 	if _, err := sess.PingPong(context.Background(), "sun-ethernet", "p4", []int{64}); err != nil {
 		t.Fatalf("PingPong: %v", err)
 	}
-	if err := sess.Err(); err != nil {
+	if err := st.Err(); err != nil {
 		t.Fatalf("Err on healthy store: %v", err)
 	}
 }

@@ -4,12 +4,25 @@ import (
 	"context"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 
 	"tooleval"
 	"tooleval/internal/runner"
 )
+
+// openTier opens the durable store in dir and attaches it to a fresh
+// cache: the one way to give sessions a durable tier. The caller
+// closes the store.
+func openTier(t *testing.T, dir string) (*tooleval.ResultStore, *tooleval.Cache) {
+	t.Helper()
+	st, err := tooleval.OpenResultStore(dir)
+	if err != nil {
+		t.Fatalf("OpenResultStore: %v", err)
+	}
+	cache := tooleval.NewCache()
+	cache.SetTier(st)
+	return st, cache
+}
 
 // TestWithResultStoreIncrementalAcrossSessions is the restart story:
 // a second session over the same store directory replays every cell
@@ -19,7 +32,8 @@ func TestWithResultStoreIncrementalAcrossSessions(t *testing.T) {
 	dir := t.TempDir()
 	sizes := []int{64, 1 << 10, 16 << 10}
 
-	sess1 := tooleval.NewSession(tooleval.WithResultStore(dir))
+	st1, cache1 := openTier(t, dir)
+	sess1 := tooleval.NewSession(tooleval.WithCache(cache1))
 	cold, err := sess1.PingPong(ctx, "sun-ethernet", "p4", sizes)
 	if err != nil {
 		t.Fatal(err)
@@ -27,18 +41,19 @@ func TestWithResultStoreIncrementalAcrossSessions(t *testing.T) {
 	if _, misses := sess1.Stats(); misses == 0 {
 		t.Fatal("cold run reported zero misses; nothing was simulated?")
 	}
-	if st := sess1.ResultStore(); st == nil || st.Len() == 0 {
+	if st1.Len() == 0 {
 		t.Fatal("cold run wrote nothing to the result store")
 	}
-	if err := sess1.Close(); err != nil {
+	if err := st1.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
 	if _, err := os.Stat(filepath.Join(dir, "cells.seg")); err != nil {
 		t.Fatalf("segment file missing after Close: %v", err)
 	}
 
-	sess2 := tooleval.NewSession(tooleval.WithResultStore(dir))
-	defer sess2.Close()
+	st2, cache2 := openTier(t, dir)
+	defer st2.Close()
+	sess2 := tooleval.NewSession(tooleval.WithCache(cache2))
 	warm, err := sess2.PingPong(ctx, "sun-ethernet", "p4", sizes)
 	if err != nil {
 		t.Fatal(err)
@@ -57,80 +72,44 @@ func TestWithResultStoreIncrementalAcrossSessions(t *testing.T) {
 	}
 }
 
-// TestSessionCloseWithoutStore: Close on a storeless session is a nil
-// no-op, so callers can defer it unconditionally.
-func TestSessionCloseWithoutStore(t *testing.T) {
-	sess := tooleval.NewSession()
-	if sess.ResultStore() != nil {
-		t.Fatal("storeless session reports a result store")
-	}
-	if err := sess.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-}
-
-// TestWithResultStoreConflictsPanic: a store that cannot be opened, or
-// one that would silently mis-wire the durable tier, must fail loudly
-// at construction.
-func TestWithResultStoreConflictsPanic(t *testing.T) {
-	mustPanicStore := func(name, wantSub string, build func()) {
-		t.Helper()
-		defer func() {
-			r := recover()
-			if r == nil {
-				t.Fatalf("%s: NewSession accepted a conflicting configuration", name)
-			}
-			if msg, ok := r.(string); !ok || !strings.Contains(msg, wantSub) {
-				t.Fatalf("%s: panic %v does not explain the conflict (want %q)", name, r, wantSub)
-			}
-		}()
-		build()
-	}
-	// A regular file where the store directory should be is a real IO
-	// error, not damage the store could recover from.
-	file := filepath.Join(t.TempDir(), "not-a-dir")
-	if err := os.WriteFile(file, nil, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	mustPanicStore("store path is a file", "WithResultStore", func() {
-		tooleval.NewSession(tooleval.WithResultStore(file))
-	})
-	// A shared cache that already carries a tier must not be silently
-	// pointed at a second store by another session.
-	cache := tooleval.NewCache()
-	sess := tooleval.NewSession(tooleval.WithCache(cache), tooleval.WithResultStore(t.TempDir()))
-	defer sess.Close()
-	mustPanicStore("second store on a shared cache", "already has a result store", func() {
-		tooleval.NewSession(tooleval.WithCache(cache), tooleval.WithResultStore(t.TempDir()))
-	})
-}
-
-// TestWithExecutorComposesWithResultStore: the durable tier attaches
-// to a caller-built executor's cache, so a second such session over the
-// same directory replays every cell from disk.
+// TestWithExecutorComposesWithResultStore: a store attached to a
+// caller-built executor's cache persists the session's cells, so a
+// second such session over the same directory replays every cell from
+// disk.
 func TestWithExecutorComposesWithResultStore(t *testing.T) {
 	ctx := context.Background()
 	dir := t.TempDir()
 	sizes := []int{128, 2 << 10, 16 << 10}
 
+	st, err := tooleval.OpenResultStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
 	x := runner.New(2)
-	cold := tooleval.NewSession(tooleval.WithExecutor(x), tooleval.WithResultStore(dir))
+	x.Cache().SetTier(st)
+	cold := tooleval.NewSession(tooleval.WithExecutor(x))
 	want, err := cold.PingPong(ctx, "sun-ethernet", "p4", sizes)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if x.Cache().Tier() == nil {
-		t.Fatal("WithResultStore did not attach the store to the executor's cache")
+	if st.Len() != len(sizes) {
+		t.Fatalf("store holds %d cells after the cold run, want %d", st.Len(), len(sizes))
 	}
 	if _, misses := cold.Stats(); misses != int64(len(sizes)) {
 		t.Fatalf("cold run simulated %d cells, want %d", misses, len(sizes))
 	}
-	if err := cold.Close(); err != nil {
+	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	warm := tooleval.NewSession(tooleval.WithExecutor(runner.New(2)), tooleval.WithResultStore(dir))
-	defer warm.Close()
+	st2, err := tooleval.OpenResultStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st2.Close()
+	x2 := runner.New(2)
+	x2.Cache().SetTier(st2)
+	warm := tooleval.NewSession(tooleval.WithExecutor(x2))
 	got, err := warm.PingPong(ctx, "sun-ethernet", "p4", sizes)
 	if err != nil {
 		t.Fatal(err)
@@ -145,9 +124,9 @@ func TestWithExecutorComposesWithResultStore(t *testing.T) {
 	}
 }
 
-// TestOpenResultStoreWithCustomExecutor: a store opened by hand and
-// attached to an executor's cache persists cells exactly like one the
-// session opens itself.
+// TestOpenResultStoreWithCustomExecutor: cells persisted through a
+// custom executor's cache replay in a session on the built-in pool —
+// the store does not care which executor wrote it.
 func TestOpenResultStoreWithCustomExecutor(t *testing.T) {
 	ctx := context.Background()
 	dir := t.TempDir()
@@ -168,10 +147,11 @@ func TestOpenResultStoreWithCustomExecutor(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// A store-owning session over the same directory replays the cells
-	// the custom executor persisted.
-	sess2 := tooleval.NewSession(tooleval.WithResultStore(dir))
-	defer sess2.Close()
+	// A built-in-pool session over the same directory replays the
+	// cells the custom executor persisted.
+	st2, cache := openTier(t, dir)
+	defer st2.Close()
+	sess2 := tooleval.NewSession(tooleval.WithCache(cache))
 	warm, err := sess2.PingPong(ctx, "sun-ethernet", "p4", sizes)
 	if err != nil {
 		t.Fatal(err)

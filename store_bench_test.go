@@ -15,11 +15,17 @@ import (
 // matrix — a few hundred cells) through a store-backed session.
 func benchStoreSweep(b *testing.B, dir string) {
 	b.Helper()
-	sess := tooleval.NewSession(tooleval.WithResultStore(dir))
+	st, err := tooleval.OpenResultStore(dir)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cache := tooleval.NewCache()
+	cache.SetTier(st)
+	sess := tooleval.NewSession(tooleval.WithCache(cache))
 	if _, err := sess.Table3(benchCtx); err != nil {
 		b.Fatal(err)
 	}
-	if err := sess.Close(); err != nil {
+	if err := st.Close(); err != nil {
 		b.Fatal(err)
 	}
 }
