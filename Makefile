@@ -10,8 +10,12 @@ STATICCHECK_VERSION ?= 2025.1.1
 build:
 	$(GO) build ./...
 
+# test also covers perfbench, a separate module (replace tooleval =>
+# ../) that the root `go test ./...` never builds, so an API change it
+# depends on breaks here as it does in CI's test job.
 test:
 	$(GO) test ./...
+	cd perfbench && $(GO) vet ./... && $(GO) test -short ./...
 
 vet:
 	$(GO) vet ./...
@@ -73,7 +77,7 @@ toolbenchd-smoke:
 # spawned worker daemons and diff it against a serial run
 # (scripts/remote_smoke.sh), then run the remote suite and the
 # session-level remote tests (coordinator-side memoization, quota and
-# observers over remote workers) under the race detector.
+# cell events over remote workers) under the race detector.
 remote-smoke:
 	./scripts/remote_smoke.sh
 	$(GO) test -race ./internal/remote

@@ -215,9 +215,6 @@ func runIO(ctx context.Context, args []string, w, errw io.Writer) (err error) {
 	if len(nodes) > 0 {
 		opts = append(opts, tooleval.WithRemoteExecutor(nodes...))
 	}
-	if cfg.progress {
-		opts = append(opts, tooleval.WithEvents(progressSink(errw)))
-	}
 	if cfg.store != "" {
 		st, err := tooleval.OpenResultStore(cfg.store)
 		if err != nil {
@@ -235,6 +232,9 @@ func runIO(ctx context.Context, args []string, w, errw io.Writer) (err error) {
 		opts = append(opts, tooleval.WithCache(cache))
 	}
 	sess := tooleval.NewSession(opts...)
+	if cfg.progress {
+		ctx = tooleval.EventContext(ctx, progressSink(errw))
+	}
 	if cfg.stats {
 		defer func() {
 			hits, misses := sess.Stats()

@@ -2,13 +2,13 @@ package tooleval
 
 import "context"
 
-// Event is the sum of everything a session reports through WithEvents:
-// cell completions ([CellEvent]), experiment-spec lifecycle from the
-// batch surface ([SpecStart], [SpecDone]), and table/figure phase
-// progress from the regeneration methods ([PhaseStart], [PhaseDone]).
-// Switch on the concrete type:
+// Event is the sum of everything a session reports to an
+// [EventContext] sink: cell completions ([CellEvent]), experiment-spec
+// lifecycle from the batch surface ([SpecStart], [SpecDone]), and
+// table/figure phase progress from the regeneration methods
+// ([PhaseStart], [PhaseDone]). Switch on the concrete type:
 //
-//	tooleval.WithEvents(func(ev tooleval.Event) {
+//	ctx = tooleval.EventContext(ctx, func(ev tooleval.Event) {
 //		switch e := ev.(type) {
 //		case tooleval.PhaseStart:
 //			log.Printf("%s ...", e.Phase)
@@ -72,35 +72,23 @@ type PhaseDone struct {
 	Err   error
 }
 
-// WithEvents installs fn as a session event sink: every [Event] the
-// session produces is passed to fn. Repeating the option adds sinks.
-// fn runs on whichever goroutine produced the event and must be safe
-// for concurrent use; it must not call back into the Session.
-func WithEvents(fn func(Event)) Option {
-	return func(c *sessionConfig) {
-		if fn != nil {
-			c.sinks = append(c.sinks, fn)
-		}
-	}
-}
-
 // eventSinkKey carries a per-batch event sink through a Context.
 type eventSinkKey struct{}
 
 // EventContext returns a context that routes every [Event] produced by
-// session work scheduled under it to fn, in addition to the session's
-// [WithEvents] sinks. Unlike WithEvents — fixed at construction and
-// fired for everything the session ever does — a context sink is
-// scoped to one call tree: two concurrent [Session.Stream] batches on
-// one session each see exactly their own SpecStart/SpecDone pairs,
-// phase events, and cell completions, which is what lets a server
-// multiplex many client streams over one per-tenant session.
+// session work scheduled under it to fn. It is the one way to receive
+// a session's events, and a sink is scoped to one call tree: two
+// concurrent [Session.Stream] batches on one session each see exactly
+// their own SpecStart/SpecDone pairs, phase events, and cell
+// completions, which is what lets a server multiplex many client
+// streams over one per-tenant session. Wrapping a context that already
+// carries a sink replaces that sink for the calls made under the new
+// context.
 //
 // fn runs on whichever goroutine produced the event and must be safe
 // for concurrent use; it must not call back into the Session. Cells
 // coalesced onto another batch's in-flight simulation are still
-// reported to this batch's sink (cached=true), exactly as they are to
-// WithEvents sinks.
+// reported to this batch's sink (Cached true).
 func EventContext(ctx context.Context, fn func(Event)) context.Context {
 	if fn == nil {
 		return ctx

@@ -38,14 +38,7 @@ func main() {
 	}
 	for _, t := range tenants {
 		t := t
-		t.sess = tooleval.NewSession(
-			tooleval.WithParallelism(t.parallelism),
-			tooleval.WithEvents(func(e tooleval.Event) {
-				if ev, ok := e.(tooleval.CellEvent); ok && !ev.Cached {
-					t.cells.Add(1)
-				}
-			}),
-		)
+		t.sess = tooleval.NewSession(tooleval.WithParallelism(t.parallelism))
 	}
 
 	// Both tenants evaluate at the same time; neither can clobber the
@@ -55,7 +48,13 @@ func main() {
 		t := t
 		//toolvet:ignore boundedgo one goroutine per fixed demo tenant (two), not data-sized fan-out
 		go func() {
-			ev, err := t.sess.Evaluate(ctx, profile, scale)
+			// The tenant's progress sink rides the context of its call.
+			tctx := tooleval.EventContext(ctx, func(e tooleval.Event) {
+				if ev, ok := e.(tooleval.CellEvent); ok && !ev.Cached {
+					t.cells.Add(1)
+				}
+			})
+			ev, err := t.sess.Evaluate(tctx, profile, scale)
 			if err == nil {
 				t.report = tooleval.RenderEvaluation(ev)
 			}

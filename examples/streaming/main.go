@@ -23,14 +23,12 @@ func main() {
 	// the result loop sees each spec's outcome the moment it is ready
 	// instead of waiting for the whole batch.
 	var cells atomic.Int64
-	sess := tooleval.NewSession(
-		tooleval.WithParallelism(4),
-		tooleval.WithEvents(func(ev tooleval.Event) {
-			if _, ok := ev.(tooleval.CellEvent); ok {
-				cells.Add(1)
-			}
-		}),
-	)
+	sess := tooleval.NewSession(tooleval.WithParallelism(4))
+	sweepCtx := tooleval.EventContext(ctx, func(ev tooleval.Event) {
+		if _, ok := ev.(tooleval.CellEvent); ok {
+			cells.Add(1)
+		}
+	})
 	specs := []tooleval.ExperimentSpec{
 		{Kind: tooleval.KindPingPong, Platform: "sun-ethernet", Tool: "p4", Sizes: []int{0, 4 << 10, 64 << 10}},
 		{Kind: tooleval.KindPingPong, Platform: "sun-ethernet", Tool: "pvm", Sizes: []int{0, 4 << 10, 64 << 10}},
@@ -38,7 +36,7 @@ func main() {
 		{Kind: tooleval.KindApp, Platform: "alpha-fddi", Tool: "p4", App: "montecarlo", ProcsList: []int{1, 2, 4}, Scale: 0.1},
 	}
 	fmt.Println("Streaming a heterogeneous sweep (results arrive in spec order):")
-	for res, err := range sess.Stream(ctx, specs) {
+	for res, err := range sess.Stream(sweepCtx, specs) {
 		if err != nil {
 			log.Fatal(err)
 		}

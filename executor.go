@@ -16,19 +16,14 @@ import (
 //
 // See the method contracts on the interface definition. The invariants
 // an implementation must keep are: Memo is single-flight per [Cell]
-// key and never caches context errors; Map reports the lowest-index
-// error among the indices that ran; and Observe is called at most
-// once, before any work is submitted.
+// key and never caches context errors; and Map reports the
+// lowest-index error among the indices that ran.
 type Executor = runner.Executor
 
 // CellResult is what one simulated cell reports to its Executor: the
 // measured value plus the virtual wall-clock the simulation covered
 // (the currency of [WithMaxVirtualTime] budgets).
 type CellResult = runner.CellResult
-
-// Observer is an Executor's per-cell completion callback; see
-// [Executor]'s Observe method.
-type Observer = runner.Observer
 
 // CacheStats snapshots a cache's memoization counters; see
 // [Session.Stats].
@@ -55,10 +50,9 @@ type QuotaError = runner.QuotaError
 // already owns its cache, and a second one cannot be installed after
 // the fact. Build x over the shared cache instead.
 //
-// An Executor instance must be dedicated to one session: NewSession
-// installs the session's cell observer on it, so handing the same
-// instance to a second session would cross-wire their event streams.
-// To pool results across sessions, share a [Cache], not an Executor.
+// The session reports its events itself ([EventContext]), so x carries
+// no per-session state: sessions handed the same x share its pool and
+// its cache.
 func WithExecutor(x Executor) Option {
 	return func(c *sessionConfig) { c.executor = x }
 }
@@ -73,7 +67,7 @@ func WithExecutor(x Executor) Option {
 // step of a cache miss: the session's executor (the built-in pool, or
 // the one given to [WithExecutor]) stays on the coordinator and keeps
 // memoization, the cache's optional [ResultStore] tier, quota budgets,
-// and event observers; its concurrency bound ([WithParallelism] for
+// and event reporting; its concurrency bound ([WithParallelism] for
 // the built-in pool) bounds the in-flight RPCs. Cells of a [WithTool]
 // custom tool compute on the coordinator: the factory exists only in
 // this process, so a worker handed the key could not rebuild it.

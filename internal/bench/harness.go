@@ -2,6 +2,7 @@ package bench
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sort"
 
@@ -27,18 +28,25 @@ type Harness struct {
 	hooks  Hooks
 }
 
-// Hooks receives the harness's phase-level notifications: one
-// PhaseStart/PhaseDone pair per table/figure regeneration (the Exp*
-// ids, plus "report" for the full multi-level evaluation). Phases nest
-// — Table4 reports its own phase and the Table 3 / Figure 2-4 phases it
-// regenerates inside. Callbacks run on whichever goroutine drives the
-// regeneration and must be safe for concurrent use; nil fields are
-// skipped. ctx is the context of the regeneration call, so
-// request-scoped carriers survive into the callback; hooks must not
-// retain it.
+// Hooks receives the harness's notifications: one PhaseStart/PhaseDone
+// pair per table/figure regeneration (the Exp* ids, plus "report" for
+// the full multi-level evaluation), and one Cell per resolved
+// simulation cell. Phases nest — Table4 reports its own phase and the
+// Table 3 / Figure 2-4 phases it regenerates inside. Callbacks run on
+// whichever goroutine drives the work and must be safe for concurrent
+// use; nil fields are skipped. ctx is the context of the call being
+// reported, so request-scoped carriers survive into the callback; hooks
+// must not retain it.
 type Hooks struct {
 	PhaseStart func(ctx context.Context, id string)
 	PhaseDone  func(ctx context.Context, id string, err error)
+	// Cell reports one cell resolved by the executor's Memo. cached is
+	// true when the cell was not computed by this call — a memory or
+	// tier hit, or a wait on another call's computation — unless the
+	// call was refused by a quota budget. A call that ended with its own
+	// context error before computing resolved nothing and is not
+	// reported.
+	Cell func(ctx context.Context, key runner.Key, cached bool, err error)
 }
 
 // NewHarness returns a Harness scheduling through x and resolving tool
@@ -84,13 +92,15 @@ func (h *Harness) phaseDone(ctx context.Context, id string, errp *error) {
 	}
 }
 
-// cell resolves one cell through the executor's memoization. The
-// compute step on a miss is chosen from the key alone: a custom tool
-// computes here with its registered factory, a harness with a remote
-// compute step hands the key to it, and otherwise ComputeCell
-// recomputes it from the built-in catalog.
+// cell resolves one cell through the executor's memoization and
+// reports it to the Cell hook. The compute step on a miss is chosen
+// from the key alone: a custom tool computes here with its registered
+// factory, a harness with a remote compute step hands the key to it,
+// and otherwise ComputeCell recomputes it from the built-in catalog.
 func (h *Harness) cell(ctx context.Context, key runner.Key) (float64, error) {
-	return h.x.Memo(ctx, key, func() (runner.CellResult, error) {
+	computed := false
+	v, err := h.x.Memo(ctx, key, func() (runner.CellResult, error) {
+		computed = true
 		if factory, ok := h.custom[key.Tool]; ok {
 			return computeCell(key, factory)
 		}
@@ -99,6 +109,18 @@ func (h *Harness) cell(ctx context.Context, key runner.Key) (float64, error) {
 		}
 		return ComputeCell(key)
 	})
+	if h.hooks.Cell != nil {
+		var qe *runner.QuotaError
+		switch {
+		case computed:
+			h.hooks.Cell(ctx, key, false, err)
+		case err != nil && errors.Is(err, ctx.Err()):
+			// Cancelled before this call resolved the cell.
+		default:
+			h.hooks.Cell(ctx, key, !errors.As(err, &qe), err)
+		}
+	}
+	return v, err
 }
 
 // FactoryFor resolves a tool name: custom registrations first, then the

@@ -24,7 +24,7 @@ import (
 // and the worker recomputes the cell from the key alone (cells are
 // pure functions of their keys). Everything else stays with the
 // caller's executor on the coordinator: single-flight, the memo cache,
-// the optional durable tier, observers and quota charging. Its
+// the optional durable tier and quota charging. Its
 // concurrency bound is the in-flight RPC bound, since Compute runs
 // inside the executor's slot.
 //

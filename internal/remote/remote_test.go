@@ -75,8 +75,8 @@ func testKeys(n int) []runner.Key {
 // TestRemoteMatchesLocal is the location-transparency contract: a
 // sweep dispatched through Remote over live workers returns exactly
 // the values the compute function returns locally, and the
-// coordinator-side cache/observer/single-flight behave as if the
-// compute had run in-process.
+// coordinator-side cache/single-flight behave as if the compute had
+// run in-process.
 func TestRemoteMatchesLocal(t *testing.T) {
 	ws := []*httptest.Server{
 		startWorker(t, fakeCompute),
@@ -92,17 +92,18 @@ func TestRemoteMatchesLocal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var observed atomic.Int64
-	x.Observe(func(_ context.Context, _ runner.Key, cached bool, _ error) {
-		if !cached {
-			observed.Add(1)
-		}
-	})
+	var computed atomic.Int64
+	resolve := func(key runner.Key) (float64, error) {
+		return x.Memo(bg, key, func() (runner.CellResult, error) {
+			computed.Add(1)
+			return r.Compute(bg, key)
+		})
+	}
 
 	keys := testKeys(40)
 	for _, key := range keys {
 		want, _ := fakeCompute(key)
-		got, err := memo(bg, x, r, key)
+		got, err := resolve(key)
 		if err != nil {
 			t.Fatalf("Memo(%s): %v", key, err)
 		}
@@ -113,7 +114,7 @@ func TestRemoteMatchesLocal(t *testing.T) {
 	// Second pass: all warm, no extra RPCs.
 	sentBefore := totalSent(r)
 	for _, key := range keys {
-		if _, err := memo(bg, x, r, key); err != nil {
+		if _, err := resolve(key); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -124,8 +125,8 @@ func TestRemoteMatchesLocal(t *testing.T) {
 	if st.Misses != int64(len(keys)) || st.Hits != int64(len(keys)) {
 		t.Fatalf("cache stats = %+v, want %d misses and %d hits", st, len(keys), len(keys))
 	}
-	if observed.Load() != int64(len(keys)) {
-		t.Fatalf("observer fired %d times, want %d (once per computed cell)", observed.Load(), len(keys))
+	if computed.Load() != int64(len(keys)) {
+		t.Fatalf("compute ran %d times, want %d (once per cell)", computed.Load(), len(keys))
 	}
 }
 

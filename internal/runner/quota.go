@@ -68,9 +68,7 @@ func (l Limits) zero() bool { return l.MaxCells <= 0 && l.MaxVirtualTime <= 0 }
 // Quota errors are raised outside the memoization path and are
 // therefore never cached: a shared Cache is not poisoned by one
 // tenant's exhausted budget, and an unquota'd session sharing the
-// cache computes the refused cells normally. Refused cells are still
-// reported to the installed Observer (cached=false, the quota error),
-// so per-cell progress sinks see them.
+// cache computes the refused cells normally.
 func NewQuota(base Executor, lim Limits) Executor {
 	if lim.zero() {
 		return base
@@ -93,10 +91,9 @@ type quotaExecutor struct {
 	// before the first charge landed. Progress is guaranteed because
 	// slot holders only wait on simulations, which complete without
 	// needing a slot from anyone else.
-	adm     chan struct{}
-	observe Observer
-	cells   atomic.Int64 // simulations charged
-	virt    atomic.Int64 // virtual nanoseconds charged
+	adm   chan struct{}
+	cells atomic.Int64 // simulations charged
+	virt  atomic.Int64 // virtual nanoseconds charged
 }
 
 // admit acquires an admission slot and runs the budget check.
@@ -111,18 +108,6 @@ func (q *quotaExecutor) admit(ctx context.Context) (release func(), err error) {
 		return nil, err
 	}
 	return func() { <-q.adm }, nil
-}
-
-// notifyRefusal reports a quota refusal to the installed observer —
-// and only quota refusals, not context errors, which did not resolve
-// the cell. Detection is errors.As, not a bare type assertion: a
-// wrapping layer (a caller-supplied executor may wrap errors with
-// its own context) must not silently drop the observer callback.
-func (q *quotaExecutor) notifyRefusal(ctx context.Context, key Key, err error) {
-	var qe *QuotaError
-	if errors.As(err, &qe) && q.observe != nil {
-		q.observe(ctx, key, false, err)
-	}
 }
 
 // exceeded reports the first exhausted budget, or nil.
@@ -143,9 +128,6 @@ func (q *quotaExecutor) exceeded() error {
 func (q *quotaExecutor) Memo(ctx context.Context, key Key, compute func() (CellResult, error)) (float64, error) {
 	release, err := q.admit(ctx)
 	if err != nil {
-		// The refusal resolved this cell (to an error) without touching
-		// the cache; report it to the observer like any other outcome.
-		q.notifyRefusal(ctx, key, err)
 		return 0, err
 	}
 	defer release()
@@ -192,10 +174,3 @@ func (q *quotaExecutor) Map(ctx context.Context, n int, fn func(i int) error) er
 func (q *quotaExecutor) Workers() int  { return q.base.Workers() }
 func (q *quotaExecutor) Stats() Stats  { return q.base.Stats() }
 func (q *quotaExecutor) Cache() *Cache { return q.base.Cache() }
-
-// Observe keeps a copy of the observer so quota refusals — which never
-// reach the base executor — are still reported.
-func (q *quotaExecutor) Observe(fn Observer) {
-	q.observe = fn
-	q.base.Observe(fn)
-}

@@ -1,11 +1,8 @@
 package runner
 
 import (
-	"context"
 	"errors"
-	"fmt"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -227,67 +224,5 @@ func TestQuotaBoundsConcurrentFanOutOvershoot(t *testing.T) {
 	}
 	if got := simulated.Load(); got > budget+workers {
 		t.Fatalf("fan-out simulated %d cells, want <= budget %d + parallelism %d", got, budget, workers)
-	}
-}
-
-func TestQuotaRefusalsReachObserver(t *testing.T) {
-	var mu sync.Mutex
-	var refused []Key
-	x := NewQuota(New(1), Limits{MaxCells: 1})
-	x.Observe(func(_ context.Context, key Key, cached bool, err error) {
-		if errors.Is(err, ErrQuotaExceeded) {
-			mu.Lock()
-			refused = append(refused, key)
-			mu.Unlock()
-			if cached {
-				t.Error("refused cell reported as cached")
-			}
-		}
-	})
-	if _, err := x.Memo(bg, Key{Bench: "paid"}, func() (CellResult, error) {
-		return CellResult{Value: 1}, nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	want := Key{Bench: "turned-away"}
-	if _, err := x.Memo(bg, want, func() (CellResult, error) {
-		return CellResult{Value: 1}, nil
-	}); !errors.Is(err, ErrQuotaExceeded) {
-		t.Fatalf("expected refusal, got %v", err)
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if len(refused) != 1 || refused[0] != want {
-		t.Fatalf("observer saw refusals %v, want exactly %v", refused, want)
-	}
-}
-
-func TestQuotaWrappedRefusalReachesObserver(t *testing.T) {
-	// notifyRefusal must detect the *QuotaError with errors.As, not a
-	// bare type assertion: a wrapping layer (a remote executor adding
-	// transport context) must not silently drop the observer callback.
-	q := &quotaExecutor{}
-	var seen []Key
-	var seenErr error
-	q.observe = func(_ context.Context, key Key, cached bool, err error) {
-		seen = append(seen, key)
-		seenErr = err
-		if cached {
-			t.Error("refusal reported as cached")
-		}
-	}
-	key := Key{Bench: "wrapped"}
-	wrapped := fmt.Errorf("remote executor: %w", &QuotaError{Resource: "cells", Used: 3, Limit: 3})
-	q.notifyRefusal(context.Background(), key, wrapped)
-	if len(seen) != 1 || seen[0] != key {
-		t.Fatalf("observer saw %v, want exactly %v", seen, key)
-	}
-	if seenErr != wrapped {
-		t.Fatalf("observer error = %v, want the wrapped refusal passed through", seenErr)
-	}
-	// Context errors did not resolve the cell and must stay silent.
-	q.notifyRefusal(context.Background(), Key{Bench: "ctx"}, context.Canceled)
-	if len(seen) != 1 {
-		t.Fatalf("context error reached the observer: %v", seen)
 	}
 }

@@ -94,17 +94,6 @@ type Stats struct {
 	Misses int64 // computed by this call
 }
 
-// Observer is notified after each Memo call resolves: cached reports
-// whether the cell was served from the cache (or coalesced onto an
-// in-flight computation) rather than simulated by this call. Observers
-// run on the calling goroutine and must be safe for concurrent use.
-//
-// ctx is the context of the Memo call being resolved — request-scoped
-// carriers (a server routing one batch's events to one client stream)
-// ride it through the executor, which otherwise has no per-call state.
-// Observers must not retain ctx past the callback.
-type Observer func(ctx context.Context, key Key, cached bool, err error)
-
 // Executor is the execution-backend seam: the scheduler contract the
 // session layer and the bench harness program against. Runner is the
 // in-process implementation (a bounded worker pool over a memoization
@@ -130,10 +119,6 @@ type Executor interface {
 	Stats() Stats
 	// Cache returns the backend's memoization store.
 	Cache() *Cache
-	// Observe installs fn as the per-cell completion callback. It is
-	// called at most once, during session construction, before any
-	// cells are submitted.
-	Observe(fn Observer)
 }
 
 // Runner schedules experiment cells over a bounded pool and memoizes
@@ -143,7 +128,6 @@ type Runner struct {
 	workers int
 	sem     chan struct{} // counting semaphore; one token per running cell
 	cache   *Cache
-	observe Observer
 }
 
 var _ Executor = (*Runner)(nil)
@@ -197,16 +181,6 @@ func (r *Runner) Cache() *Cache { return r.cache }
 // shared).
 func (r *Runner) Stats() Stats { return r.cache.Stats() }
 
-// Observe installs fn as the per-cell completion callback. Call it
-// before submitting cells.
-func (r *Runner) Observe(fn Observer) { r.observe = fn }
-
-func (r *Runner) notify(ctx context.Context, key Key, cached bool, err error) {
-	if r.observe != nil {
-		r.observe(ctx, key, cached, err)
-	}
-}
-
 // Memo returns the memoized result for key, invoking compute (under a
 // worker-pool token) only if no completed or in-flight computation for
 // key exists. When the cache carries a durable second tier
@@ -222,9 +196,11 @@ func (r *Runner) notify(ctx context.Context, key Key, cached bool, err error) {
 // opposite of deterministic — they describe the calling tenant, not the
 // cell — and are never cached: a compute that returns ctx.Err() (a
 // cancelled tenant's factory bailing out) has its entry retracted from
-// the cache, its coalesced waiters woken with the error, and nothing
-// written to any tier, so a shared or durable cache is never poisoned
-// by one tenant's cancellation.
+// the cache and nothing written to any tier, so a shared or durable
+// cache is never poisoned by one tenant's cancellation. Its coalesced
+// waiters do not inherit that foreign error either: a waiter whose own
+// ctx is still live resolves the key again, and one whose ctx is done
+// returns its own ctx.Err().
 //
 // ctx is observed while waiting for a worker-pool token and while
 // waiting on an in-flight computation, so cancelling a sweep also
@@ -234,48 +210,63 @@ func (r *Runner) notify(ctx context.Context, key Key, cached bool, err error) {
 // never cached.
 func (r *Runner) Memo(ctx context.Context, key Key, compute func() (CellResult, error)) (float64, error) {
 	c := r.cache
-	wait := func(e *entry) (float64, error) {
+	for {
+		if err := ctx.Err(); err != nil {
+			return 0, err
+		}
+		c.mu.Lock()
+		e, ok := c.lookupLocked(key)
+		c.mu.Unlock()
+		if !ok {
+			// Acquire the pool token before committing to compute, so a
+			// queued cell can still be cancelled. Another goroutine may
+			// have published the key meanwhile — re-check under the lock.
+			select {
+			case r.sem <- struct{}{}:
+			case <-ctx.Done():
+				return 0, ctx.Err()
+			}
+			c.mu.Lock()
+			if e, ok = c.lookupLocked(key); !ok {
+				e = c.insertLocked(key)
+				c.mu.Unlock()
+				return r.fill(key, e, compute)
+			}
+			c.mu.Unlock()
+			<-r.sem
+		}
 		select {
 		case <-e.done:
 		case <-ctx.Done():
-			// The call did not resolve a cell: no hit, no notify.
+			// The call did not resolve a cell: no hit.
 			return 0, ctx.Err()
 		}
+		if isContextErr(e.err) {
+			// The owner's compute was aborted by the owner's context and
+			// its entry retracted; the loop re-checks this caller's ctx
+			// and resolves the key afresh.
+			continue
+		}
 		c.hits.Add(1)
-		r.notify(ctx, key, true, e.err)
 		return e.val, e.err
 	}
-	if err := ctx.Err(); err != nil {
-		return 0, err
-	}
-	c.mu.Lock()
-	if e, ok := c.lookupLocked(key); ok {
-		c.mu.Unlock()
-		return wait(e)
-	}
-	c.mu.Unlock()
+}
 
-	// Acquire the pool token before committing to compute, so a queued
-	// cell can still be cancelled. Another goroutine may have published
-	// the key meanwhile — re-check under the lock.
-	select {
-	case r.sem <- struct{}{}:
-	case <-ctx.Done():
-		return 0, ctx.Err()
-	}
-	c.mu.Lock()
-	if e, ok := c.lookupLocked(key); ok {
-		c.mu.Unlock()
-		<-r.sem
-		return wait(e)
-	}
-	e := c.insertLocked(key)
-	c.mu.Unlock()
+// isContextErr reports a cancellation or deadline error: an outcome
+// that describes the caller rather than the cell, so Memo never caches
+// it.
+func isContextErr(err error) bool {
+	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
+}
 
-	// This call owns the in-flight entry. Before simulating, consult the
-	// durable second tier: a stored cell is a hit — deterministic, so the
-	// stored result IS the result — served without charging a miss (or,
-	// through the quota wrapper, a budget).
+// fill resolves the in-flight entry e that this Memo call published for
+// key, holding a worker-pool token that it releases.
+func (r *Runner) fill(key Key, e *entry, compute func() (CellResult, error)) (float64, error) {
+	c := r.cache
+	// Before simulating, consult the durable second tier: a stored cell
+	// is a hit — deterministic, so the stored result IS the result —
+	// served without charging a miss (or, through the quota wrapper, a
+	// budget).
 	tier := c.Tier()
 	if tier != nil {
 		if res, ok := tier.Lookup(key); ok {
@@ -283,7 +274,6 @@ func (r *Runner) Memo(ctx context.Context, key Key, compute func() (CellResult, 
 			c.hits.Add(1)
 			<-r.sem
 			close(e.done)
-			r.notify(ctx, key, true, nil)
 			return e.val, nil
 		}
 	}
@@ -301,7 +291,6 @@ func (r *Runner) Memo(ctx context.Context, key Key, compute func() (CellResult, 
 			e.err = fmt.Errorf("runner: cell %s panicked: %v", key, p)
 			<-r.sem
 			close(e.done)
-			r.notify(ctx, key, false, e.err)
 			panic(p)
 		}
 		switch {
@@ -312,17 +301,17 @@ func (r *Runner) Memo(ctx context.Context, key Key, compute func() (CellResult, 
 			if tier != nil {
 				tier.Fill(key, res)
 			}
-		case errors.Is(e.err, context.Canceled) || errors.Is(e.err, context.DeadlineExceeded):
+		case isContextErr(e.err):
 			// The Memo contract: context errors are never cached. This
 			// compute was aborted by its tenant's cancellation, which says
-			// nothing about the cell — retract the entry so the next
-			// request re-simulates, and wake the coalesced waiters with
-			// the error. Nothing reaches the durable tier either.
+			// nothing about the cell — retract the entry (before waking
+			// the waiters, which then re-resolve the key) so the next
+			// request re-simulates. Nothing reaches the durable tier
+			// either.
 			c.remove(key, e)
 		}
 		<-r.sem
 		close(e.done)
-		r.notify(ctx, key, false, e.err)
 	}()
 	res, e.err = compute()
 	e.val, e.virtual = res.Value, res.Virtual

@@ -131,6 +131,66 @@ func TestMemoCancelledWhileCoalesced(t *testing.T) {
 	}
 }
 
+// waitSignalCtx reports the first time Memo asks for its Done channel,
+// which a coalesced waiter does exactly when it starts waiting on the
+// in-flight entry it found.
+type waitSignalCtx struct {
+	context.Context
+	once    sync.Once
+	waiting chan struct{}
+}
+
+func (c *waitSignalCtx) Done() <-chan struct{} {
+	c.once.Do(func() { close(c.waiting) })
+	return c.Context.Done()
+}
+
+func TestCoalescedWaiterOutlivesOwnerCancellation(t *testing.T) {
+	// The owner's compute ends with its own context error. A waiter
+	// coalesced onto it under a live context must not inherit that
+	// foreign cancellation: it resolves the key itself.
+	for _, ownerErr := range []error{context.Canceled, context.DeadlineExceeded} {
+		t.Run(ownerErr.Error(), func(t *testing.T) {
+			r := New(2)
+			key := Key{Bench: "owner-cancelled"}
+			started := make(chan struct{})
+			release := make(chan struct{})
+			owner := make(chan error, 1)
+			go func() {
+				_, err := r.Memo(bg, key, func() (CellResult, error) {
+					close(started)
+					<-release
+					return CellResult{}, ownerErr
+				})
+				owner <- err
+			}()
+			<-started
+			ctx := &waitSignalCtx{Context: bg, waiting: make(chan struct{})}
+			go func() {
+				<-ctx.waiting // the waiter is attached to the owner's entry
+				close(release)
+			}()
+			var computed int
+			v, err := r.Memo(ctx, key, func() (CellResult, error) {
+				computed++
+				return CellResult{Value: 7}, nil
+			})
+			if err != nil || v != 7 {
+				t.Fatalf("waiter got %v, %v; want its own result 7, not the owner's cancellation", v, err)
+			}
+			if computed != 1 {
+				t.Fatalf("waiter computed %d times, want 1", computed)
+			}
+			if err := <-owner; !errors.Is(err, ownerErr) {
+				t.Fatalf("owner error = %v, want %v", err, ownerErr)
+			}
+			if st := r.Stats(); st.Misses != 2 || st.Hits != 0 {
+				t.Fatalf("Stats = %+v, want 2 misses (owner and waiter) and no hit", st)
+			}
+		})
+	}
+}
+
 func TestMemoPanickingComputeReleasesResources(t *testing.T) {
 	r := New(1) // one worker: a leaked token would wedge the runner
 	key := Key{Bench: "kaboom"}
@@ -194,30 +254,6 @@ func TestPrivateCachesAreIsolated(t *testing.T) {
 	}
 	if sa, sb := a.Stats(), b.Stats(); sa.Misses != 1 || sb.Misses != 1 || sa.Hits != 0 || sb.Hits != 0 {
 		t.Fatalf("stats leaked across runners: a=%+v b=%+v", sa, sb)
-	}
-}
-
-func TestObserverSeesHitsAndMisses(t *testing.T) {
-	type event struct {
-		key    Key
-		cached bool
-	}
-	var mu sync.Mutex
-	var events []event
-	r := New(1)
-	r.Observe(func(_ context.Context, key Key, cached bool, err error) {
-		mu.Lock()
-		defer mu.Unlock()
-		events = append(events, event{key, cached})
-	})
-	key := Key{Bench: "observed"}
-	for i := 0; i < 2; i++ {
-		if _, err := r.Memo(bg, key, func() (CellResult, error) { return CellResult{Value: 1}, nil }); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if len(events) != 2 || events[0].cached || !events[1].cached {
-		t.Fatalf("observer events = %+v, want miss then hit", events)
 	}
 }
 

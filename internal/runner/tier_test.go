@@ -49,13 +49,6 @@ func TestTierHitSkipsComputeAndCountsAsHit(t *testing.T) {
 	c := NewCache()
 	c.SetTier(tier)
 	r := New(2, WithCache(c))
-	var observed []bool
-	r.Observe(func(_ context.Context, _ Key, cached bool, err error) {
-		observed = append(observed, cached)
-		if err != nil {
-			t.Errorf("observer error = %v", err)
-		}
-	})
 	v, err := r.Memo(bg, key, func() (CellResult, error) {
 		t.Fatal("compute must not run for a cell the tier holds")
 		return CellResult{}, nil
@@ -65,9 +58,6 @@ func TestTierHitSkipsComputeAndCountsAsHit(t *testing.T) {
 	}
 	if st := r.Stats(); st.Hits != 1 || st.Misses != 0 {
 		t.Fatalf("Stats = %+v; a tier-served cell must count as a hit", st)
-	}
-	if len(observed) != 1 || !observed[0] {
-		t.Fatalf("observer saw %v, want one cached=true callback", observed)
 	}
 	// The replayed cell is now in the memory tier: a second Memo stays a
 	// plain hit even if the tier disappears.
@@ -215,14 +205,10 @@ func TestContextErrorWakesCoalescedWaitersThenRecomputes(t *testing.T) {
 	if err := <-waited; !errors.Is(err, context.Canceled) {
 		t.Fatalf("owner error = %v, want context.Canceled", err)
 	}
-	// A coalesced waiter is woken with the owner's error (never left
-	// hanging); one that arrived after the retraction recomputes.
-	if err := <-coalesced; err != nil {
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("coalesced waiter error = %v, want context.Canceled", err)
-		}
-	} else if v := <-val; v != 5 {
-		t.Fatalf("late waiter recomputed %v, want 5", v)
+	// The waiter, whether it coalesced onto the cancelled owner or
+	// arrived after the retraction, recomputes under its own live ctx.
+	if err, v := <-coalesced, <-val; err != nil || v != 5 {
+		t.Fatalf("waiter got %v, %v; want a recomputed 5", v, err)
 	}
 	// The retraction must leave the key computable: no stale error entry.
 	v, err := r.Memo(bg, key, func() (CellResult, error) {

@@ -227,17 +227,14 @@ func TestWithExecutorComposesWithRemoteExecutor(t *testing.T) {
 	ctx := context.Background()
 	var mu sync.Mutex
 	serialCells := map[tooleval.Cell]bool{}
-	serial := tooleval.NewSession(
-		tooleval.WithParallelism(1),
-		tooleval.WithEvents(func(e tooleval.Event) {
-			if ev, ok := e.(tooleval.CellEvent); ok {
-				mu.Lock()
-				serialCells[ev.Cell] = true
-				mu.Unlock()
-			}
-		}),
-	)
-	want, err := serial.Fig2(ctx, 4)
+	serial := tooleval.NewSession(tooleval.WithParallelism(1))
+	want, err := serial.Fig2(tooleval.EventContext(ctx, func(e tooleval.Event) {
+		if ev, ok := e.(tooleval.CellEvent); ok {
+			mu.Lock()
+			serialCells[ev.Cell] = true
+			mu.Unlock()
+		}
+	}), 4)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -34,10 +34,13 @@ func NewCache() *Cache { return runner.NewCache() }
 // paper's evaluation matrix.
 type Cell = runner.Key
 
-// CellEvent reports one resolved simulation cell to a [WithEvents]
+// CellEvent reports one resolved simulation cell to an [EventContext]
 // sink. Cached is true when the cell was served from the session's
-// memoization cache (or coalesced onto an in-flight computation)
-// instead of being simulated by this call.
+// memoization cache or its durable tier (or coalesced onto an
+// in-flight computation) instead of being simulated by this call. A
+// cell refused by a quota budget is reported with Cached false and the
+// [*QuotaError]; a cell whose call was cancelled before it resolved is
+// not reported.
 type CellEvent struct {
 	Cell   Cell
 	Cached bool
@@ -46,12 +49,11 @@ type CellEvent struct {
 
 // Session is one self-contained evaluation instance: it owns its
 // execution backend (an [Executor] — by default a worker pool with a
-// parallelism bound and a memoization cache), its statistics, its tool
-// registry, and its event sinks. Sessions are safe for concurrent use,
-// and distinct sessions are fully isolated from one another — two
-// tenants in one process can evaluate concurrently with different
-// parallelism, budgets, and backends without sharing or clobbering any
-// state.
+// parallelism bound and a memoization cache), its statistics, and its
+// tool registry. Sessions are safe for concurrent use, and distinct
+// sessions are fully isolated from one another — two tenants in one
+// process can evaluate concurrently with different parallelism,
+// budgets, and backends without sharing or clobbering any state.
 //
 // All methods take a Context first. Cancellation and deadlines are
 // observed between simulation cells: a sweep aborts promptly with
@@ -63,7 +65,6 @@ type CellEvent struct {
 type Session struct {
 	h           *bench.Harness
 	parallelism int
-	sinks       []func(Event)
 	remote      *remote.Remote // worker compute step (WithRemoteExecutor), nil otherwise
 }
 
@@ -71,7 +72,6 @@ type sessionConfig struct {
 	parallelism int
 	cache       *Cache
 	tools       map[string]Factory
-	sinks       []func(Event)
 	executor    Executor
 	limits      runner.Limits
 	workers     []string // worker daemon addresses (WithRemoteExecutor)
@@ -115,8 +115,8 @@ func WithTool(name string, factory Factory) Option {
 
 // NewSession builds an isolated evaluation session. With no options it
 // uses GOMAXPROCS parallelism, a fresh private unbounded cache, the
-// built-in tool registry (p4, pvm, express), no budgets, and no event
-// sinks.
+// built-in tool registry (p4, pvm, express), and no budgets. Events
+// reach a caller through the context of each call ([EventContext]).
 //
 // Construction follows one path whatever the options: pick the local
 // executor ([WithExecutor], else the built-in pool) and wrap it in the
@@ -166,35 +166,29 @@ func NewSession(opts ...Option) *Session {
 	s := &Session{
 		h:           bench.NewHarness(x, custom),
 		parallelism: x.Workers(),
-		sinks:       cfg.sinks,
 		remote:      rem,
 	}
 	if rem != nil {
 		// The workers only ever see cell keys: memoization, the durable
-		// tier, observers and quota charging (with the virtual cost the
-		// worker reports) all stay in x, on the coordinator.
+		// tier and quota charging (with the virtual cost the worker
+		// reports) all stay in x, on the coordinator.
 		s.h.SetRemote(rem.Compute)
 	}
-	// The observer and hooks are always installed: even with no
-	// WithEvents sinks, a caller may attach a per-batch sink to a
-	// context with [EventContext], and those events ride the ctx the
-	// work was scheduled under. emit is a no-op when neither exists.
-	x.Observe(func(ctx context.Context, key runner.Key, cached bool, err error) {
-		s.emit(ctx, CellEvent{Cell: key, Cached: cached, Err: err})
-	})
+	// Events ride the ctx the work was scheduled under (see
+	// [EventContext]); emit is a no-op when it carries no sink.
 	s.h.SetHooks(bench.Hooks{
 		PhaseStart: func(ctx context.Context, id string) { s.emit(ctx, PhaseStart{Phase: id}) },
 		PhaseDone:  func(ctx context.Context, id string, err error) { s.emit(ctx, PhaseDone{Phase: id, Err: err}) },
+		Cell: func(ctx context.Context, key runner.Key, cached bool, err error) {
+			s.emit(ctx, CellEvent{Cell: key, Cached: cached, Err: err})
+		},
 	})
 	return s
 }
 
-// emit fans an event out to every session sink, plus the per-batch
-// sink riding ctx (see [EventContext]), if any.
+// emit passes an event to the sink riding ctx (see [EventContext]), if
+// any.
 func (s *Session) emit(ctx context.Context, ev Event) {
-	for _, fn := range s.sinks {
-		fn(ev)
-	}
 	if fn := sinkFrom(ctx); fn != nil {
 		fn(ev)
 	}
@@ -202,11 +196,6 @@ func (s *Session) emit(ctx context.Context, ev Event) {
 
 // Parallelism reports the session's simulation concurrency bound.
 func (s *Session) Parallelism() int { return s.parallelism }
-
-// Executor returns the session's execution backend: the quota-wrapped
-// view of the built-in pool or of the [WithExecutor] replacement —
-// what Stats and every session method schedule through.
-func (s *Session) Executor() Executor { return s.h.Executor() }
 
 // Stats reports the session's memoization counters: cells served from
 // cache (hits) and cells actually simulated (misses). With WithCache

@@ -125,7 +125,8 @@ func TestSetCapacityBoundsSessionCache(t *testing.T) {
 func TestPhaseEventsNest(t *testing.T) {
 	var mu sync.Mutex
 	var order []string
-	sess := tooleval.NewSession(tooleval.WithEvents(func(ev tooleval.Event) {
+	sess := tooleval.NewSession()
+	ctx := tooleval.EventContext(context.Background(), func(ev tooleval.Event) {
 		mu.Lock()
 		defer mu.Unlock()
 		switch e := ev.(type) {
@@ -138,8 +139,8 @@ func TestPhaseEventsNest(t *testing.T) {
 				order = append(order, "done:"+e.Phase)
 			}
 		}
-	}))
-	if _, err := sess.Table4(context.Background(), 4); err != nil {
+	})
+	if _, err := sess.Table4(ctx, 4); err != nil {
 		t.Fatal(err)
 	}
 	mu.Lock()
@@ -168,7 +169,6 @@ type fakeExecutor struct {
 	hits    int64
 	misses  int64
 	doCalls int64
-	observe tooleval.Observer
 	cache   *tooleval.Cache
 }
 
@@ -184,9 +184,6 @@ func (e *fakeExecutor) Memo(ctx context.Context, key tooleval.Cell, compute func
 	defer e.mu.Unlock()
 	if v, ok := e.done[key]; ok {
 		e.hits++
-		if e.observe != nil {
-			e.observe(ctx, key, true, nil)
-		}
 		return v, nil
 	}
 	res, err := compute()
@@ -195,9 +192,6 @@ func (e *fakeExecutor) Memo(ctx context.Context, key tooleval.Cell, compute func
 	}
 	e.done[key] = res.Value
 	e.misses++
-	if e.observe != nil {
-		e.observe(ctx, key, false, nil)
-	}
 	return res.Value, nil
 }
 
@@ -229,28 +223,24 @@ func (e *fakeExecutor) Stats() tooleval.CacheStats {
 	defer e.mu.Unlock()
 	return tooleval.CacheStats{Hits: e.hits, Misses: e.misses}
 }
-func (e *fakeExecutor) Cache() *tooleval.Cache       { return e.cache }
-func (e *fakeExecutor) Observe(fn tooleval.Observer) { e.observe = fn }
+func (e *fakeExecutor) Cache() *tooleval.Cache { return e.cache }
 
 func TestWithExecutorRoutesEverything(t *testing.T) {
 	x := newFakeExecutor()
 	var cells int
-	sess := tooleval.NewSession(
-		tooleval.WithExecutor(x),
-		tooleval.WithEvents(func(e tooleval.Event) {
-			if _, ok := e.(tooleval.CellEvent); ok {
-				cells++ // serial backend: no mutex needed
-			}
-		}),
-	)
-	ctx := context.Background()
+	sess := tooleval.NewSession(tooleval.WithExecutor(x))
+	ctx := tooleval.EventContext(context.Background(), func(e tooleval.Event) {
+		if _, ok := e.(tooleval.CellEvent); ok {
+			cells++ // serial backend: no mutex needed
+		}
+	})
 	sizes := []int{0, 2 << 10}
 	times, err := sess.PingPong(ctx, "sun-ethernet", "p4", sizes)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Results through the custom backend match the built-in pool's.
-	reference, err := tooleval.NewSession().PingPong(ctx, "sun-ethernet", "p4", sizes)
+	reference, err := tooleval.NewSession().PingPong(context.Background(), "sun-ethernet", "p4", sizes)
 	if err != nil {
 		t.Fatal(err)
 	}

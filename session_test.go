@@ -63,14 +63,12 @@ func TestConcurrentSessionsIsolated(t *testing.T) {
 // remaining cells.
 func TestSessionCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
-	sess := tooleval.NewSession(
-		tooleval.WithParallelism(2),
-		tooleval.WithEvents(func(e tooleval.Event) {
-			if _, ok := e.(tooleval.CellEvent); ok {
-				cancel() // pull the plug as soon as the first cell resolves
-			}
-		}),
-	)
+	sess := tooleval.NewSession(tooleval.WithParallelism(2))
+	ctx = tooleval.EventContext(ctx, func(e tooleval.Event) {
+		if _, ok := e.(tooleval.CellEvent); ok {
+			cancel() // pull the plug as soon as the first cell resolves
+		}
+	})
 	_, err := sess.Evaluate(ctx, tooleval.EndUserProfile(), 0.05)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("Evaluate under cancelled ctx = %v, want context.Canceled", err)
@@ -276,19 +274,20 @@ func mpiLite(env *tooleval.Env) (mpt.Tool, error) {
 	return p4.NewWithParams(env, par)
 }
 
-func TestWithEventsObservesCells(t *testing.T) {
+func TestEventContextObservesCells(t *testing.T) {
 	var mu sync.Mutex
 	events := []tooleval.CellEvent{}
-	sess := tooleval.NewSession(tooleval.WithEvents(func(e tooleval.Event) {
+	sess := tooleval.NewSession()
+	ctx := tooleval.EventContext(context.Background(), func(e tooleval.Event) {
 		if ev, ok := e.(tooleval.CellEvent); ok {
 			mu.Lock()
 			defer mu.Unlock()
 			events = append(events, ev)
 		}
-	}))
+	})
 	sizes := []int{0, 2 << 10}
 	for i := 0; i < 2; i++ {
-		if _, err := sess.Ring(context.Background(), "sun-ethernet", "p4", 4, sizes); err != nil {
+		if _, err := sess.Ring(ctx, "sun-ethernet", "p4", 4, sizes); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -33,18 +33,18 @@ func TestStreamEarlyDelivery(t *testing.T) {
 	sess := tooleval.NewSession(
 		tooleval.WithParallelism(2),
 		tooleval.WithTool("gated", gatedTool(release)),
-		tooleval.WithEvents(func(ev tooleval.Event) {
-			if sd, ok := ev.(tooleval.SpecDone); ok && sd.Index == 1 {
-				gatedDone.Store(true)
-			}
-		}),
 	)
+	ctx := tooleval.EventContext(context.Background(), func(ev tooleval.Event) {
+		if sd, ok := ev.(tooleval.SpecDone); ok && sd.Index == 1 {
+			gatedDone.Store(true)
+		}
+	})
 	specs := []tooleval.ExperimentSpec{
 		{Kind: tooleval.KindPingPong, Platform: "sun-ethernet", Tool: "p4", Sizes: []int{0}},
 		{Kind: tooleval.KindPingPong, Platform: "sun-ethernet", Tool: "gated", Sizes: []int{0}},
 	}
 	var seen []string
-	for res, err := range sess.Stream(context.Background(), specs) {
+	for res, err := range sess.Stream(ctx, specs) {
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -75,12 +75,12 @@ func TestStreamOrderDespiteOutOfOrderCompletion(t *testing.T) {
 	sess := tooleval.NewSession(
 		tooleval.WithParallelism(2),
 		tooleval.WithTool("gated", gatedTool(release)),
-		tooleval.WithEvents(func(ev tooleval.Event) {
-			if sd, ok := ev.(tooleval.SpecDone); ok && sd.Index == 1 {
-				close(spec1Done)
-			}
-		}),
 	)
+	ctx := tooleval.EventContext(context.Background(), func(ev tooleval.Event) {
+		if sd, ok := ev.(tooleval.SpecDone); ok && sd.Index == 1 {
+			close(spec1Done)
+		}
+	})
 	specs := []tooleval.ExperimentSpec{
 		{Kind: tooleval.KindPingPong, Platform: "sun-ethernet", Tool: "gated", Sizes: []int{0}},
 		{Kind: tooleval.KindPingPong, Platform: "sun-ethernet", Tool: "p4", Sizes: []int{0}},
@@ -90,7 +90,7 @@ func TestStreamOrderDespiteOutOfOrderCompletion(t *testing.T) {
 		close(release)
 	}()
 	var seen []string
-	for res, err := range sess.Stream(context.Background(), specs) {
+	for res, err := range sess.Stream(ctx, specs) {
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -171,14 +171,12 @@ func TestSubmitCancellationMidBatch(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var once sync.Once
-	sess := tooleval.NewSession(
-		tooleval.WithParallelism(2),
-		tooleval.WithEvents(func(e tooleval.Event) {
-			if _, ok := e.(tooleval.CellEvent); ok {
-				once.Do(cancel)
-			}
-		}),
-	)
+	sess := tooleval.NewSession(tooleval.WithParallelism(2))
+	ctx = tooleval.EventContext(ctx, func(e tooleval.Event) {
+		if _, ok := e.(tooleval.CellEvent); ok {
+			once.Do(cancel)
+		}
+	})
 	_, err := sess.Submit(ctx, []tooleval.ExperimentSpec{
 		{Kind: tooleval.KindPingPong, Platform: "sun-ethernet", Tool: "p4", Sizes: []int{0, 1 << 10}},
 		{Kind: tooleval.KindEvaluate, Scale: 0.05},
@@ -218,12 +216,13 @@ func TestStreamEarlyBreakCancelsRemaining(t *testing.T) {
 // cancelled specs used to skip both events, so sinks counting SpecDone
 // against the batch size miscounted.)
 func TestStreamLifecycleEventsOnEveryPath(t *testing.T) {
-	newCounter := func() (*sync.Mutex, map[int]int, map[int]int, map[int]error, tooleval.Option) {
+	// newCounter returns the counters and the sink filling them.
+	newCounter := func() (*sync.Mutex, map[int]int, map[int]int, map[int]error, func(tooleval.Event)) {
 		var mu sync.Mutex
 		starts := map[int]int{}
 		dones := map[int]int{}
 		doneErrs := map[int]error{}
-		opt := tooleval.WithEvents(func(ev tooleval.Event) {
+		sink := func(ev tooleval.Event) {
 			mu.Lock()
 			defer mu.Unlock()
 			switch e := ev.(type) {
@@ -233,8 +232,8 @@ func TestStreamLifecycleEventsOnEveryPath(t *testing.T) {
 				dones[e.Index]++
 				doneErrs[e.Index] = e.Err
 			}
-		})
-		return &mu, starts, dones, doneErrs, opt
+		}
+		return &mu, starts, dones, doneErrs, sink
 	}
 	specs := []tooleval.ExperimentSpec{
 		{Kind: tooleval.KindPingPong, Platform: "sun-ethernet", Tool: "p4", Sizes: []int{0}},
@@ -256,9 +255,9 @@ func TestStreamLifecycleEventsOnEveryPath(t *testing.T) {
 	}
 
 	t.Run("invalid-spec", func(t *testing.T) {
-		mu, starts, dones, doneErrs, opt := newCounter()
-		sess := tooleval.NewSession(tooleval.WithParallelism(2), opt)
-		_, errs := sess.SubmitAll(context.Background(), specs)
+		mu, starts, dones, doneErrs, sink := newCounter()
+		sess := tooleval.NewSession(tooleval.WithParallelism(2))
+		_, errs := sess.SubmitAll(tooleval.EventContext(context.Background(), sink), specs)
 		if errs[1] == nil || !strings.Contains(errs[1].Error(), "frobnicate") {
 			t.Fatalf("spec 1 = %v, want the validation error", errs[1])
 		}
@@ -266,11 +265,11 @@ func TestStreamLifecycleEventsOnEveryPath(t *testing.T) {
 	})
 
 	t.Run("cancelled-before-start", func(t *testing.T) {
-		mu, starts, dones, doneErrs, opt := newCounter()
-		sess := tooleval.NewSession(tooleval.WithParallelism(2), opt)
+		mu, starts, dones, doneErrs, sink := newCounter()
+		sess := tooleval.NewSession(tooleval.WithParallelism(2))
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel()
-		_, errs := sess.SubmitAll(ctx, specs)
+		_, errs := sess.SubmitAll(tooleval.EventContext(ctx, sink), specs)
 		for i, err := range errs {
 			if err == nil {
 				t.Fatalf("spec %d under a cancelled ctx = nil error", i)
@@ -287,7 +286,8 @@ func TestStreamEmitsSpecEvents(t *testing.T) {
 	var mu sync.Mutex
 	starts := map[int]bool{}
 	dones := map[int]error{}
-	sess := tooleval.NewSession(tooleval.WithEvents(func(ev tooleval.Event) {
+	sess := tooleval.NewSession()
+	ctx := tooleval.EventContext(context.Background(), func(ev tooleval.Event) {
 		mu.Lock()
 		defer mu.Unlock()
 		switch e := ev.(type) {
@@ -296,12 +296,12 @@ func TestStreamEmitsSpecEvents(t *testing.T) {
 		case tooleval.SpecDone:
 			dones[e.Index] = e.Err
 		}
-	}))
+	})
 	specs := []tooleval.ExperimentSpec{
 		{Kind: tooleval.KindPingPong, Platform: "sun-ethernet", Tool: "p4", Sizes: []int{0}},
 		{Kind: tooleval.KindRing, Platform: "sun-atm-wan", Tool: "express", Procs: 4, Sizes: []int{0}}, // fails: no port
 	}
-	_, errs := sess.SubmitAll(context.Background(), specs)
+	_, errs := sess.SubmitAll(ctx, specs)
 	mu.Lock()
 	defer mu.Unlock()
 	if !starts[0] || !starts[1] {

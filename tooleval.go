@@ -33,14 +33,14 @@
 //	sess := tooleval.NewSession(tooleval.WithParallelism(4))
 //	ev, err := sess.Evaluate(ctx, tooleval.EndUserProfile(), 1.0)
 //
-// Concurrent sessions never share state (unless handed one [Cache]
-// explicitly), so one process can serve many tenants; [WithMaxCells]
+// Concurrent sessions never share state (unless handed one [Cache] or
+// [Executor] explicitly), so one process can serve many tenants; [WithMaxCells]
 // and [WithMaxVirtualTime] budget each tenant, and [WithExecutor]
 // swaps the execution backend entirely. [Session.Stream] runs a whole
 // heterogeneous sweep declared as data and yields results in spec
 // order as each completes ([Session.Submit] and [Session.SubmitAll]
-// are its fail-fast and drain-everything consumers); [WithEvents]
-// exposes the sweep's progress as a typed event stream.
+// are its fail-fast and drain-everything consumers); [EventContext]
+// exposes a call's progress as a typed event stream.
 package tooleval
 
 import (
