@@ -35,7 +35,7 @@ var benchCtx = context.Background()
 func newBenchHarness(b *testing.B) *bench.Harness {
 	b.StopTimer()
 	defer b.StartTimer()
-	return bench.NewHarness(runner.New(0), nil)
+	return bench.NewHarness(runner.New(0), nil, nil, bench.Hooks{}, bench.Limits{})
 }
 
 func mustPf(b *testing.B, key string) platform.Platform {

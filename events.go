@@ -104,3 +104,12 @@ func sinkFrom(ctx context.Context) func(Event) {
 	fn, _ := ctx.Value(eventSinkKey{}).(func(Event))
 	return fn
 }
+
+// emit passes ev to the sink riding ctx, if any. Callers on a per-cell
+// path look the sink up first instead, so that no event is built when
+// nobody listens (see sessionHooks).
+func emit(ctx context.Context, ev Event) {
+	if fn := sinkFrom(ctx); fn != nil {
+		fn(ev)
+	}
+}

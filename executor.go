@@ -3,6 +3,7 @@ package tooleval
 import (
 	"time"
 
+	"tooleval/internal/bench"
 	"tooleval/internal/remote"
 	"tooleval/internal/runner"
 )
@@ -12,7 +13,9 @@ import (
 // implementation (selected by default, configured with
 // [WithParallelism] and [WithCache]) is an in-process bounded worker
 // pool over a memoization [Cache]; [WithExecutor] swaps in another
-// implementation without the Session layer changing.
+// implementation without the Session layer changing. An Executor holds
+// no per-session state: quota budgets and events stay with the session,
+// which charges and reports each cell where it resolves.
 //
 // See the method contracts on the interface definition. The invariants
 // an implementation must keep are: Memo is single-flight per [Cell]
@@ -32,27 +35,28 @@ type CacheStats = runner.Stats
 // ErrQuotaExceeded is the sentinel a session's exhausted resource
 // budget unwraps to; match it with errors.Is. The concrete error is
 // always a [*QuotaError].
-var ErrQuotaExceeded = runner.ErrQuotaExceeded
+var ErrQuotaExceeded = bench.ErrQuotaExceeded
 
 // QuotaError reports which session budget broke and by how much.
-type QuotaError = runner.QuotaError
+type QuotaError = bench.QuotaError
 
 // WithExecutor makes the session schedule through x instead of the
 // built-in worker pool. The executor owns parallelism, so
 // [WithParallelism] is ignored when this option is present. Everything
 // else layers onto x as it would onto the built-in pool: a
 // [ResultStore] attached to x's cache serves its misses, quota budgets
-// wrap x, and [WithRemoteExecutor] computes on the workers the cells x
-// memoizes. To bound x's cache, call SetCapacity on it (or on
+// are charged where each cell x memoizes resolves (and bound x's
+// direct runs too), and [WithRemoteExecutor] computes on the workers
+// the cells x memoizes. To bound x's cache, call SetCapacity on it (or on
 // [Session.Cache] afterwards).
 //
 // Combining [WithCache] with this option makes NewSession panic: x
 // already owns its cache, and a second one cannot be installed after
 // the fact. Build x over the shared cache instead.
 //
-// The session reports its events itself ([EventContext]), so x carries
-// no per-session state: sessions handed the same x share its pool and
-// its cache.
+// The session charges its budgets and reports its events itself
+// ([EventContext]), so x carries no per-session state: sessions handed
+// the same x share its pool and its cache, each under its own budgets.
 func WithExecutor(x Executor) Option {
 	return func(c *sessionConfig) { c.executor = x }
 }
@@ -66,9 +70,10 @@ func WithExecutor(x Executor) Option {
 // byte-identical to a local one. The workers replace only the compute
 // step of a cache miss: the session's executor (the built-in pool, or
 // the one given to [WithExecutor]) stays on the coordinator and keeps
-// memoization, the cache's optional [ResultStore] tier, quota budgets,
-// and event reporting; its concurrency bound ([WithParallelism] for
-// the built-in pool) bounds the in-flight RPCs. Cells of a [WithTool]
+// memoization and the cache's optional [ResultStore] tier, while quota
+// charging and event reporting stay in the session; the executor's
+// concurrency bound ([WithParallelism] for the built-in pool) bounds
+// the in-flight RPCs. Cells of a [WithTool]
 // custom tool compute on the coordinator: the factory exists only in
 // this process, so a worker handed the key could not rebuild it.
 //
@@ -117,7 +122,7 @@ func WithMaxCells(n int) Option {
 // the session simulates — the discrete-event analogue of a CPU-seconds
 // budget. Charging and breach semantics match [WithMaxCells], except
 // that direct runs charge only the cell budget (they carry no
-// virtual-time report through the executor). d <= 0 means unlimited.
+// virtual-time charge). d <= 0 means unlimited.
 func WithMaxVirtualTime(d time.Duration) Option {
 	return func(c *sessionConfig) { c.limits.MaxVirtualTime = d }
 }

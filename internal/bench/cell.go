@@ -21,11 +21,12 @@ import (
 // sweep would have run, and local and distributed results are
 // byte-identical by construction, not by testing alone.
 
-// computePingPong is Table 3's cell: the round-trip send/receive time
-// for one message size, in milliseconds.
-func computePingPong(pf platform.Platform, toolName string, factory mpt.Factory, size int) (runner.CellResult, error) {
+// pingPong is Table 3's SPMD body: rank 0 sends size bytes to rank 1,
+// which echoes them back, and rank 0 returns the round trip in
+// milliseconds. TraceRun runs the same body under the engine trace.
+func pingPong(size int) mpt.Body {
 	payload := testPayload(size)
-	res, err := mpt.Run(pf, factory, mpt.RunConfig{Procs: 2}, func(c *mpt.Ctx) (any, error) {
+	return func(c *mpt.Ctx) (any, error) {
 		const tag = 1
 		if c.Rank() == 0 {
 			t0 := c.Now()
@@ -46,7 +47,13 @@ func computePingPong(pf platform.Platform, toolName string, factory mpt.Factory,
 			return nil, err
 		}
 		return nil, c.Comm.Send(0, tag, msg.Data)
-	})
+	}
+}
+
+// computePingPong is Table 3's cell: the round-trip send/receive time
+// for one message size, in milliseconds.
+func computePingPong(pf platform.Platform, toolName string, factory mpt.Factory, size int) (runner.CellResult, error) {
+	res, err := mpt.Run(pf, factory, mpt.RunConfig{Procs: 2}, pingPong(size))
 	if err != nil {
 		return runner.CellResult{}, fmt.Errorf("ping-pong %s/%s size %d: %w", pf.Key, toolName, size, err)
 	}

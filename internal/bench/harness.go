@@ -13,10 +13,11 @@ import (
 )
 
 // Harness is one evaluation session's benchmark engine: an execution
-// backend (the parallelism bound plus memoization cache) and a tool
-// registry. Every table/figure regeneration and every micro-benchmark
-// is a Harness method, so concurrent harnesses are fully isolated — no
-// shared mutable state exists anywhere in this package.
+// backend (the parallelism bound plus memoization cache), a tool
+// registry, and the session's resource budgets. Every table/figure
+// regeneration and every micro-benchmark is a Harness method, so
+// concurrent harnesses are fully isolated — no shared mutable state
+// exists anywhere in this package.
 //
 // All methods take a context first; cancellation and deadlines are
 // observed between simulation cells (an individual cell always runs to
@@ -26,6 +27,7 @@ type Harness struct {
 	custom map[string]mpt.Factory
 	remote func(context.Context, runner.Key) (runner.CellResult, error)
 	hooks  Hooks
+	budget *budget // nil when the session is unlimited
 }
 
 // Hooks receives the harness's notifications: one PhaseStart/PhaseDone
@@ -40,41 +42,35 @@ type Harness struct {
 type Hooks struct {
 	PhaseStart func(ctx context.Context, id string)
 	PhaseDone  func(ctx context.Context, id string, err error)
-	// Cell reports one cell resolved by the executor's Memo. cached is
-	// true when the cell was not computed by this call — a memory or
-	// tier hit, or a wait on another call's computation — unless the
-	// call was refused by a quota budget. A call that ended with its own
-	// context error before computing resolved nothing and is not
-	// reported.
+	// Cell reports one cell resolved by Harness.cell. cached is true
+	// when the cell was not computed by this call — a memory or tier
+	// hit, or a wait on another call's computation. A call refused by a
+	// quota budget is reported with cached false and its *QuotaError. A
+	// call that ended with its own context error before computing
+	// resolved nothing and is not reported.
 	Cell func(ctx context.Context, key runner.Key, cached bool, err error)
 }
 
-// NewHarness returns a Harness scheduling through x and resolving tool
-// names from the given custom factories (nil for none), ahead of the
+// NewHarness returns a Harness scheduling through x under the budgets
+// lim (the zero Limits for none) and reporting to hooks. Tool names
+// resolve from the given custom factories (nil for none) ahead of the
 // built-in registry (p4, pvm, express). Custom tools are considered
 // ported to every platform: they are hypothetical designs under
 // evaluation, not 1995 artifacts with a fixed port matrix.
-func NewHarness(x runner.Executor, custom map[string]mpt.Factory) *Harness {
+//
+// A non-nil remote computes built-in-tool cells on a cache miss — a
+// remote worker fleet's compute step — instead of in this process.
+// Custom-tool cells still compute here: their factories exist only in
+// this registry.
+func NewHarness(x runner.Executor, custom map[string]mpt.Factory, remote func(context.Context, runner.Key) (runner.CellResult, error), hooks Hooks, lim Limits) *Harness {
 	if x == nil {
 		panic("bench: NewHarness(nil executor)")
 	}
-	return &Harness{x: x, custom: custom}
+	return &Harness{x: x, custom: custom, remote: remote, hooks: hooks, budget: newBudget(lim, x.Workers())}
 }
 
-// SetHooks installs the phase observation callbacks. Call it before
-// submitting work; the harness reads the hooks without locking.
-func (h *Harness) SetHooks(hooks Hooks) { h.hooks = hooks }
-
-// SetRemote makes the harness compute built-in-tool cells with fn — a
-// remote worker fleet's compute step — instead of in this process.
-// Custom-tool cells still compute here: their factories exist only in
-// this registry. Call it before submitting work.
-func (h *Harness) SetRemote(fn func(context.Context, runner.Key) (runner.CellResult, error)) {
-	h.remote = fn
-}
-
-// Executor exposes the harness's execution backend (for stats and
-// direct Do/Map use by the session layer).
+// Executor exposes the harness's execution backend (for stats and its
+// cache).
 func (h *Harness) Executor() runner.Executor { return h.x }
 
 // phaseStart reports a table/figure regeneration beginning.
@@ -92,15 +88,35 @@ func (h *Harness) phaseDone(ctx context.Context, id string, errp *error) {
 	}
 }
 
-// cell resolves one cell through the executor's memoization and
-// reports it to the Cell hook. The compute step on a miss is chosen
-// from the key alone: a custom tool computes here with its registered
-// factory, a harness with a remote compute step hands the key to it,
-// and otherwise ComputeCell recomputes it from the built-in catalog.
+// cell resolves one cell through the executor's memoization, charges
+// it to the budget when this call computed it, and reports it to the
+// Cell hook. The compute step on a miss is chosen from the key alone: a
+// custom tool computes here with its registered factory, a harness
+// with a remote compute step hands the key to it, and otherwise
+// ComputeCell recomputes it from the built-in catalog.
 func (h *Harness) cell(ctx context.Context, key runner.Key) (float64, error) {
+	if b := h.budget; b != nil {
+		if err := b.acquire(ctx); err != nil {
+			return 0, err // cancelled while queued: nothing resolved
+		}
+		defer b.release()
+		if err := b.exceeded(); err != nil {
+			if h.hooks.Cell != nil {
+				h.hooks.Cell(ctx, key, false, err)
+			}
+			return 0, err
+		}
+	}
 	computed := false
-	v, err := h.x.Memo(ctx, key, func() (runner.CellResult, error) {
+	v, err := h.x.Memo(ctx, key, func() (res runner.CellResult, err error) {
 		computed = true
+		if b := h.budget; b != nil {
+			// Charge on every exit, panics included: a panicking user
+			// factory still ran a simulation. res.Virtual is zero on the
+			// error and panic paths that never started the engine, so
+			// only the cell budget is charged then.
+			defer func() { b.charge(res.Virtual) }()
+		}
 		if factory, ok := h.custom[key.Tool]; ok {
 			return computeCell(key, factory)
 		}
@@ -110,17 +126,56 @@ func (h *Harness) cell(ctx context.Context, key runner.Key) (float64, error) {
 		return ComputeCell(key)
 	})
 	if h.hooks.Cell != nil {
-		var qe *runner.QuotaError
 		switch {
 		case computed:
 			h.hooks.Cell(ctx, key, false, err)
 		case err != nil && errors.Is(err, ctx.Err()):
 			// Cancelled before this call resolved the cell.
 		default:
-			h.hooks.Cell(ctx, key, !errors.As(err, &qe), err)
+			h.hooks.Cell(ctx, key, true, err)
 		}
 	}
 	return v, err
+}
+
+// Run executes body as a direct (non-memoized) SPMD run under the named
+// tool on the platform keyed pfKey. It occupies one slot of the
+// executor's parallelism bound, waiting for it under ctx, and charges
+// the budget one cell once body has run. A direct run carries no
+// virtual-time charge: only memoized cells bill the virtual-time
+// budget.
+func (h *Harness) Run(ctx context.Context, pfKey, tool string, cfg mpt.RunConfig, body mpt.Body) (*mpt.RunResult, error) {
+	pf, err := h.RequirePort(pfKey, tool)
+	if err != nil {
+		return nil, err
+	}
+	factory, err := h.FactoryFor(tool)
+	if err != nil {
+		return nil, err
+	}
+	b := h.budget
+	if b != nil {
+		if err := b.acquire(ctx); err != nil {
+			return nil, err
+		}
+		defer b.release()
+		if err := b.exceeded(); err != nil {
+			return nil, err
+		}
+	}
+	var res *mpt.RunResult
+	err = h.x.Do(ctx, func() error {
+		var err error
+		res, err = mpt.Run(pf, factory, cfg, body)
+		if b != nil {
+			b.charge(0)
+		}
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	return res, nil
 }
 
 // FactoryFor resolves a tool name: custom registrations first, then the

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -19,13 +18,13 @@ import (
 // process-global runner did — but as an explicit object.
 var (
 	bgCtx   = context.Background()
-	sharedH = NewHarness(runner.New(0), nil)
+	sharedH = NewHarness(runner.New(0), nil, nil, Hooks{}, Limits{})
 )
 
 // freshHarness builds an isolated harness with an empty cache (the
 // determinism tests must not replay another harness's cells).
 func freshHarness(workers int) *Harness {
-	return NewHarness(runner.New(workers), nil)
+	return NewHarness(runner.New(workers), nil, nil, Hooks{}, Limits{})
 }
 
 // cellReport is one call of the Cell hook.
@@ -35,19 +34,17 @@ type cellReport struct {
 	err    error
 }
 
-// recordCells builds a harness over x that computes every cell with
-// compute and records each Cell hook call; the returned func snapshots
-// the reports in key order, uncached first.
-func recordCells(x runner.Executor, compute func(context.Context, runner.Key) (runner.CellResult, error)) (*Harness, func() []cellReport) {
-	h := NewHarness(x, nil)
-	h.SetRemote(compute)
+// recordCells builds a harness over x under lim that computes every
+// cell with compute and records each Cell hook call; the returned func
+// snapshots the reports in key order, uncached first.
+func recordCells(x runner.Executor, lim Limits, compute func(context.Context, runner.Key) (runner.CellResult, error)) (*Harness, func() []cellReport) {
 	var mu sync.Mutex
 	var got []cellReport
-	h.SetHooks(Hooks{Cell: func(_ context.Context, key runner.Key, cached bool, err error) {
+	h := NewHarness(x, nil, compute, Hooks{Cell: func(_ context.Context, key runner.Key, cached bool, err error) {
 		mu.Lock()
 		defer mu.Unlock()
 		got = append(got, cellReport{key, cached, err})
-	}})
+	}}, lim)
 	return h, func() []cellReport {
 		mu.Lock()
 		defer mu.Unlock()
@@ -100,24 +97,22 @@ func (w wrappingExecutor) Memo(ctx context.Context, key runner.Key, compute func
 
 // TestCellHookReportsEachResolution pins when and how Harness.cell
 // reports a cell: computed by this call (cached false, with compute's
-// error), not computed by this call (cached true) unless a quota
-// refused it (cached false), and not at all when the call ended with
-// its own context error before computing.
+// error), not computed by this call (cached true), refused by a quota
+// (cached false, with the bare *QuotaError), and not at all when the
+// call ended with its own context error before computing.
 func TestCellHookReportsEachResolution(t *testing.T) {
 	a, b := runner.Key{Bench: "a"}, runner.Key{Bench: "b"}
 	errBoom := errors.New("boom")
 	one := func(context.Context, runner.Key) (runner.CellResult, error) {
 		return runner.CellResult{Value: 1, Virtual: time.Millisecond}, nil
 	}
-	quota := func(x runner.Executor) runner.Executor {
-		return runner.NewQuota(x, runner.Limits{MaxCells: 1})
-	}
+	quota := Limits{MaxCells: 1}
 	// coalesce resolves a twice at once: the second call waits on the
 	// first call's computation, which ends with ownerErr, or, with
 	// cancelWaiter, has its own context cancelled while it waits.
 	coalesce := func(t *testing.T, ownerErr error, cancelWaiter bool) []cellReport {
 		started, release := make(chan struct{}), make(chan struct{})
-		h, got := recordCells(runner.New(2), func(ctx context.Context, key runner.Key) (runner.CellResult, error) {
+		h, got := recordCells(runner.New(2), Limits{}, func(ctx context.Context, key runner.Key) (runner.CellResult, error) {
 			select {
 			case <-started: // the waiter's own compute, after a retraction
 			default:
@@ -162,7 +157,7 @@ func TestCellHookReportsEachResolution(t *testing.T) {
 		want []cellReport
 	}{
 		{"miss then hit", func(t *testing.T) []cellReport {
-			h, got := recordCells(runner.New(1), one)
+			h, got := recordCells(runner.New(1), Limits{}, one)
 			for i := 0; i < 2; i++ {
 				if _, err := h.cell(bgCtx, a); err != nil {
 					t.Fatal(err)
@@ -172,7 +167,7 @@ func TestCellHookReportsEachResolution(t *testing.T) {
 		}, []cellReport{{a, false, nil}, {a, true, nil}}},
 
 		{"failed cell then its memoized failure", func(t *testing.T) []cellReport {
-			h, got := recordCells(runner.New(1), func(context.Context, runner.Key) (runner.CellResult, error) {
+			h, got := recordCells(runner.New(1), Limits{}, func(context.Context, runner.Key) (runner.CellResult, error) {
 				return runner.CellResult{}, errBoom
 			})
 			h.cell(bgCtx, a)
@@ -195,7 +190,7 @@ func TestCellHookReportsEachResolution(t *testing.T) {
 		{"tier hit", func(t *testing.T) []cellReport {
 			c := runner.NewCache()
 			c.SetTier(storedTier{a: {Value: 2}})
-			h, got := recordCells(runner.New(1, runner.WithCache(c)), func(context.Context, runner.Key) (runner.CellResult, error) {
+			h, got := recordCells(runner.New(1, runner.WithCache(c)), Limits{}, func(context.Context, runner.Key) (runner.CellResult, error) {
 				t.Error("compute ran for a cell the tier holds")
 				return runner.CellResult{}, nil
 			})
@@ -206,23 +201,26 @@ func TestCellHookReportsEachResolution(t *testing.T) {
 		}, []cellReport{{a, true, nil}}},
 
 		{"quota refusal", func(t *testing.T) []cellReport {
-			h, got := recordCells(quota(runner.New(1)), one)
+			h, got := recordCells(runner.New(1), quota, one)
 			h.cell(bgCtx, a)
 			h.cell(bgCtx, b)
 			return got()
-		}, []cellReport{{a, false, nil}, {b, false, runner.ErrQuotaExceeded}}},
+		}, []cellReport{{a, false, nil}, {b, false, ErrQuotaExceeded}}},
 
+		// The budget refuses before the executor sees the call, so a
+		// custom executor's error wrapping never touches the refusal.
 		{"quota refusal wrapped by a custom executor", func(t *testing.T) []cellReport {
-			h, got := recordCells(wrappingExecutor{quota(runner.New(1))}, one)
+			h, got := recordCells(wrappingExecutor{runner.New(1)}, quota, one)
 			h.cell(bgCtx, a)
-			if _, err := h.cell(bgCtx, b); !strings.HasPrefix(fmt.Sprint(err), "wrapping executor:") {
-				t.Fatalf("refusal = %v, want the wrapper's error", err)
+			_, err := h.cell(bgCtx, b)
+			if qe := (*QuotaError)(nil); !errors.As(err, &qe) || err.Error() != qe.Error() {
+				t.Fatalf("refusal = %v, want the bare *QuotaError", err)
 			}
 			return got()
-		}, []cellReport{{a, false, nil}, {b, false, runner.ErrQuotaExceeded}}},
+		}, []cellReport{{a, false, nil}, {b, false, ErrQuotaExceeded}}},
 
 		{"cancelled before compute", func(t *testing.T) []cellReport {
-			h, got := recordCells(quota(runner.New(1)), one)
+			h, got := recordCells(runner.New(1), quota, one)
 			ctx, cancel := context.WithCancel(bgCtx)
 			cancel()
 			if _, err := h.cell(ctx, a); !errors.Is(err, context.Canceled) {
@@ -233,7 +231,7 @@ func TestCellHookReportsEachResolution(t *testing.T) {
 
 		{"compute aborted by its ctx", func(t *testing.T) []cellReport {
 			ctx, cancel := context.WithCancel(bgCtx)
-			h, got := recordCells(runner.New(1), func(ctx context.Context, _ runner.Key) (runner.CellResult, error) {
+			h, got := recordCells(runner.New(1), Limits{}, func(ctx context.Context, _ runner.Key) (runner.CellResult, error) {
 				cancel()
 				return runner.CellResult{}, ctx.Err()
 			})

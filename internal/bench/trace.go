@@ -1,23 +1,20 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 
 	"tooleval/internal/mpt"
-	"tooleval/internal/platform"
 	"tooleval/internal/sim"
 )
 
-// TraceRun executes a small ping-pong under the named tool with the
-// engine's execution trace enabled and returns the formatted event log —
-// the reproduction's answer to the ADL debugging-support criterion ("the
-// ability to trace the execution of the parallel application", §2.3).
-// maxEvents caps the log (0 = everything).
-func (h *Harness) TraceRun(pf platform.Platform, toolName string, size, maxEvents int) ([]string, error) {
-	factory, err := h.FactoryFor(toolName)
-	if err != nil {
-		return nil, err
-	}
+// TraceRun executes Table 3's ping-pong as a direct run (see Run) under
+// the named tool with the engine's execution trace enabled, and returns
+// the formatted event log — the reproduction's answer to the ADL
+// debugging-support criterion ("the ability to trace the execution of
+// the parallel application", §2.3). maxEvents caps the log (0 =
+// everything).
+func (h *Harness) TraceRun(ctx context.Context, pfKey, toolName string, size, maxEvents int) ([]string, error) {
 	var events []string
 	trace := func(ev sim.TraceEvent) {
 		if maxEvents > 0 && len(events) >= maxEvents {
@@ -32,24 +29,6 @@ func (h *Harness) TraceRun(pf platform.Platform, toolName string, size, maxEvent
 		}
 		events = append(events, line)
 	}
-	payload := testPayload(size)
-	_, err = mpt.Run(pf, factory, mpt.RunConfig{Procs: 2, Trace: trace}, func(c *mpt.Ctx) (any, error) {
-		const tag = 1
-		if c.Rank() == 0 {
-			if err := c.Comm.Send(1, tag, payload); err != nil {
-				return nil, err
-			}
-			_, err := c.Comm.Recv(1, tag)
-			return nil, err
-		}
-		msg, err := c.Comm.Recv(0, tag)
-		if err != nil {
-			return nil, err
-		}
-		return nil, c.Comm.Send(0, tag, msg.Data)
-	})
-	if err != nil {
-		return events, err
-	}
-	return events, nil
+	_, err := h.Run(ctx, pfKey, toolName, mpt.RunConfig{Procs: 2, Trace: trace}, pingPong(size))
+	return events, err
 }

@@ -6,8 +6,7 @@ import (
 )
 
 func TestTraceRunProducesTimeline(t *testing.T) {
-	pf := getPlatform(t, "sun-ethernet")
-	events, err := sharedH.TraceRun(pf, "pvm", 1024, 0)
+	events, err := sharedH.TraceRun(bgCtx, "sun-ethernet", "pvm", 1024, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -23,8 +22,7 @@ func TestTraceRunProducesTimeline(t *testing.T) {
 }
 
 func TestTraceRunCap(t *testing.T) {
-	pf := getPlatform(t, "sun-ethernet")
-	events, err := sharedH.TraceRun(pf, "p4", 1024, 5)
+	events, err := sharedH.TraceRun(bgCtx, "sun-ethernet", "p4", 1024, 5)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,10 +22,10 @@ import (
 // step a session memoizes cells through when it has workers. Compute
 // sends a cell's key to the worker that rendezvous hashing assigns it,
 // and the worker recomputes the cell from the key alone (cells are
-// pure functions of their keys). Everything else stays with the
-// caller's executor on the coordinator: single-flight, the memo cache,
-// the optional durable tier and quota charging. Its
-// concurrency bound is the in-flight RPC bound, since Compute runs
+// pure functions of their keys). Everything else stays on the
+// coordinator: single-flight, the memo cache and the optional durable
+// tier with the caller's executor, quota charging with its harness.
+// Its concurrency bound is the in-flight RPC bound, since Compute runs
 // inside the executor's slot.
 //
 // Node failure runs through the same breaker as the store's write

@@ -118,13 +118,6 @@ func (c *Cache) SetCapacity(n int) {
 	c.mu.Unlock()
 }
 
-// Capacity reports the configured bound (0 = unbounded).
-func (c *Cache) Capacity() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.capacity
-}
-
 // evictLocked drops least-recently-used completed cells until the
 // cache fits its capacity. Dropping a completed entry is safe
 // concurrently with readers that already hold it: they block on its
@@ -169,9 +162,9 @@ func (c *Cache) insertLocked(key Key) *entry {
 
 // remove un-publishes e from the cache — the memoization path calls it
 // to retract an entry whose compute resolved to a context error, which
-// the Memo contract forbids caching. The entry-identity check makes the
-// retraction safe concurrently with Reset (which swaps the map) and
-// with a later re-publication of the same key.
+// the Memo contract forbids caching. In-flight entries are never
+// evicted, so e is still published; the entry-identity check keeps the
+// retraction from ever dropping another entry for the key.
 func (c *Cache) remove(key Key, e *entry) {
 	c.mu.Lock()
 	if cur, ok := c.m[key]; ok && cur == e {
@@ -215,23 +208,4 @@ func (c *Cache) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return len(c.m)
-}
-
-// Reset drops every memoized cell and zeroes the hit/miss counters,
-// returning the cache to its freshly-constructed state (the configured
-// capacity survives). It is the drop-everything eviction policy for
-// long-lived shared caches; SetCapacity is the incremental one.
-//
-// Reset is safe concurrently with in-flight Memo calls: a computation
-// that was published before the Reset still completes and wakes every
-// waiter already coalesced onto it — the entry is merely no longer
-// findable, so later calls for the same key recompute (correctly, since
-// cells are deterministic).
-func (c *Cache) Reset() {
-	c.mu.Lock()
-	c.m = make(map[Key]*entry)
-	c.order.Init()
-	c.mu.Unlock()
-	c.hits.Store(0)
-	c.misses.Store(0)
 }

@@ -17,7 +17,7 @@ func benchmarkFig2(b *testing.B, workers int) {
 	ctx := context.Background()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		h := bench.NewHarness(runner.New(workers), nil)
+		h := bench.NewHarness(runner.New(workers), nil, nil, bench.Hooks{}, bench.Limits{})
 		fig, err := h.Fig2(ctx, 4)
 		if err != nil {
 			b.Fatal(err)
@@ -38,7 +38,7 @@ func BenchmarkFig2Parallel8(b *testing.B) { benchmarkFig2(b, 8) }
 // serving a whole figure from the memoization cache.
 func BenchmarkFig2Memoized(b *testing.B) {
 	ctx := context.Background()
-	h := bench.NewHarness(runner.New(4), nil)
+	h := bench.NewHarness(runner.New(4), nil, nil, bench.Hooks{}, bench.Limits{})
 	if _, err := h.Fig2(ctx, 4); err != nil {
 		b.Fatal(err)
 	}

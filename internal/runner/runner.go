@@ -21,9 +21,9 @@
 //
 // The scheduler surface callers program against is the Executor
 // interface; Runner, the bounded pool, is its in-process
-// implementation, and NewQuota wraps any Executor with per-session
-// resource budgets. Remote backends implement the same contract and
-// slot in without the layers above changing.
+// implementation. An Executor holds no per-session state: budgets and
+// events belong to the layer above, which charges and reports each
+// cell where it resolves.
 //
 // There is deliberately no process-global runner: every evaluation
 // session owns its Executor (and usually its Cache), so concurrent
@@ -80,8 +80,8 @@ func (k Key) String() string {
 // CellResult is what one simulated cell reports back to the scheduler:
 // the measured value (milliseconds for TPL cells, seconds for APL
 // cells) plus the virtual wall-clock the simulation covered. Virtual is
-// the currency of WithMaxVirtualTime budgets — it is charged against a
-// quota when the cell is actually simulated, never on a cache hit.
+// the currency of WithMaxVirtualTime budgets — the harness charges it
+// when the cell is actually simulated, never on a cache hit.
 type CellResult struct {
 	Value   float64
 	Virtual time.Duration
@@ -265,7 +265,7 @@ func (r *Runner) fill(key Key, e *entry, compute func() (CellResult, error)) (fl
 	c := r.cache
 	// Before simulating, consult the durable second tier: a stored cell
 	// is a hit — deterministic, so the stored result IS the result —
-	// served without charging a miss (or, through the quota wrapper, a
+	// served without charging a miss (or, since compute never runs, a
 	// budget).
 	tier := c.Tier()
 	if tier != nil {

@@ -29,18 +29,14 @@ type Tier interface {
 	Fill(key Key, res CellResult)
 }
 
-// SetTier installs t as the cache's durable second tier: misses consult
-// t before computing, and completed cells are written through to it.
-// Install the tier before any cells are submitted. Installing a second
-// tier panics — a cache wired to one store must not be silently
-// re-pointed at another (two sessions configuring different stores over
-// one shared cache is a configuration bug). SetTier(nil) detaches the
-// current tier.
+// SetTier installs t, which must not be nil, as the cache's durable
+// second tier: misses consult t before computing, and completed cells
+// are written through to it. Install the tier before any cells are
+// submitted. A tier, once attached, stays: installing a second one
+// panics — a cache wired to one store must not be silently re-pointed
+// at another (two sessions configuring different stores over one
+// shared cache is a configuration bug).
 func (c *Cache) SetTier(t Tier) {
-	if t == nil {
-		c.tier.Store(nil)
-		return
-	}
 	if !c.tier.CompareAndSwap(nil, &tierBox{t: t}) {
 		panic("runner: cache already has a second-tier result store attached")
 	}

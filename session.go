@@ -73,7 +73,7 @@ type sessionConfig struct {
 	cache       *Cache
 	tools       map[string]Factory
 	executor    Executor
-	limits      runner.Limits
+	limits      bench.Limits
 	workers     []string // worker daemon addresses (WithRemoteExecutor)
 }
 
@@ -119,8 +119,9 @@ func WithTool(name string, factory Factory) Option {
 // reach a caller through the context of each call ([EventContext]).
 //
 // Construction follows one path whatever the options: pick the local
-// executor ([WithExecutor], else the built-in pool) and wrap it in the
-// quota budgets. Every cell memoizes through that one executor; only
+// executor ([WithExecutor], else the built-in pool) and hand it, with
+// the quota budgets, to the one harness that charges each cell where
+// it resolves. Every cell memoizes through that one executor; only
 // the compute step on a miss varies — [WithRemoteExecutor] sends
 // built-in-tool cells to the workers, while [WithTool] cells always
 // compute in this process. A durable tier rides on the cache, not the
@@ -147,7 +148,10 @@ func NewSession(opts ...Option) *Session {
 		// options is a configuration bug, not a preference to drop.
 		panic("tooleval: WithCache conflicts with WithExecutor — the executor owns its cache; build the executor over the shared cache instead")
 	}
-	x = runner.NewQuota(x, cfg.limits)
+	// The workers only ever see cell keys: memoization and the durable
+	// tier stay in x, and quota charging (with the virtual cost the
+	// worker reports) in the harness, all on the coordinator.
+	var compute func(context.Context, runner.Key) (runner.CellResult, error)
 	var rem *remote.Remote
 	if len(cfg.workers) > 0 {
 		var err error
@@ -155,6 +159,7 @@ func NewSession(opts ...Option) *Session {
 		if err != nil {
 			panic(fmt.Sprintf("tooleval: WithRemoteExecutor: %v", err))
 		}
+		compute = rem.Compute
 	}
 	var custom map[string]mpt.Factory
 	if len(cfg.tools) > 0 {
@@ -163,35 +168,33 @@ func NewSession(opts ...Option) *Session {
 			custom[name] = factory
 		}
 	}
-	s := &Session{
-		h:           bench.NewHarness(x, custom),
+	return &Session{
+		h:           bench.NewHarness(x, custom, compute, sessionHooks, cfg.limits),
 		parallelism: x.Workers(),
 		remote:      rem,
 	}
-	if rem != nil {
-		// The workers only ever see cell keys: memoization, the durable
-		// tier and quota charging (with the virtual cost the worker
-		// reports) all stay in x, on the coordinator.
-		s.h.SetRemote(rem.Compute)
-	}
-	// Events ride the ctx the work was scheduled under (see
-	// [EventContext]); emit is a no-op when it carries no sink.
-	s.h.SetHooks(bench.Hooks{
-		PhaseStart: func(ctx context.Context, id string) { s.emit(ctx, PhaseStart{Phase: id}) },
-		PhaseDone:  func(ctx context.Context, id string, err error) { s.emit(ctx, PhaseDone{Phase: id, Err: err}) },
-		Cell: func(ctx context.Context, key runner.Key, cached bool, err error) {
-			s.emit(ctx, CellEvent{Cell: key, Cached: cached, Err: err})
-		},
-	})
-	return s
 }
 
-// emit passes an event to the sink riding ctx (see [EventContext]), if
-// any.
-func (s *Session) emit(ctx context.Context, ev Event) {
-	if fn := sinkFrom(ctx); fn != nil {
-		fn(ev)
-	}
+// sessionHooks turns the harness's notifications into [Event]s for the
+// sink riding the context the work was scheduled under
+// ([EventContext]). Each hook looks the sink up before it builds the
+// event, so a call without a sink allocates nothing per cell.
+var sessionHooks = bench.Hooks{
+	PhaseStart: func(ctx context.Context, id string) {
+		if fn := sinkFrom(ctx); fn != nil {
+			fn(PhaseStart{Phase: id})
+		}
+	},
+	PhaseDone: func(ctx context.Context, id string, err error) {
+		if fn := sinkFrom(ctx); fn != nil {
+			fn(PhaseDone{Phase: id, Err: err})
+		}
+	},
+	Cell: func(ctx context.Context, key runner.Key, cached bool, err error) {
+		if fn := sinkFrom(ctx); fn != nil {
+			fn(CellEvent{Cell: key, Cached: cached, Err: err})
+		}
+	},
 }
 
 // Parallelism reports the session's simulation concurrency bound.
@@ -231,24 +234,7 @@ func (s *Session) Tools() []string { return s.h.ToolNames() }
 // the session's parallelism bound; ctx is observed while waiting for a
 // slot.
 func (s *Session) Run(ctx context.Context, platformKey, tool string, cfg RunConfig, body func(*Ctx) (any, error)) (*RunResult, error) {
-	pf, err := s.h.RequirePort(platformKey, tool)
-	if err != nil {
-		return nil, err
-	}
-	factory, err := s.h.FactoryFor(tool)
-	if err != nil {
-		return nil, err
-	}
-	var res *RunResult
-	err = s.h.Executor().Do(ctx, func() error {
-		var err error
-		res, err = mpt.Run(pf, factory, cfg, body)
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	return res, nil
+	return s.h.Run(ctx, platformKey, tool, cfg, body)
 }
 
 // PingPong measures the send/receive round trip (Table 3's benchmark)
@@ -337,17 +323,7 @@ func (s *Session) APLFigure(ctx context.Context, figID string, scale float64) (*
 // (the ADL debugging-support criterion). The run occupies one slot of
 // the session's parallelism bound.
 func (s *Session) TraceRun(ctx context.Context, platformKey, tool string, size, maxEvents int) ([]string, error) {
-	pf, err := s.h.RequirePort(platformKey, tool)
-	if err != nil {
-		return nil, err
-	}
-	var events []string
-	err = s.h.Executor().Do(ctx, func() error {
-		var err error
-		events, err = s.h.TraceRun(pf, tool, size, maxEvents)
-		return err
-	})
-	return events, err
+	return s.h.TraceRun(ctx, platformKey, tool, size, maxEvents)
 }
 
 // ProfileByName looks up a built-in weight profile ("end-user",

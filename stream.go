@@ -63,9 +63,9 @@ func (s *Session) Stream(ctx context.Context, specs []ExperimentSpec) iter.Seq2[
 				// pair, whatever its fate — invalid and cancelled specs
 				// included — so event sinks counting lifecycle pairs
 				// against the batch never miscount.
-				s.emit(ictx, SpecStart{Index: i, Spec: spec})
+				emit(ictx, SpecStart{Index: i, Spec: spec})
 				finish := func(res Result, err error) {
-					s.emit(ictx, SpecDone{Index: i, Spec: spec, Err: err})
+					emit(ictx, SpecDone{Index: i, Spec: spec, Err: err})
 					slots[i] <- outcome{res, err}
 				}
 				if err := spec.validate(); err != nil {
