@@ -45,14 +45,15 @@ examples:
 
 # toolbenchd-smoke is the local mirror of CI's toolbenchd job: build
 # the daemon, check that each bad command line fails before listening
-# with its exact exit code (1 for a rejected config value, 2 for a
-# usage error such as the deleted -tier-file flag), check that both
+# with its exact exit code (1 for a rejected config value or a -store
+# path that is a regular file, 2 for a usage error such as the deleted
+# -tier-file flag), check that both
 # daemons drain on SIGHUP and exit 0, run the daemon and server suites
 # under the race detector, and stream the short-mode concurrent-tenant
 # load test.
 toolbenchd-smoke:
 	$(GO) build -o /tmp/toolbenchd ./cmd/toolbenchd
-	@for row in "1:-j -1" "1:-cache-cap -1" "2:-tier-file x"; do \
+	@for row in "1:-j -1" "1:-cache-cap -1" "1:-store go.mod" "2:-tier-file x"; do \
 		want=$${row%%:*}; args=$${row#*:}; \
 		rc=0; timeout 10 /tmp/toolbenchd -addr 127.0.0.1:0 $$args || rc=$$?; \
 		if [ "$$rc" -ne "$$want" ]; then \

@@ -3,8 +3,11 @@ package main
 import (
 	"bufio"
 	"bytes"
+	"encoding/json"
 	"errors"
 	"flag"
+	"io"
+	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -15,6 +18,7 @@ import (
 	"testing"
 	"time"
 
+	"tooleval"
 	"tooleval/internal/server"
 )
 
@@ -68,7 +72,7 @@ func TestParseFlags(t *testing.T) {
 			if err != nil {
 				t.Fatalf("parseFlags(%q): %v", tc.args, err)
 			}
-			srv, err := server.New(cfg)
+			srv, err := server.New(cfg.Config)
 			if tc.configErr != "" {
 				if err == nil || !strings.Contains(err.Error(), tc.configErr) {
 					t.Fatalf("server.New(%q) = %v, want error containing %q", tc.args, err, tc.configErr)
@@ -118,77 +122,146 @@ func TestParseFlagsTierCatalog(t *testing.T) {
 	if cfg.DefaultTier != "free" {
 		t.Errorf("DefaultTier = %q, want free", cfg.DefaultTier)
 	}
-	srv, err := server.New(cfg)
+	srv, err := server.New(cfg.Config)
 	if err != nil {
 		t.Fatal(err)
 	}
 	srv.Close()
 }
 
+// daemon is a toolbenchd child process: the test binary re-run as
+// main with the daemon's flags.
+type daemon struct {
+	cmd     *exec.Cmd
+	addr    string        // the address it logged as listening on
+	done    chan struct{} // closed once the process has exited
+	waitErr error         // the exit status, set before done closes
+	mu      sync.Mutex
+	logs    strings.Builder
+}
+
+// startDaemon runs the daemon on a free loopback port with args and
+// waits until it logs that it is listening. The process is killed with
+// the test if it is still running.
+func startDaemon(t *testing.T, args ...string) *daemon {
+	t.Helper()
+	d := &daemon{
+		cmd:  exec.Command(os.Args[0], append([]string{"-addr", "127.0.0.1:0"}, args...)...),
+		done: make(chan struct{}),
+	}
+	d.cmd.Env = append(os.Environ(), asDaemonEnv+"=1")
+	stderr, err := d.cmd.StderrPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	listening := make(chan string, 1)
+	go func() {
+		defer close(d.done)
+		sc := bufio.NewScanner(stderr)
+		for sc.Scan() {
+			d.mu.Lock()
+			d.logs.WriteString(sc.Text() + "\n")
+			d.mu.Unlock()
+			if _, addr, ok := strings.Cut(sc.Text(), "listening on "); ok {
+				select {
+				case listening <- addr:
+				default:
+				}
+			}
+		}
+		d.waitErr = d.cmd.Wait()
+	}()
+	t.Cleanup(func() {
+		d.cmd.Process.Kill()
+		<-d.done
+	})
+	select {
+	case d.addr = <-listening:
+	case <-d.done:
+		t.Fatalf("daemon exited before listening: %v\n%s", d.waitErr, d.logText())
+	case <-time.After(30 * time.Second):
+		t.Fatalf("daemon did not log \"listening on\" within 30s:\n%s", d.logText())
+	}
+	return d
+}
+
+func (d *daemon) logText() string {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.logs.String()
+}
+
+// hangUp sends SIGHUP and requires the daemon to exit 0.
+func (d *daemon) hangUp(t *testing.T) {
+	t.Helper()
+	if err := d.cmd.Process.Signal(syscall.SIGHUP); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-d.done:
+	case <-time.After(30 * time.Second):
+		t.Fatalf("daemon still running 30s after SIGHUP:\n%s", d.logText())
+	}
+	if d.waitErr != nil {
+		t.Fatalf("daemon exited with %v after SIGHUP, want exit 0:\n%s", d.waitErr, d.logText())
+	}
+}
+
 // TestSIGHUPDrains runs the daemon as a child process and sends it
 // SIGHUP, as a closed controlling terminal would: it must drain like
 // SIGTERM and exit 0, not die of the signal.
 func TestSIGHUPDrains(t *testing.T) {
-	cmd := exec.Command(os.Args[0], "-addr", "127.0.0.1:0")
-	cmd.Env = append(os.Environ(), asDaemonEnv+"=1")
-	stderr, err := cmd.StderrPipe()
+	d := startDaemon(t)
+	d.hangUp(t)
+	if !strings.Contains(d.logText(), "in-flight jobs finished") {
+		t.Errorf("daemon did not drain on SIGHUP:\n%s", d.logText())
+	}
+}
+
+// TestSIGHUPSyncsStore runs the daemon over a -store directory, posts
+// one job and hangs up: the daemon must drain, close its store and exit
+// 0, and the reopened store must hold every cell the job simulated.
+func TestSIGHUPSyncsStore(t *testing.T) {
+	dir := t.TempDir()
+	d := startDaemon(t, "-store", dir)
+	base := "http://" + d.addr
+	body := `{"specs": [{"kind": "pingpong", "platform": "sun-ethernet", "tool": "p4", "sizes": [0, 1024]}]}`
+	resp, err := http.Post(base+"/v1/jobs", "application/json", strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := cmd.Start(); err != nil {
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("submit: status %d", resp.StatusCode)
+	}
+	var stats struct {
+		Cache struct{ Misses int }
+		Store *struct{ Cells int }
+	}
+	resp, err = http.Get(base + "/statsz")
+	if err != nil {
 		t.Fatal(err)
 	}
-	var (
-		mu      sync.Mutex
-		logs    strings.Builder
-		waitErr error
-	)
-	logText := func() string {
-		mu.Lock()
-		defer mu.Unlock()
-		return logs.String()
+	err = json.NewDecoder(resp.Body).Decode(&stats)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
 	}
-	listening := make(chan struct{})
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		sc := bufio.NewScanner(stderr)
-		seen := false
-		for sc.Scan() {
-			mu.Lock()
-			logs.WriteString(sc.Text() + "\n")
-			mu.Unlock()
-			if !seen && strings.Contains(sc.Text(), "listening on") {
-				seen = true
-				close(listening)
-			}
-		}
-		waitErr = cmd.Wait()
-	}()
-	t.Cleanup(func() {
-		cmd.Process.Kill()
-		<-done
-	})
+	if stats.Store == nil || stats.Cache.Misses == 0 || stats.Store.Cells != stats.Cache.Misses {
+		t.Fatalf("statsz: %d cells simulated, store %+v; want the store to hold every one", stats.Cache.Misses, stats.Store)
+	}
 
-	select {
-	case <-listening:
-	case <-done:
-		t.Fatalf("daemon exited before listening: %v\n%s", waitErr, logText())
-	case <-time.After(30 * time.Second):
-		t.Fatalf("daemon did not log \"listening on\" within 30s:\n%s", logText())
+	d.hangUp(t)
+	st, err := tooleval.OpenResultStore(dir)
+	if err != nil {
+		t.Fatalf("reopening the store after the drain: %v", err)
 	}
-	if err := cmd.Process.Signal(syscall.SIGHUP); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case <-done:
-	case <-time.After(30 * time.Second):
-		t.Fatalf("daemon still running 30s after SIGHUP:\n%s", logText())
-	}
-	if waitErr != nil {
-		t.Fatalf("daemon exited with %v after SIGHUP, want exit 0:\n%s", waitErr, logText())
-	}
-	if !strings.Contains(logText(), "in-flight jobs finished") {
-		t.Errorf("daemon did not drain on SIGHUP:\n%s", logText())
+	defer st.Close()
+	if st.Len() != stats.Cache.Misses {
+		t.Fatalf("reopened store holds %d cells, want the job's %d", st.Len(), stats.Cache.Misses)
 	}
 }

@@ -120,9 +120,8 @@ func WithMaxCells(n int) Option {
 
 // WithMaxVirtualTime caps the summed virtual wall-clock of the cells
 // the session simulates — the discrete-event analogue of a CPU-seconds
-// budget. Charging and breach semantics match [WithMaxCells], except
-// that direct runs charge only the cell budget (they carry no
-// virtual-time charge). d <= 0 means unlimited.
+// budget. Charging and breach semantics match [WithMaxCells]: a direct
+// run charges the virtual time it covered. d <= 0 means unlimited.
 func WithMaxVirtualTime(d time.Duration) Option {
 	return func(c *sessionConfig) { c.limits.MaxVirtualTime = d }
 }

@@ -237,6 +237,32 @@ func TestQuotaChargesDo(t *testing.T) {
 	}
 }
 
+func TestQuotaDirectRunChargesVirtualTime(t *testing.T) {
+	// A direct run bills the virtual time it covered: with 40ms runs
+	// under a 50ms budget, the second run crosses it and is admitted
+	// and charged, and the third is refused before it runs.
+	h := NewHarness(runner.New(1), nil, nil, Hooks{}, Limits{MaxVirtualTime: 50 * time.Millisecond})
+	var ran int
+	body := func(c *mpt.Ctx) (any, error) {
+		ran++
+		c.ChargeDuration(40 * time.Millisecond)
+		return nil, nil
+	}
+	for i := 0; i < 2; i++ {
+		if err := directRun(h, body); err != nil {
+			t.Fatalf("direct run %d: %v", i, err)
+		}
+	}
+	err := directRun(h, body)
+	var qe *QuotaError
+	if !errors.As(err, &qe) || qe.Resource != "virtual time" || qe.Used < int64(80*time.Millisecond) {
+		t.Fatalf("direct run past a spent virtual-time budget = %v, want a virtual-time *QuotaError charged >= 80ms", err)
+	}
+	if ran != 2 {
+		t.Fatalf("body ran %d times, want 2: the refused run must not run", ran)
+	}
+}
+
 func TestQuotaBoundsConcurrentFanOutOvershoot(t *testing.T) {
 	// The admission gate must keep a wide fan-out from slipping past
 	// the budget wholesale: with slow cells and a concurrent Collect,

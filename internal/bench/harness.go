@@ -141,9 +141,8 @@ func (h *Harness) cell(ctx context.Context, key runner.Key) (float64, error) {
 // Run executes body as a direct (non-memoized) SPMD run under the named
 // tool on the platform keyed pfKey. It occupies one slot of the
 // executor's parallelism bound, waiting for it under ctx, and charges
-// the budget one cell once body has run. A direct run carries no
-// virtual-time charge: only memoized cells bill the virtual-time
-// budget.
+// the budget one cell and the run's virtual elapsed time once body has
+// run.
 func (h *Harness) Run(ctx context.Context, pfKey, tool string, cfg mpt.RunConfig, body mpt.Body) (*mpt.RunResult, error) {
 	pf, err := h.RequirePort(pfKey, tool)
 	if err != nil {
@@ -167,7 +166,11 @@ func (h *Harness) Run(ctx context.Context, pfKey, tool string, cfg mpt.RunConfig
 	err = h.x.Do(ctx, func() error {
 		var err error
 		res, err = mpt.Run(pf, factory, cfg, body)
-		if b != nil {
+		switch {
+		case b == nil:
+		case res != nil:
+			b.charge(res.Elapsed)
+		default:
 			b.charge(0)
 		}
 		return err

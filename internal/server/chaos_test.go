@@ -54,14 +54,14 @@ func (a *armedInjector) Decide(op faults.Op, n int) faults.Decision {
 	return a.inner.Decide(op, n)
 }
 
-// faultyOpenStore builds a Config.OpenStore that interposes inj on the
-// segment file and tunes the breaker for test-scale timing.
-func faultyOpenStore(inj faults.Injector, threshold int, base, max time.Duration) func(string) (*tooleval.ResultStore, error) {
-	return func(dir string) (*tooleval.ResultStore, error) {
-		return store.Open(dir, sim.EngineVersion,
-			store.WithFile(func(f store.File) store.File { return faults.NewFile(f, inj) }),
-			store.WithBreaker(threshold, base, max))
-	}
+// attachFaultyStore opens the store in dir with inj interposed on the
+// segment file and the breaker tuned for test-scale timing, and
+// attaches it behind s's shared cache (see attachStore).
+func attachFaultyStore(t *testing.T, s *Server, dir string, inj faults.Injector, threshold int, base, max time.Duration) *tooleval.ResultStore {
+	t.Helper()
+	return attachStore(t, s, dir,
+		store.WithFile(func(f store.File) store.File { return faults.NewFile(f, inj) }),
+		store.WithBreaker(threshold, base, max))
 }
 
 // idEvent is one SSE frame including its log id (0 when the frame
@@ -171,10 +171,8 @@ func TestChaosReportParityUnderStoreFaults(t *testing.T) {
 		SyncError:  0.10,
 	})
 	inj := &armedInjector{inner: sched}
-	_, ts := newTestServer(t, Config{
-		StoreDir:  t.TempDir(),
-		OpenStore: faultyOpenStore(inj, 2, time.Millisecond, 10*time.Millisecond),
-	})
+	s, ts := newTestServer(t, Config{})
+	attachFaultyStore(t, s, t.TempDir(), inj, 2, time.Millisecond, 10*time.Millisecond)
 	inj.armed.Store(true)
 
 	// Two distinct batches: the second's cells are fresh, so every job
@@ -252,10 +250,8 @@ func TestChaosReportParityUnderStoreFaults(t *testing.T) {
 // way.
 func TestChaosCircuitOpensAndRecovers(t *testing.T) {
 	sw := faults.NewSwitch()
-	s, ts := newTestServer(t, Config{
-		StoreDir:  t.TempDir(),
-		OpenStore: faultyOpenStore(sw, 2, time.Millisecond, 8*time.Millisecond),
-	})
+	s, ts := newTestServer(t, Config{})
+	st := attachFaultyStore(t, s, t.TempDir(), sw, 2, time.Millisecond, 8*time.Millisecond)
 
 	resp := postJob(t, ts.URL, "drill", quickBatch)
 	io.Copy(io.Discard, resp.Body)
@@ -263,7 +259,7 @@ func TestChaosCircuitOpensAndRecovers(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("healthy job: status %d", resp.StatusCode)
 	}
-	persisted := s.store.Len()
+	persisted := st.Len()
 	if persisted == 0 {
 		t.Fatal("healthy job persisted nothing")
 	}
@@ -290,8 +286,8 @@ func TestChaosCircuitOpensAndRecovers(t *testing.T) {
 	if stats.Store == nil || stats.Store.Trips < 1 {
 		t.Fatalf("statsz after trip: %+v, want trips >= 1", stats.Store)
 	}
-	if s.store.Len() != persisted {
-		t.Fatalf("store grew to %d cells under a dead disk", s.store.Len())
+	if st.Len() != persisted {
+		t.Fatalf("store grew to %d cells under a dead disk", st.Len())
 	}
 
 	// Disk recovers: fresh cells drive half-open probes until one
@@ -314,8 +310,8 @@ func TestChaosCircuitOpensAndRecovers(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	if s.store.Len() <= persisted {
-		t.Fatalf("store has %d cells after recovery, want > %d", s.store.Len(), persisted)
+	if st.Len() <= persisted {
+		t.Fatalf("store has %d cells after recovery, want > %d", st.Len(), persisted)
 	}
 }
 
@@ -448,23 +444,19 @@ func TestChaosGapPastEvictedBuffer(t *testing.T) {
 
 // TestChaosDrainWhileCircuitOpen opens the store's circuit with a disk
 // fault, then drains the server with a sweep still in flight. The drain
-// must finish inside the deadline, run the in-flight job to a clean
-// job_done, close every session, sync what the store holds, and report
-// the degraded store's latched error instead of swallowing it.
+// must finish inside the deadline and run the in-flight job to a clean
+// job_done; closing the store afterwards syncs what it holds and
+// reports the degraded store's latched error instead of swallowing it.
 func TestChaosDrainWhileCircuitOpen(t *testing.T) {
 	sw := faults.NewSwitch()
 	dir := t.TempDir()
 	drainTimeout := 45 * time.Second
 	// A long probe backoff pins the circuit open across the drain.
-	s, err := New(Config{
-		StoreDir:     dir,
-		OpenStore:    faultyOpenStore(sw, 2, time.Hour, time.Hour),
-		DrainTimeout: drainTimeout,
-		Parallelism:  2,
-	})
+	s, err := New(Config{DrainTimeout: drainTimeout, Parallelism: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
+	ds := attachFaultyStore(t, s, dir, sw, 2, time.Hour, time.Hour)
 	base, drain, done := serveForTest(t, s)
 
 	resp := postJob(t, base, "drainer", quickBatch)
@@ -473,7 +465,7 @@ func TestChaosDrainWhileCircuitOpen(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("healthy job: status %d", resp.StatusCode)
 	}
-	persisted := s.store.Len()
+	persisted := ds.Len()
 	if persisted == 0 {
 		t.Fatal("healthy job persisted nothing")
 	}
@@ -487,7 +479,7 @@ func TestChaosDrainWhileCircuitOpen(t *testing.T) {
 	io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()
 	sw.Set(false)
-	if st := s.store.Health().State; st != store.CircuitOpen {
+	if st := ds.Health().State; st != store.CircuitOpen {
 		t.Fatalf("circuit is %s, want %s", st, store.CircuitOpen)
 	}
 
@@ -514,10 +506,13 @@ func TestChaosDrainWhileCircuitOpen(t *testing.T) {
 	if elapsed >= drainTimeout {
 		t.Fatalf("drain took %v, deadline %v", elapsed, drainTimeout)
 	}
-	// The circuit was open at close: the drain surfaces the latched
-	// write error rather than pretending the store is healthy.
-	if !errors.Is(serveErr, faults.ErrInjected) {
-		t.Fatalf("Serve returned %v, want the latched injected write error", serveErr)
+	if serveErr != nil {
+		t.Fatalf("Serve returned %v, want a clean drain", serveErr)
+	}
+	// The circuit was open at close: closing the store surfaces the
+	// latched write error rather than pretending the store is healthy.
+	if err := ds.Close(); !errors.Is(err, faults.ErrInjected) {
+		t.Fatalf("closing the store returned %v, want the latched injected write error", err)
 	}
 
 	// Everything persisted before the fault survived the degraded drain.

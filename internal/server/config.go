@@ -9,8 +9,7 @@
 //
 // Each tenant gets its own tooleval.Session under a configured quota
 // tier (cell and virtual-time budgets, concurrent-job limit), while
-// every session memoizes into one shared cache — optionally
-// backed by the durable result store — so concurrent tenants
+// every session memoizes into one shared cache, so concurrent tenants
 // requesting overlapping matrices deduplicate the simulation work.
 // Content-keyed memoization makes the sharing tenant-transparent:
 // virtual time keeps every cell deterministic, so a report served from
@@ -20,8 +19,12 @@
 // (a *tooleval.QuotaError rides the error JSON), per-job context
 // cancellation when a streaming client disconnects (in-flight specs
 // abort; cancelled cells are retracted, never cached), graceful drain
-// (stop admitting, finish in-flight sweeps under a deadline, flush the
-// store), and /healthz + /statsz observability.
+// (stop admitting, finish in-flight sweeps under a deadline), and
+// /healthz + /statsz observability.
+//
+// The package opens, listens on and closes nothing: cmd/toolbenchd
+// opens the durable store, attaches it with Server.Cache().SetTier, and
+// closes it after Serve drains; /healthz and /statsz report that store.
 package server
 
 import (
@@ -30,8 +33,6 @@ import (
 	"strconv"
 	"strings"
 	"time"
-
-	"tooleval"
 )
 
 // QuotaTier bounds what one tenant may consume. The zero value of any
@@ -50,25 +51,16 @@ type QuotaTier struct {
 	MaxConcurrentJobs int
 }
 
-// Config parameterizes a Server. The zero value is a working
-// single-tier development config; Normalize fills the defaults.
+// Config parameterizes a Server. It names no address and no store: the
+// caller owns both. The zero value is a working single-tier
+// development config; New fills the defaults.
 type Config struct {
-	// Addr is the listen address for ListenAndServe (":8080" style).
-	Addr string
 	// Parallelism bounds each tenant session's concurrent simulations
 	// (0 = GOMAXPROCS).
 	Parallelism int
 	// CacheCapacity bounds the shared cache to exactly n cells with
 	// LRU eviction (0 = unbounded).
 	CacheCapacity int
-	// StoreDir attaches the durable result store in this directory to
-	// the shared cache ("" = memory only). The server owns the store
-	// and flushes it on drain.
-	StoreDir string
-	// OpenStore overrides how the StoreDir store is opened; nil =
-	// tooleval.OpenResultStore. The chaos suite injects stores wrapped
-	// with fault-injecting files and tuned circuit breakers here.
-	OpenStore func(dir string) (*tooleval.ResultStore, error)
 	// DrainTimeout bounds how long Shutdown waits for in-flight sweeps
 	// before cancelling them (0 = 30s).
 	DrainTimeout time.Duration
@@ -105,11 +97,11 @@ type Config struct {
 	Logf func(format string, args ...any)
 }
 
-// Normalize validates c and fills defaults in place. A negative size,
+// normalize validates c and fills defaults in place. A negative size,
 // count or timeout is an error naming the field — zero selects the
 // default — except ResumeWindow, where negative means "cancel on
 // disconnect".
-func (c *Config) Normalize() error {
+func (c *Config) normalize() error {
 	for _, f := range []struct {
 		name     string
 		negative bool
@@ -169,9 +161,9 @@ func (c *Config) tierFor(tenant string) QuotaTier {
 // tenantIDPattern is the accepted shape of an X-Tenant header value.
 var tenantIDPattern = regexp.MustCompile(`^[A-Za-z0-9._-]{1,64}$`)
 
-// ValidTenantID reports whether id is acceptable as a tenant
+// validTenantID reports whether id is acceptable as a tenant
 // identifier (it becomes a map key and appears in /statsz).
-func ValidTenantID(id string) bool { return tenantIDPattern.MatchString(id) }
+func validTenantID(id string) bool { return tenantIDPattern.MatchString(id) }
 
 // ParseTier parses one -tier flag value of the form
 //
@@ -225,7 +217,7 @@ func ParseTenantTier(s string) (tenant, tier string, err error) {
 	if !ok || tenant == "" || tier == "" {
 		return "", "", fmt.Errorf("tenant-tier %q: want tenant=tier", s)
 	}
-	if !ValidTenantID(tenant) {
+	if !validTenantID(tenant) {
 		return "", "", fmt.Errorf("tenant-tier %q: invalid tenant id", s)
 	}
 	return tenant, tier, nil

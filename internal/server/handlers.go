@@ -30,7 +30,7 @@ func tenantID(r *http.Request) (string, error) {
 	if id == "" {
 		id = "default"
 	}
-	if !ValidTenantID(id) {
+	if !validTenantID(id) {
 		return "", fmt.Errorf("server: invalid tenant id %q", id)
 	}
 	return id, nil
@@ -369,8 +369,8 @@ func healthFor(draining bool, sh *store.Health) (int, healthWire) {
 // handleHealthz reports liveness; see healthFor for the state mapping.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	var sh *store.Health
-	if s.store != nil {
-		h := s.store.Health()
+	if st := s.resultStore(); st != nil {
+		h := st.Health()
 		sh = &h
 	}
 	code, h := healthFor(s.draining.Load(), sh)
@@ -425,10 +425,10 @@ func (s *Server) handleStatsz(w http.ResponseWriter, r *http.Request) {
 		Cache:         cacheStatsWire{Hits: cs.Hits, Misses: cs.Misses, Cells: s.cache.Len()},
 		Tenants:       make(map[string]tenantStatsWire),
 	}
-	if s.store != nil {
-		sh := s.store.Health()
+	if st := s.resultStore(); st != nil {
+		sh := st.Health()
 		out.Store = &storeStatsWire{
-			Cells:   s.store.Len(),
+			Cells:   st.Len(),
 			Circuit: string(sh.State),
 			Trips:   sh.Trips,
 			Probes:  sh.Probes,

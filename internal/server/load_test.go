@@ -8,7 +8,6 @@ import (
 	"io"
 	"net"
 	"net/http"
-	"net/http/httptest"
 	"sync"
 	"testing"
 	"time"
@@ -329,10 +328,11 @@ func TestDrainDeadlineCancelsStragglers(t *testing.T) {
 // instance.
 func TestDrainWithStoreFlushes(t *testing.T) {
 	dir := t.TempDir()
-	s, err := New(Config{StoreDir: dir, DrainTimeout: 45 * time.Second})
+	s, err := New(Config{DrainTimeout: 45 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
+	st := attachStore(t, s, dir)
 	base, drain, done := serveForTest(t, s)
 
 	resp := postJob(t, base, "alice", quickBatch[:1])
@@ -347,15 +347,16 @@ func TestDrainWithStoreFlushes(t *testing.T) {
 		t.Fatalf("drain: %v", err)
 	}
 	done <- nil
+	if err := st.Close(); err != nil {
+		t.Fatalf("closing store after drain: %v", err)
+	}
 
-	s2, err := New(Config{StoreDir: dir})
+	st2, err := tooleval.OpenResultStore(dir)
 	if err != nil {
 		t.Fatalf("reopening store after drain: %v", err)
 	}
-	defer s2.Close()
-	if s2.Store().Len() == 0 {
+	defer st2.Close()
+	if st2.Len() == 0 {
 		t.Fatal("drained store holds no cells")
 	}
-	ts2 := httptest.NewServer(s2.Handler())
-	defer ts2.Close()
 }

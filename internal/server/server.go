@@ -12,14 +12,13 @@ import (
 	"tooleval"
 )
 
-// Server is the toolbenchd state: the shared cache (optionally
-// backed by the durable store), the tenant registry, the job index,
-// and the drain machinery. Build one with New, expose it with Handler
-// (tests) or run it with ListenAndServe/Serve (the daemon).
+// Server is the toolbenchd state: the shared cache, the tenant
+// registry, the job index, and the drain machinery. Build one with New,
+// optionally attach a durable tier with Cache().SetTier, and expose it
+// with Handler (tests) or run it on the caller's listener with Serve.
 type Server struct {
 	cfg   Config
 	cache *tooleval.Cache
-	store *tooleval.ResultStore // nil without StoreDir
 	mux   *http.ServeMux
 
 	tenants *registry
@@ -36,12 +35,9 @@ type Server struct {
 }
 
 // New builds a Server from cfg (normalized in place: defaults filled,
-// tier wiring validated). With a StoreDir the durable result store is
-// opened — recovered, if damaged — and attached behind the shared
-// cache, so every tenant's misses consult disk and every simulated
-// cell persists across restarts.
+// tier wiring validated) with an empty, memory-only shared cache.
 func New(cfg Config) (*Server, error) {
-	if err := cfg.Normalize(); err != nil {
+	if err := cfg.normalize(); err != nil {
 		return nil, err
 	}
 	// The server's own copy of the tier catalog: later writes to the
@@ -50,18 +46,6 @@ func New(cfg Config) (*Server, error) {
 	cache := tooleval.NewCache()
 	cache.SetCapacity(cfg.CacheCapacity)
 	s := &Server{cfg: cfg, cache: cache, started: time.Now()}
-	if cfg.StoreDir != "" {
-		open := cfg.OpenStore
-		if open == nil {
-			open = tooleval.OpenResultStore
-		}
-		store, err := open(cfg.StoreDir)
-		if err != nil {
-			return nil, err
-		}
-		cache.SetTier(store)
-		s.store = store
-	}
 	s.hardCtx, s.hardCancel = context.WithCancel(context.Background())
 	s.tenants = newRegistry(s.buildTenant)
 	s.jobs = newJobStore(cfg.MaxJobsRetained, cfg.EventBuffer)
@@ -102,36 +86,32 @@ func (s *Server) buildTenant(id string) *tenant {
 // embedding under an outer mux).
 func (s *Server) Handler() http.Handler { return s.mux }
 
-// Cache exposes the shared cell cache (stats and test introspection).
+// Cache exposes the shared cell cache: attach a durable tier with its
+// SetTier before serving, and read its stats.
 func (s *Server) Cache() *tooleval.Cache { return s.cache }
 
-// Store exposes the durable tier, nil without one.
-func (s *Server) Store() *tooleval.ResultStore { return s.store }
-
-// ListenAndServe listens on cfg.Addr and runs until ctx is cancelled,
-// then drains: see Serve.
-func (s *Server) ListenAndServe(ctx context.Context) error {
-	ln, err := net.Listen("tcp", s.cfg.Addr)
-	if err != nil {
-		return err
-	}
-	s.logf("toolbenchd: listening on %s", ln.Addr())
-	return s.Serve(ctx, ln)
+// resultStore is the durable store attached behind the shared cache,
+// nil when its tier is absent or of another kind. /healthz and /statsz
+// report it.
+func (s *Server) resultStore() *tooleval.ResultStore {
+	st, _ := s.cache.Tier().(*tooleval.ResultStore)
+	return st
 }
 
 // Serve accepts connections on ln until ctx is cancelled (the SIGTERM
 // path in cmd/toolbenchd), then drains gracefully: stop admitting
 // jobs, let in-flight sweeps and their streams finish, and — if the
 // drain deadline passes first — cancel the stragglers' contexts and
-// force-close their connections. Either way the durable store is
-// flushed before Serve returns; the error is nil on a clean drain.
+// force-close their connections. After the drain no sweep is running,
+// so the caller can close the tier it attached; the error is nil on a
+// clean drain.
 func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
 	srv := &http.Server{Handler: s.Handler()}
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(ln) }()
 	select {
 	case err := <-errc:
-		// The listener failed out from under us; release what we own.
+		// The listener failed out from under us.
 		s.Close()
 		return err
 	case <-ctx.Done():
@@ -158,29 +138,20 @@ func (s *Server) drain(srv *http.Server) error {
 		s.logf("toolbenchd: in-flight jobs finished")
 	}
 	s.activeJobs.Wait()
-	if cerr := s.Close(); cerr != nil && err == nil {
-		err = cerr
-	}
+	s.Close()
 	return err
 }
 
-// Close stops admitting tenants and closes the durable store (synced
-// so every persisted cell survives the exit), returning the store's
-// close error. Idempotent and safe to call concurrently with itself:
-// the store closes once and repeats that answer. Callers still
-// streaming jobs should drain first (Serve does).
+// Close stops admitting jobs and tenants, cancels every sweep still
+// running, and returns nil. Idempotent and safe to call concurrently
+// with itself. Callers still streaming jobs should drain first (Serve
+// does).
 func (s *Server) Close() error {
 	s.draining.Store(true)
 	s.hardCancel()
 	s.tenants.close()
-	if s.store == nil {
-		return nil
-	}
-	return s.store.Close()
+	return nil
 }
-
-// Draining reports whether the server has stopped admitting jobs.
-func (s *Server) Draining() bool { return s.draining.Load() }
 
 func (s *Server) logf(format string, args ...any) {
 	if s.cfg.Logf != nil {

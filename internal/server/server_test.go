@@ -13,6 +13,8 @@ import (
 	"time"
 
 	"tooleval"
+	"tooleval/internal/faults"
+	"tooleval/internal/sim"
 	"tooleval/internal/store"
 )
 
@@ -32,6 +34,21 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 		s.Close()
 	})
 	return s, ts
+}
+
+// attachStore opens the store in dir with opts and attaches it behind
+// s's shared cache, as cmd/toolbenchd does with -store. The store is
+// closed with the test, after every cleanup registered later (such as
+// serveForTest's drain) has run.
+func attachStore(t *testing.T, s *Server, dir string, opts ...store.Option) *tooleval.ResultStore {
+	t.Helper()
+	st, err := store.Open(dir, sim.EngineVersion, opts...)
+	if err != nil {
+		t.Fatalf("opening store: %v", err)
+	}
+	s.Cache().SetTier(st)
+	t.Cleanup(func() { st.Close() })
+	return st
 }
 
 func specsBody(t *testing.T, specs []tooleval.ExperimentSpec) *bytes.Reader {
@@ -639,6 +656,49 @@ func TestHealthz(t *testing.T) {
 	}
 }
 
+// TestStoreHealthThroughSetTier pins that /healthz and /statsz read
+// whatever store sits behind the shared cache: one attached with
+// Cache().SetTier shows its cells and circuit, and a circuit opened by
+// a disk fault turns /healthz degraded.
+func TestStoreHealthThroughSetTier(t *testing.T) {
+	sw := faults.NewSwitch()
+	s, ts := newTestServer(t, Config{})
+	// A long probe backoff keeps the circuit open once it trips.
+	st := attachFaultyStore(t, s, t.TempDir(), sw, 2, time.Hour, time.Hour)
+	resp := postJob(t, ts.URL, "alice", quickBatch)
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("healthy job: status %d", resp.StatusCode)
+	}
+
+	var stats statszWire
+	getJSON(t, ts.URL+"/statsz", &stats)
+	if stats.Store == nil || stats.Store.Cells == 0 || stats.Store.Cells != st.Len() || stats.Store.Circuit != "closed" {
+		t.Fatalf("statsz store = %+v, want the attached store's %d cells and a closed circuit", stats.Store, st.Len())
+	}
+	var h healthWire
+	getJSON(t, ts.URL+"/healthz", &h)
+	if h.Status != "ok" || h.StoreCircuit != "closed" {
+		t.Fatalf("healthz with a healthy store = %+v, want ok/closed", h)
+	}
+
+	sw.Set(true)
+	resp = postJob(t, ts.URL, "alice", []tooleval.ExperimentSpec{
+		{Kind: tooleval.KindPingPong, Platform: "sun-ethernet", Tool: "pvm", Sizes: []int{0, 64, 256, 1024}},
+	})
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	getJSON(t, ts.URL+"/healthz", &h)
+	if h.Status != "degraded" || h.StoreCircuit != "open" || !strings.Contains(h.StoreError, faults.ErrInjected.Error()) {
+		t.Fatalf("healthz with the circuit open = %+v, want degraded/open with the injected error", h)
+	}
+	getJSON(t, ts.URL+"/statsz", &stats)
+	if stats.Store == nil || stats.Store.Circuit != "open" || stats.Store.Trips < 1 {
+		t.Fatalf("statsz store with the circuit open = %+v, want open with a trip", stats.Store)
+	}
+}
+
 // TestHealthFor pins the status mapping, including the degraded-store
 // case a live handler only hits when segment writes start failing
 // mid-run and the circuit opens.
@@ -676,10 +736,11 @@ func TestStoreDurability(t *testing.T) {
 	dir := t.TempDir()
 	want := localReport(t, quickBatch)
 
-	s1, err := New(Config{StoreDir: dir})
+	s1, err := New(Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	st1 := attachStore(t, s1, dir)
 	ts1 := httptest.NewServer(s1.Handler())
 	resp := postJob(t, ts1.URL, "alice", quickBatch)
 	body, _ := io.ReadAll(resp.Body)
@@ -688,12 +749,13 @@ func TestStoreDurability(t *testing.T) {
 		t.Fatalf("first instance: status %d, parity %v", resp.StatusCode, bytes.Equal(body, want))
 	}
 	ts1.Close()
-	if err := s1.Close(); err != nil {
-		t.Fatalf("closing first instance: %v", err)
+	s1.Close()
+	if err := st1.Close(); err != nil {
+		t.Fatalf("closing first instance's store: %v", err)
 	}
 
-	s2, ts2 := newTestServer(t, Config{StoreDir: dir})
-	if s2.Store().Len() == 0 {
+	s2, ts2 := newTestServer(t, Config{})
+	if attachStore(t, s2, dir).Len() == 0 {
 		t.Fatal("restarted store recovered no cells")
 	}
 	resp = postJob(t, ts2.URL, "bob", quickBatch)
@@ -734,7 +796,7 @@ func TestSharedCacheBoundIsExact(t *testing.T) {
 	}
 }
 
-// TestConfigParsing covers the tier flag grammar and Normalize's
+// TestConfigParsing covers the tier flag grammar and normalize's
 // validation.
 func TestConfigParsing(t *testing.T) {
 	tier, err := ParseTier("free=cells:500,vt:10m,jobs:2")
