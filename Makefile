@@ -47,27 +47,30 @@ examples:
 # the daemon, check that each bad command line fails before listening
 # with its exact exit code (1 for a rejected config value or a -store
 # path that is a regular file, 2 for a usage error such as the deleted
-# -tier-file flag), check that both
-# daemons drain on SIGHUP and exit 0, run the daemon and server suites
+# -tier-file flag), check that both daemons, and a worker with a
+# -store, drain on SIGHUP and exit 0, run the daemon and server suites
 # under the race detector, and stream the short-mode concurrent-tenant
-# load test.
+# load test. Binaries, logs and the store live in a mktemp directory
+# that is removed on exit.
 toolbenchd-smoke:
-	$(GO) build -o /tmp/toolbenchd ./cmd/toolbenchd
-	@for row in "1:-j -1" "1:-cache-cap -1" "1:-store go.mod" "2:-tier-file x"; do \
+	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	$(GO) build -o $$tmp/toolbenchd ./cmd/toolbenchd; \
+	for row in "1:-j -1" "1:-cache-cap -1" "1:-store go.mod" "2:-tier-file x"; do \
 		want=$${row%%:*}; args=$${row#*:}; \
-		rc=0; timeout 10 /tmp/toolbenchd -addr 127.0.0.1:0 $$args || rc=$$?; \
+		rc=0; timeout 10 $$tmp/toolbenchd -addr 127.0.0.1:0 $$args || rc=$$?; \
 		if [ "$$rc" -ne "$$want" ]; then \
 			echo "toolbenchd $$args exited $$rc, want $$want" >&2; exit 1; \
 		fi; \
-	done
-	$(GO) build -o /tmp/toolbench-worker ./cmd/toolbench-worker
-	@for d in toolbenchd toolbench-worker; do \
-		timeout 20 /tmp/$$d -addr 127.0.0.1:0 2> /tmp/$$d.log & pid=$$!; \
-		for _ in $$(seq 100); do grep -q 'listening on' /tmp/$$d.log && break; sleep 0.1; done; \
+	done; \
+	$(GO) build -o $$tmp/toolbench-worker ./cmd/toolbench-worker; \
+	n=0; for d in "toolbenchd" "toolbench-worker" "toolbench-worker -store $$tmp/store"; do \
+		n=$$((n+1)); log=$$tmp/daemon-$$n.log; \
+		timeout 20 $$tmp/$$d -addr 127.0.0.1:0 2> $$log & pid=$$!; \
+		for _ in $$(seq 100); do grep -q 'listening on' $$log 2>/dev/null && break; sleep 0.1; done; \
 		kill -HUP $$pid; \
 		rc=0; wait $$pid || rc=$$?; \
 		if [ "$$rc" -ne 0 ]; then \
-			cat /tmp/$$d.log >&2; echo "$$d exited $$rc after SIGHUP, want 0" >&2; exit 1; \
+			cat $$log >&2; echo "$$d exited $$rc after SIGHUP, want 0" >&2; exit 1; \
 		fi; \
 	done
 	$(GO) test -race ./internal/server ./cmd/toolbenchd

@@ -13,12 +13,12 @@
 // /statsz reports the engine version, uptime, and cache counters.
 //
 // SIGTERM, SIGINT or SIGHUP drains gracefully: in-flight cells finish,
-// the store is flushed, and the daemon exits 0. A second signal kills
-// it.
+// the store is flushed and closed, and the daemon exits 0. A second
+// signal kills it.
 //
 // Exit status: 0 after -h or a clean drain, 2 on a usage error (an
 // unknown flag, a malformed flag value), 1 when the flags are rejected
-// before listening or the server fails.
+// before listening, the server fails, or the store fails to close.
 package main
 
 import (
@@ -88,7 +88,8 @@ func parseFlags(args []string, w io.Writer) (config, error) {
 }
 
 // run serves cells until the first SIGTERM/SIGINT/SIGHUP, then drains.
-func run(cfg config) error {
+// The store closes after the drain; a close error fails run.
+func run(cfg config) (err error) {
 	if len(cfg.args) > 0 {
 		return fmt.Errorf("unexpected arguments: %v", cfg.args)
 	}
@@ -98,15 +99,11 @@ func run(cfg config) error {
 
 	x := runner.New(cfg.jobs)
 	if cfg.storeDir != "" {
-		st, err := store.Open(cfg.storeDir, sim.EngineVersion)
-		if err != nil {
-			return fmt.Errorf("-store %s: %w", cfg.storeDir, err)
+		st, openErr := store.Open(cfg.storeDir, sim.EngineVersion)
+		if openErr != nil {
+			return fmt.Errorf("-store %s: %w", cfg.storeDir, openErr)
 		}
-		defer func() {
-			if err := st.Close(); err != nil {
-				log.Printf("toolbench-worker: closing store: %v", err)
-			}
-		}()
+		defer func() { err = errors.Join(err, st.Close()) }()
 		x.Cache().SetTier(st)
 	}
 

@@ -25,6 +25,7 @@ import (
 	"strings"
 	"time"
 
+	"tooleval"
 	"tooleval/internal/server"
 )
 
@@ -121,9 +122,11 @@ func main() {
 		log.Fatalf("submit: %s: %s", resp.Status, body)
 	}
 
-	// Consume the SSE feed: the first event names the job, then the
-	// sweep lifecycle streams until job_done.
-	var jobID string
+	// The Location header names the job before any event arrives, so
+	// the client can resume the stream or fetch the report even if it
+	// falls behind the job's replay buffer. Then consume the SSE feed:
+	// the job header, the sweep lifecycle, and job_done.
+	jobID := strings.TrimPrefix(resp.Header.Get("Location"), "/v1/jobs/")
 	cells := 0
 	sc := bufio.NewScanner(resp.Body)
 	var event string
@@ -141,15 +144,11 @@ func main() {
 					Specs int    `json:"specs"`
 				}
 				json.Unmarshal([]byte(data), &w)
-				jobID = w.Job
 				fmt.Printf("job %s admitted (%d specs)\n", w.Job, w.Specs)
 			case "spec_start":
 				var w struct {
-					Index int `json:"index"`
-					Spec  struct {
-						Kind string `json:"kind"`
-						Tool string `json:"tool"`
-					} `json:"spec"`
+					Index int                     `json:"index"`
+					Spec  tooleval.ExperimentSpec `json:"spec"`
 				}
 				json.Unmarshal([]byte(data), &w)
 				fmt.Printf("  spec %d started: %s/%s\n", w.Index, w.Spec.Kind, w.Spec.Tool)
@@ -198,12 +197,9 @@ func main() {
 	}
 	var parsed struct {
 		Specs []struct {
-			Spec  struct{ Kind, Tool, App string } `json:"spec"`
-			Times []float64                        `json:"times"`
-			App   *struct {
-				Procs   []int     `json:"procs"`
-				Seconds []float64 `json:"seconds"`
-			} `json:"app"`
+			Spec  tooleval.ExperimentSpec  `json:"spec"`
+			Times []float64                `json:"times"`
+			App   *tooleval.AppMeasurement `json:"app"`
 		} `json:"specs"`
 	}
 	if err := json.Unmarshal(report, &parsed); err != nil {

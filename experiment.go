@@ -3,6 +3,8 @@ package tooleval
 import (
 	"context"
 	"fmt"
+	"slices"
+	"strings"
 
 	"tooleval/internal/apps"
 	"tooleval/internal/platform"
@@ -30,32 +32,73 @@ const (
 // ExperimentSpec declares one experiment of a heterogeneous sweep as
 // data: a TPL micro-benchmark, an APL application sweep, or a complete
 // evaluation. Which fields apply depends on Kind (see the Kind*
-// constants); unused fields are ignored.
+// constants); a spec that sets a field its Kind does not read is
+// rejected. The JSON tags are toolbenchd's wire form of a spec.
 type ExperimentSpec struct {
 	// Kind selects the experiment type (required).
-	Kind string
+	Kind string `json:"kind"`
 	// Platform is the platform catalog key (all kinds except
 	// "evaluate", which fixes the paper's platforms).
-	Platform string
+	Platform string `json:"platform,omitempty"`
 	// Tool is the message-passing tool: built-in or registered via
 	// WithTool (all kinds except "evaluate").
-	Tool string
+	Tool string `json:"tool,omitempty"`
 	// Procs is the rank count ("broadcast", "ring", "globalsum").
-	Procs int
+	Procs int `json:"procs,omitempty"`
 	// Sizes are message sizes in bytes, or vector lengths for
 	// "globalsum" (the TPL kinds).
-	Sizes []int
+	Sizes []int `json:"sizes,omitempty"`
 	// App names the suite application ("app"): "jpeg", "fft2d",
 	// "montecarlo", "psrs".
-	App string
+	App string `json:"app,omitempty"`
 	// ProcsList is the processor sweep ("app").
-	ProcsList []int
+	ProcsList []int `json:"procs_list,omitempty"`
 	// Scale shrinks the paper-scale workload ("app", "evaluate");
 	// 1.0 reproduces the paper.
-	Scale float64
+	Scale float64 `json:"scale,omitempty"`
 	// Profile is the weight-profile name ("evaluate"); empty selects
 	// "end-user".
-	Profile string
+	Profile string `json:"profile,omitempty"`
+}
+
+// kindFields names the fields each Kind reads; validate rejects any
+// other field that is set.
+var kindFields = map[string][]string{
+	KindPingPong:  {"Platform", "Tool", "Sizes"},
+	KindBroadcast: {"Platform", "Tool", "Procs", "Sizes"},
+	KindRing:      {"Platform", "Tool", "Procs", "Sizes"},
+	KindGlobalSum: {"Platform", "Tool", "Procs", "Sizes"},
+	KindApp:       {"Platform", "Tool", "App", "ProcsList", "Scale"},
+	KindEvaluate:  {"Scale", "Profile"},
+}
+
+// strayFields names, in field order, the set fields that spec's Kind
+// does not read; an unknown Kind has none, validate reports it instead.
+// An empty list counts as unset, as it does on the wire.
+func (spec ExperimentSpec) strayFields() []string {
+	reads, ok := kindFields[spec.Kind]
+	if !ok {
+		return nil
+	}
+	var stray []string
+	for _, f := range [...]struct {
+		name string
+		set  bool
+	}{
+		{"Platform", spec.Platform != ""},
+		{"Tool", spec.Tool != ""},
+		{"Procs", spec.Procs != 0},
+		{"Sizes", len(spec.Sizes) > 0},
+		{"App", spec.App != ""},
+		{"ProcsList", len(spec.ProcsList) > 0},
+		{"Scale", spec.Scale != 0},
+		{"Profile", spec.Profile != ""},
+	} {
+		if f.set && !slices.Contains(reads, f.name) {
+			stray = append(stray, f.name)
+		}
+	}
+	return stray
 }
 
 func (spec ExperimentSpec) String() string {
@@ -119,11 +162,16 @@ func (s *Session) Submit(ctx context.Context, specs []ExperimentSpec) ([]Result,
 	return results, nil
 }
 
-// validate checks a spec without running it: its Kind, the fields that
-// Kind requires, and the catalog names of its platform, application and
-// profile. Tool names resolve against the session's WithTool registry,
-// so they are checked when the spec runs.
+// validate checks a spec without running it: its Kind, that it sets
+// only the fields that Kind reads, the fields that Kind requires, and
+// the catalog names of its platform, application and profile. Tool
+// names resolve against the session's WithTool registry, so they are
+// checked when the spec runs.
 func (spec ExperimentSpec) validate() error {
+	if stray := spec.strayFields(); len(stray) > 0 {
+		return fmt.Errorf("%s: %s set, but %s reads only %s", spec.Kind,
+			strings.Join(stray, ", "), spec.Kind, strings.Join(kindFields[spec.Kind], ", "))
+	}
 	switch spec.Kind {
 	case KindPingPong, KindBroadcast, KindRing, KindGlobalSum, KindApp:
 		if _, err := platform.Get(spec.Platform); err != nil {

@@ -7,7 +7,8 @@ import (
 
 // TestValidateErrorPaths pins every rejection ExperimentSpec.validate
 // can produce: each Kind's missing-field message, an unknown catalog
-// name, the unknown Kind, and the empty Kind. The messages are part of the batch API's contract —
+// name, the unknown Kind, the empty Kind, and a set field the Kind does
+// not read. The messages are part of the batch API's contract —
 // Submit/Stream/SubmitAll surface them verbatim (prefixed with the spec
 // index), so a drift here is user-visible.
 func TestValidateErrorPaths(t *testing.T) {
@@ -23,6 +24,12 @@ func TestValidateErrorPaths(t *testing.T) {
 		if err := spec.validate(); err != nil {
 			t.Fatalf("valid %s spec rejected: %v", kind, err)
 		}
+	}
+	// An empty list is unset, as the wire's omitempty treats it.
+	empty := valid[KindEvaluate]
+	empty.Sizes, empty.ProcsList = []int{}, []int{}
+	if err := empty.validate(); err != nil {
+		t.Fatalf("empty lists rejected: %v", err)
 	}
 
 	tests := []struct {
@@ -50,6 +57,30 @@ func TestValidateErrorPaths(t *testing.T) {
 		{"evaluate unknown profile", func(s ExperimentSpec) ExperimentSpec { s.Profile = "operator"; return s }, KindEvaluate, `unknown profile "operator"`},
 		{"unknown kind", func(s ExperimentSpec) ExperimentSpec { s.Kind = "frobnicate"; return s }, KindPingPong, `unknown Kind "frobnicate"`},
 		{"empty kind", func(s ExperimentSpec) ExperimentSpec { s.Kind = ""; return s }, KindPingPong, "missing Kind"},
+		// A set field that the Kind does not read.
+		{"pingpong procs", setProcs(8), KindPingPong, "pingpong: Procs set, but pingpong reads only Platform, Tool, Sizes"},
+		{"pingpong negative procs and scale", func(s ExperimentSpec) ExperimentSpec { s.Procs, s.Scale = -5, -1; return s }, KindPingPong,
+			"pingpong: Procs, Scale set, but pingpong reads only Platform, Tool, Sizes"},
+		{"pingpong app", func(s ExperimentSpec) ExperimentSpec { s.App = "jpeg"; return s }, KindPingPong, "pingpong: App set"},
+		{"broadcast scale", func(s ExperimentSpec) ExperimentSpec { s.Scale = 1; return s }, KindBroadcast,
+			"broadcast: Scale set, but broadcast reads only Platform, Tool, Procs, Sizes"},
+		{"broadcast procslist", func(s ExperimentSpec) ExperimentSpec { s.ProcsList = []int{2}; return s }, KindBroadcast, "broadcast: ProcsList set"},
+		{"ring app", func(s ExperimentSpec) ExperimentSpec { s.App = "jpeg"; return s }, KindRing,
+			"ring: App set, but ring reads only Platform, Tool, Procs, Sizes"},
+		{"ring profile", func(s ExperimentSpec) ExperimentSpec { s.Profile = "developer"; return s }, KindRing, "ring: Profile set"},
+		{"globalsum procslist", func(s ExperimentSpec) ExperimentSpec { s.ProcsList = []int{1, 2}; return s }, KindGlobalSum,
+			"globalsum: ProcsList set, but globalsum reads only Platform, Tool, Procs, Sizes"},
+		{"globalsum scale", func(s ExperimentSpec) ExperimentSpec { s.Scale = 0.5; return s }, KindGlobalSum, "globalsum: Scale set"},
+		{"app sizes, procs and profile", func(s ExperimentSpec) ExperimentSpec {
+			s.Sizes, s.Procs, s.Profile = []int{64}, 99, "nonsense"
+			return s
+		}, KindApp, "app: Procs, Sizes, Profile set, but app reads only Platform, Tool, App, ProcsList, Scale"},
+		{"evaluate platform", func(s ExperimentSpec) ExperimentSpec { s.Platform = "sun-ethernet"; return s }, KindEvaluate,
+			"evaluate: Platform set, but evaluate reads only Scale, Profile"},
+		{"evaluate every tpl and app field", func(s ExperimentSpec) ExperimentSpec {
+			s.Tool, s.Procs, s.Sizes, s.App, s.ProcsList = "p4", 4, []int{0}, "jpeg", []int{1}
+			return s
+		}, KindEvaluate, "evaluate: Tool, Procs, Sizes, App, ProcsList set"},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

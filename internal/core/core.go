@@ -91,13 +91,14 @@ type PrimitiveMeasurement struct {
 }
 
 // AppMeasurement is one APL curve: one tool's execution times for one
-// application on one platform over a processor sweep.
+// application on one platform over a processor sweep. The JSON tags
+// are its form in toolbenchd's job report.
 type AppMeasurement struct {
-	Platform string
-	App      string
-	Tool     string
-	Procs    []int
-	Seconds  []float64
+	Platform string    `json:"platform"`
+	App      string    `json:"app"`
+	Tool     string    `json:"tool"`
+	Procs    []int     `json:"procs"`
+	Seconds  []float64 `json:"seconds"`
 }
 
 // UsabilityMatrix is the ADL assessment: criterion -> tool -> rating.

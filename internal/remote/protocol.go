@@ -8,13 +8,16 @@
 // distributed sweep is byte-identical to a serial one.
 //
 // The wire protocol is deliberately small JSON-over-HTTP: one POST per
-// cell carrying the canonical key fields plus the coordinator's
-// engine/protocol version stamp, one response carrying the CellResult
-// (value + virtual-time cost). A version mismatch between coordinator
-// and worker is a hard typed refusal (*VersionError) — two engine
-// versions may simulate the same key to different numbers, and the
-// contract is "never a wrong answer", so the sweep aborts instead of
-// mixing them.
+// cell carrying the coordinator's engine/protocol version stamps and
+// the cell's runner.Key in the key's own JSON form (the form
+// toolbenchd's cell events use too), one response carrying the
+// CellResult (value + virtual-time cost). The worker's decoder is
+// lenient: a key field that is absent reads as zero, so a request that
+// spells out zero fields and one that leaves them out name the same
+// cell. A version mismatch between coordinator and worker is a hard
+// typed refusal (*VersionError) — two engine versions may simulate the
+// same key to different numbers, and the contract is "never a wrong
+// answer", so the sweep aborts instead of mixing them.
 package remote
 
 import (
@@ -40,49 +43,23 @@ const (
 // protocol bump invalidates the conversation.
 const ProtocolVersion = 1
 
-// CellRequest is the body of POST /v1/cells: the canonical content-key
-// fields of one cell plus the coordinator's version stamps. The worker
-// refuses (409, kind "version_mismatch") unless both stamps match its
-// own — equal keys only guarantee equal results within one engine
-// version.
+// CellRequest is the body of POST /v1/cells: the coordinator's version
+// stamps plus the cell's content key in its own JSON form (zero fields
+// left out). The worker refuses (409, kind "version_mismatch") unless
+// both stamps match its own — equal keys only guarantee equal results
+// within one engine version.
 type CellRequest struct {
 	Engine   uint64 `json:"engine_version"`
 	Protocol int    `json:"protocol_version"`
-
-	Platform string  `json:"platform"`
-	Tool     string  `json:"tool"`
-	Bench    string  `json:"bench"`
-	Procs    int     `json:"procs"`
-	Size     int     `json:"size"`
-	Scale    float64 `json:"scale"`
+	runner.Key
 }
 
-// requestFor builds the wire form of key under the given engine stamp.
-// Scale rides as a plain JSON number: Go's encoder emits the shortest
-// round-trip form of a float64, so the decoded key hashes identically.
+// requestFor stamps key with the given engine and this protocol
+// version. Scale rides as a plain JSON number: Go's encoder emits the
+// shortest round-trip form of a float64, so the decoded key hashes
+// identically.
 func requestFor(key runner.Key, engine uint64) CellRequest {
-	return CellRequest{
-		Engine:   engine,
-		Protocol: ProtocolVersion,
-		Platform: key.Platform,
-		Tool:     key.Tool,
-		Bench:    key.Bench,
-		Procs:    key.Procs,
-		Size:     key.Size,
-		Scale:    key.Scale,
-	}
-}
-
-// key reassembles the content key the request names.
-func (q CellRequest) key() runner.Key {
-	return runner.Key{
-		Platform: q.Platform,
-		Tool:     q.Tool,
-		Bench:    q.Bench,
-		Procs:    q.Procs,
-		Size:     q.Size,
-		Scale:    q.Scale,
-	}
+	return CellRequest{Engine: engine, Protocol: ProtocolVersion, Key: key}
 }
 
 // CellResponse is the 200 body of POST /v1/cells. Err carries a

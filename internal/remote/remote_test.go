@@ -1,12 +1,14 @@
 package remote
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -661,4 +663,65 @@ func TestWorkerStatsz(t *testing.T) {
 
 func jsonDecode(resp *http.Response, v any) error {
 	return json.NewDecoder(resp.Body).Decode(v)
+}
+
+// TestCellRequestWireCompat pins the cell RPC's request form across
+// encoders. A body that spells out every key field, zeros included,
+// names the same key as the current encoding, which may leave zero
+// fields out; and the current bytes survive a decode and re-encode
+// unchanged.
+func TestCellRequestWireCompat(t *testing.T) {
+	keys := []runner.Key{
+		{Platform: "sun-ethernet", Tool: "p4", Bench: "pingpong", Procs: 2, Size: 1024},
+		{Platform: "sun-atm-wan", Tool: "pvm", Bench: "apl/jpeg", Procs: 4, Scale: 0.1},
+		{Platform: "sp1-switch", Tool: "express", Bench: "globalsum"},
+	}
+	// received posts body to a fresh worker and returns the key its
+	// compute function was handed.
+	received := func(t *testing.T, body []byte) runner.Key {
+		t.Helper()
+		got := make(chan runner.Key, 1)
+		ts := startWorker(t, func(key runner.Key) (runner.CellResult, error) {
+			got <- key
+			return fakeCompute(key)
+		})
+		resp, err := http.Post(ts.URL+CellsPath, "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("POST %s = %d for %s", CellsPath, resp.StatusCode, body)
+		}
+		return <-got
+	}
+	for _, key := range keys {
+		t.Run(key.String(), func(t *testing.T) {
+			explicit := fmt.Sprintf(`{"engine_version":%d,"protocol_version":%d,"platform":%q,"tool":%q,"bench":%q,"procs":%d,"size":%d,"scale":%s}`,
+				sim.EngineVersion, ProtocolVersion, key.Platform, key.Tool, key.Bench, key.Procs, key.Size,
+				strconv.FormatFloat(key.Scale, 'g', -1, 64))
+			if got := received(t, []byte(explicit)); got != key {
+				t.Fatalf("explicit-zero body decoded to %+v, want %+v", got, key)
+			}
+
+			current, err := json.Marshal(requestFor(key, sim.EngineVersion))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := received(t, current); got != key {
+				t.Fatalf("%s decoded to %+v, want %+v", current, got, key)
+			}
+			var req CellRequest
+			if err := json.Unmarshal(current, &req); err != nil {
+				t.Fatal(err)
+			}
+			again, err := json.Marshal(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(again, current) {
+				t.Fatalf("re-encoded request = %s, want %s", again, current)
+			}
+		})
+	}
 }

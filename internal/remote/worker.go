@@ -100,7 +100,7 @@ func (w *Worker) handleCells(rw http.ResponseWriter, r *http.Request) {
 		})
 		return
 	}
-	key := req.key()
+	key := req.Key
 
 	// The executor re-raises memoized panics (a cell that panicked once
 	// is cached as panicking); surface those as a 500 instead of killing

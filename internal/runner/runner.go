@@ -55,22 +55,24 @@ import (
 // and therefore — virtual time being deterministic — have equal
 // results. The zero value of unused fields participates in equality, so
 // benchmarks that have no Size (APL sweeps) or no Scale (TPL
-// micro-benchmarks) simply leave them zero.
+// micro-benchmarks) simply leave them zero. The JSON tags are the wire
+// form of a cell in toolbenchd's events and in the cell RPC; a zero
+// field is left out, and decodes back to the same key.
 type Key struct {
 	// Platform is the platform catalog key ("sun-ethernet", ...).
-	Platform string
+	Platform string `json:"platform"`
 	// Tool is the message-passing tool ("p4", "pvm", "express").
-	Tool string
+	Tool string `json:"tool"`
 	// Bench names the benchmark or application ("pingpong", "ring",
 	// "apl/jpeg", ...).
-	Bench string
+	Bench string `json:"bench"`
 	// Procs is the rank count of the cell.
-	Procs int
+	Procs int `json:"procs,omitempty"`
 	// Size is the message size in bytes (TPL) or vector length
 	// (global sum); zero for APL cells.
-	Size int
+	Size int `json:"size,omitempty"`
 	// Scale is the APL workload scale; zero for TPL cells.
-	Scale float64
+	Scale float64 `json:"scale,omitempty"`
 }
 
 func (k Key) String() string {

@@ -144,17 +144,16 @@ func getJSON(t *testing.T, url string, v any) {
 	}
 }
 
-// jobIDFrom extracts the job id from the stream's initial "job" event.
-func jobIDFrom(t *testing.T, ev idEvent) string {
+// jobIDFrom reads the job id from a submit response's Location header,
+// which names the job whatever frames its stream later drops.
+func jobIDFrom(t *testing.T, resp *http.Response) string {
 	t.Helper()
-	if ev.name != "job" {
-		t.Fatalf("first event is %q, want job", ev.name)
+	loc := resp.Header.Get("Location")
+	id, ok := strings.CutPrefix(loc, "/v1/jobs/")
+	if !ok || id == "" {
+		t.Fatalf("Location = %q, want /v1/jobs/<id>", loc)
 	}
-	var st jobStatusWire
-	if err := json.Unmarshal(ev.data, &st); err != nil {
-		t.Fatalf("job event: %v", err)
-	}
-	return st.Job
+	return id
 }
 
 // TestChaosReportParityUnderStoreFaults runs multi-tenant traffic over
@@ -218,7 +217,7 @@ func TestChaosReportParityUnderStoreFaults(t *testing.T) {
 	if starts != len(quickBatch) || dones != len(quickBatch) {
 		t.Fatalf("spec_start/spec_done = %d/%d, want %d/%d", starts, dones, len(quickBatch), len(quickBatch))
 	}
-	code, report := fetchReport(t, ts.URL, "chaos-sse", jobIDFrom(t, evs[0]))
+	code, report := fetchReport(t, ts.URL, "chaos-sse", jobIDFrom(t, resp))
 	if code != http.StatusOK || !bytes.Equal(report, wantQuick) {
 		t.Fatalf("streamed job's report (status %d) differs from fault-free run", code)
 	}
@@ -336,7 +335,7 @@ func TestChaosSSEResumeEveryIndex(t *testing.T) {
 	if full[len(full)-1].name != "job_done" {
 		t.Fatalf("stream ended on %q", full[len(full)-1].name)
 	}
-	jobID := jobIDFrom(t, full[0])
+	jobID := jobIDFrom(t, resp)
 
 	n := int64(len(full))
 	for after := int64(0); after <= n; after++ {
@@ -378,7 +377,7 @@ func TestChaosLiveResumeMidSweep(t *testing.T) {
 	if len(seen) < 5 || seen[len(seen)-1].name == "job_done" {
 		t.Fatalf("job finished in %d events before the disconnect could matter", len(seen))
 	}
-	jobID := jobIDFrom(t, seen[0])
+	jobID := jobIDFrom(t, resp)
 	last := seen[len(seen)-1].id
 
 	rest := resumeEvents(t, ts.URL, "live", jobID, last, true)
@@ -412,9 +411,10 @@ func TestChaosGapPastEvictedBuffer(t *testing.T) {
 	resp := streamJob(t, ts.URL, "gappy", quickBatch)
 	full := collectIDEvents(t, resp.Body)
 	resp.Body.Close()
-	jobID := jobIDFrom(t, full[0])
-	// The live stream attached from event 1, so it saw everything; its
-	// last id is the log's length.
+	jobID := jobIDFrom(t, resp)
+	// The live stream may itself have fallen past the buffer (its first
+	// frame is then a gap), but it drains to job_done, so its last id
+	// is the log's length.
 	n := full[len(full)-1].id
 	if n <= buffer {
 		t.Fatalf("job emitted %d events, need > %d to evict", n, buffer)

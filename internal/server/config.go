@@ -2,10 +2,12 @@
 // long-running, multi-tenant HTTP service. A tenant POSTs an
 // ExperimentSpec batch to /v1/jobs and either streams the sweep's
 // lifecycle back as server-sent events (SpecStart/CellEvent/SpecDone
-// plus PhaseStart/PhaseDone) or waits for the JSON report; the final
-// report is also fetchable at /v1/jobs/{id}/report, with the full
-// multi-level evaluation embedded exactly as core.MarshalReport
-// renders it.
+// plus PhaseStart/PhaseDone) or waits for the JSON report; either way
+// the Location header names the job. The final report is also
+// fetchable at /v1/jobs/{id}/report, with the full multi-level
+// evaluation embedded exactly as core.MarshalReport renders it. Specs,
+// cells and app curves travel in their owning types' JSON form (see
+// wire.go).
 //
 // Each tenant gets its own tooleval.Session under a configured quota
 // tier (cell and virtual-time budgets, concurrent-job limit), while

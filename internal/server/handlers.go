@@ -60,7 +60,8 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 // (job, spec_start, cell, phase_start, phase_done, spec_done, job_done
 // events); otherwise the handler blocks until the batch finishes and
 // responds with the report JSON directly. Either way the job is
-// registered and its status/report remain fetchable afterwards.
+// registered, the Location header names it (/v1/jobs/{id}), and its
+// status/report remain fetchable afterwards.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
 		writeError(w, http.StatusServiceUnavailable, errors.New("server: draining, not accepting jobs"))
@@ -103,11 +104,10 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	s.activeJobs.Add(1)
 	defer s.activeJobs.Done()
 
-	specs := make([]tooleval.ExperimentSpec, len(req.Specs))
-	for i, sw := range req.Specs {
-		specs[i] = sw.spec()
-	}
-	j := s.jobs.create(id, specs)
+	j := s.jobs.create(id, req.Specs)
+	// Name the job before any header is written, so every client of an
+	// accepted job learns its id, whatever the stream later drops.
+	w.Header().Set("Location", "/v1/jobs/"+j.id)
 	streaming := wantsSSE(r)
 
 	// The job's context: the blocking path dies with the client
@@ -162,7 +162,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		}
 	})
 
-	results, errs := tn.sess.SubmitAll(ctx, specs)
+	results, errs := tn.sess.SubmitAll(ctx, req.Specs)
 	j.complete(results, errs, ctx.Err() != nil)
 
 	if streaming {

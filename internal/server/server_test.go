@@ -53,11 +53,7 @@ func attachStore(t *testing.T, s *Server, dir string, opts ...store.Option) *too
 
 func specsBody(t *testing.T, specs []tooleval.ExperimentSpec) *bytes.Reader {
 	t.Helper()
-	req := jobRequest{Specs: make([]specWire, len(specs))}
-	for i, s := range specs {
-		req.Specs[i] = toSpecWire(s)
-	}
-	blob, err := json.Marshal(req)
+	blob, err := json.Marshal(jobRequest{Specs: specs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,6 +220,9 @@ func TestSubmitJSONMatchesLocal(t *testing.T) {
 	}
 	if !bytes.Equal(body, want) {
 		t.Fatalf("server report differs from local run:\nserver: %s\nlocal:  %s", body, want)
+	}
+	if id := jobIDFrom(t, resp); id != "j-000001" {
+		t.Fatalf("Location names job %q, want j-000001", id)
 	}
 
 	// The job remains fetchable: same bytes from the report endpoint,
@@ -626,6 +625,32 @@ func TestInvalidRequests(t *testing.T) {
 	var rep reportWire
 	if err := json.Unmarshal(body, &rep); err != nil || len(rep.Specs) != 1 || rep.Specs[0].Error == "" {
 		t.Fatalf("invalid spec must surface per-spec: %s", body)
+	}
+}
+
+// TestStraySpecFieldIsSpecError posts a ping-pong spec that sets
+// "procs", a field ping-pong does not read: the job is accepted, and
+// the report carries that spec's validation error instead of a run
+// that silently ignored the field.
+func TestStraySpecFieldIsSpecError(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	body := `{"specs":[{"kind":"pingpong","platform":"sun-ethernet","tool":"p4","procs":8,"sizes":[64]}]}`
+	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d err %v: %s", resp.StatusCode, err, blob)
+	}
+	var rep reportWire
+	if err := json.Unmarshal(blob, &rep); err != nil {
+		t.Fatal(err)
+	}
+	const want = "pingpong: Procs set, but pingpong reads only Platform, Tool, Sizes"
+	if len(rep.Specs) != 1 || !strings.Contains(rep.Specs[0].Error, want) || rep.Specs[0].Times != nil {
+		t.Fatalf("report = %s, want spec 0 to fail with %q", blob, want)
 	}
 }
 

@@ -1,9 +1,10 @@
 package server
 
-// The wire layer: the JSON shapes of the HTTP API. They deliberately
-// mirror — rather than embed — the root package's structs, so the API
-// contract is pinned here with lowercase field names and cannot drift
-// silently when the Go surface evolves.
+// The wire layer: the JSON shapes of the HTTP API. A spec, a cell and
+// an app curve travel in their owning types' JSON form
+// (tooleval.ExperimentSpec, tooleval.Cell, tooleval.AppMeasurement),
+// so each shape is defined once; the structs here only frame them.
+// testdata/wire.golden pins the bytes of every frame and report.
 
 import (
 	"encoding/json"
@@ -12,64 +13,9 @@ import (
 	"tooleval"
 )
 
-// specWire is the JSON form of a tooleval.ExperimentSpec.
-type specWire struct {
-	Kind      string  `json:"kind"`
-	Platform  string  `json:"platform,omitempty"`
-	Tool      string  `json:"tool,omitempty"`
-	Procs     int     `json:"procs,omitempty"`
-	Sizes     []int   `json:"sizes,omitempty"`
-	App       string  `json:"app,omitempty"`
-	ProcsList []int   `json:"procs_list,omitempty"`
-	Scale     float64 `json:"scale,omitempty"`
-	Profile   string  `json:"profile,omitempty"`
-}
-
-func (w specWire) spec() tooleval.ExperimentSpec {
-	return tooleval.ExperimentSpec{
-		Kind:      w.Kind,
-		Platform:  w.Platform,
-		Tool:      w.Tool,
-		Procs:     w.Procs,
-		Sizes:     w.Sizes,
-		App:       w.App,
-		ProcsList: w.ProcsList,
-		Scale:     w.Scale,
-		Profile:   w.Profile,
-	}
-}
-
-func toSpecWire(s tooleval.ExperimentSpec) specWire {
-	return specWire{
-		Kind:      s.Kind,
-		Platform:  s.Platform,
-		Tool:      s.Tool,
-		Procs:     s.Procs,
-		Sizes:     s.Sizes,
-		App:       s.App,
-		ProcsList: s.ProcsList,
-		Scale:     s.Scale,
-		Profile:   s.Profile,
-	}
-}
-
-// cellWire is the JSON form of one simulation cell's content key.
-type cellWire struct {
-	Platform string  `json:"platform"`
-	Tool     string  `json:"tool"`
-	Bench    string  `json:"bench"`
-	Procs    int     `json:"procs,omitempty"`
-	Size     int     `json:"size,omitempty"`
-	Scale    float64 `json:"scale,omitempty"`
-}
-
-func toCellWire(c tooleval.Cell) cellWire {
-	return cellWire{Platform: c.Platform, Tool: c.Tool, Bench: c.Bench, Procs: c.Procs, Size: c.Size, Scale: c.Scale}
-}
-
 // jobRequest is the POST /v1/jobs body.
 type jobRequest struct {
-	Specs []specWire `json:"specs"`
+	Specs []tooleval.ExperimentSpec `json:"specs"`
 }
 
 // errorWire is every non-2xx response body. Quota is present exactly
@@ -92,17 +38,17 @@ type quotaWire struct {
 // phase_done); errors travel as strings, empty meaning none.
 type (
 	specStartWire struct {
-		Index int      `json:"index"`
-		Spec  specWire `json:"spec"`
+		Index int                     `json:"index"`
+		Spec  tooleval.ExperimentSpec `json:"spec"`
 	}
 	specDoneWire struct {
 		Index int    `json:"index"`
 		Error string `json:"error,omitempty"`
 	}
 	cellEventWire struct {
-		Cell   cellWire `json:"cell"`
-		Cached bool     `json:"cached"`
-		Error  string   `json:"error,omitempty"`
+		Cell   tooleval.Cell `json:"cell"`
+		Cached bool          `json:"cached"`
+		Error  string        `json:"error,omitempty"`
 	}
 	phaseWire struct {
 		Phase string `json:"phase"`
@@ -115,11 +61,11 @@ type (
 func eventWire(ev tooleval.Event) (name string, data any, ok bool) {
 	switch e := ev.(type) {
 	case tooleval.SpecStart:
-		return "spec_start", specStartWire{Index: e.Index, Spec: toSpecWire(e.Spec)}, true
+		return "spec_start", specStartWire{Index: e.Index, Spec: e.Spec}, true
 	case tooleval.SpecDone:
 		return "spec_done", specDoneWire{Index: e.Index, Error: errString(e.Err)}, true
 	case tooleval.CellEvent:
-		return "cell", cellEventWire{Cell: toCellWire(e.Cell), Cached: e.Cached, Error: errString(e.Err)}, true
+		return "cell", cellEventWire{Cell: e.Cell, Cached: e.Cached, Error: errString(e.Err)}, true
 	case tooleval.PhaseStart:
 		return "phase_start", phaseWire{Phase: e.Phase}, true
 	case tooleval.PhaseDone:
@@ -144,20 +90,12 @@ type reportWire struct {
 }
 
 type specReportWire struct {
-	Index      int             `json:"index"`
-	Spec       specWire        `json:"spec"`
-	Error      string          `json:"error,omitempty"`
-	Times      []float64       `json:"times,omitempty"`
-	App        *appWire        `json:"app,omitempty"`
-	Evaluation json.RawMessage `json:"evaluation,omitempty"`
-}
-
-type appWire struct {
-	Platform string    `json:"platform"`
-	App      string    `json:"app"`
-	Tool     string    `json:"tool"`
-	Procs    []int     `json:"procs"`
-	Seconds  []float64 `json:"seconds"`
+	Index      int                      `json:"index"`
+	Spec       tooleval.ExperimentSpec  `json:"spec"`
+	Error      string                   `json:"error,omitempty"`
+	Times      []float64                `json:"times,omitempty"`
+	App        *tooleval.AppMeasurement `json:"app,omitempty"`
+	Evaluation json.RawMessage          `json:"evaluation,omitempty"`
 }
 
 // MarshalBatchReport renders a completed batch as the job-report JSON.
@@ -173,18 +111,12 @@ func MarshalBatchReport(results []tooleval.Result, errs []error) ([]byte, error)
 	for i, res := range results {
 		sr := specReportWire{
 			Index: i,
-			Spec:  toSpecWire(res.Spec),
+			Spec:  res.Spec,
 			Error: errString(errs[i]),
 			Times: res.Times,
 		}
 		if res.Spec.Kind == tooleval.KindApp && errs[i] == nil {
-			sr.App = &appWire{
-				Platform: res.App.Platform,
-				App:      res.App.App,
-				Tool:     res.App.Tool,
-				Procs:    res.App.Procs,
-				Seconds:  res.App.Seconds,
-			}
+			sr.App = &results[i].App
 		}
 		if res.Evaluation != nil {
 			blob, err := tooleval.MarshalReport(res.Evaluation)
