@@ -106,6 +106,8 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz='^FuzzCombineSum$$' -fuzztime=$(FUZZTIME) ./internal/mpt
 	$(GO) test -run=NONE -fuzz='^FuzzFragFrame$$' -fuzztime=$(FUZZTIME) ./internal/mpt/pvm
 	$(GO) test -run=NONE -fuzz='^FuzzDecodeRecords$$' -fuzztime=$(FUZZTIME) ./internal/apps/psrs
+	$(GO) test -run=NONE -fuzz='^FuzzStorePayload$$' -fuzztime=$(FUZZTIME) ./internal/store
+	$(GO) test -run=NONE -fuzz='^FuzzWorkerCellRequest$$' -fuzztime=$(FUZZTIME) ./internal/remote
 
 # bench-smoke compiles and runs every benchmark for exactly one
 # iteration — the CI guard against benchmark bit-rot — plus one

@@ -75,11 +75,11 @@ func parseFlags(args []string, w io.Writer) (options, error) {
 	fs.StringVar(&cfg.DefaultTier, "default-tier", "", "tier for unmapped tenants (empty = unlimited)")
 	fs.Func("tier", "quota tier `name=cells:N,vt:DUR,jobs:N` (repeatable; omitted budgets are unlimited)",
 		func(v string) error {
-			t, err := server.ParseTier(v)
+			name, t, err := server.ParseTier(v)
 			if err != nil {
 				return err
 			}
-			cfg.Tiers[t.Name] = t
+			cfg.Tiers[name] = t
 			return nil
 		})
 	fs.Func("tenant-tier", "map `tenant=tier` (repeatable)",

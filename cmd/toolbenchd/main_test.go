@@ -112,7 +112,7 @@ func TestParseFlagsTierCatalog(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantTiers := map[string]server.QuotaTier{"free": {Name: "free", MaxCells: 2, MaxConcurrentJobs: 1}}
+	wantTiers := map[string]server.QuotaTier{"free": {MaxCells: 2, MaxConcurrentJobs: 1}}
 	if !reflect.DeepEqual(cfg.Tiers, wantTiers) {
 		t.Errorf("Tiers = %+v, want %+v", cfg.Tiers, wantTiers)
 	}

@@ -81,9 +81,9 @@ func main() {
 	// instead; everything below the next comment is pure client code.
 	srv, err := server.New(server.Config{
 		Tiers: map[string]server.QuotaTier{
-			"demo":    {Name: "demo", MaxConcurrentJobs: 4},
-			"metered": {Name: "metered", MaxCells: 2},
-			"serial":  {Name: "serial", MaxConcurrentJobs: 1},
+			"demo":    {MaxConcurrentJobs: 4},
+			"metered": {MaxCells: 2},
+			"serial":  {MaxConcurrentJobs: 1},
 		},
 		DefaultTier: "demo",
 		TenantTiers: map[string]string{"budget-works": "metered", "burst": "serial"},

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"errors"
@@ -64,49 +63,10 @@ func attachFaultyStore(t *testing.T, s *Server, dir string, inj faults.Injector,
 		store.WithBreaker(threshold, base, max))
 }
 
-// idEvent is one SSE frame including its log id (0 when the frame
-// carried no id line, e.g. the synthetic "gap" event).
-type idEvent struct {
-	id   int64
-	name string
-	data []byte
-}
-
-func readIDEvents(r io.Reader, fn func(idEvent) bool) error {
-	sc := bufio.NewScanner(r)
-	var ev idEvent
-	for sc.Scan() {
-		line := sc.Text()
-		switch {
-		case line == "":
-			if ev.name != "" && !fn(ev) {
-				return nil
-			}
-			ev = idEvent{}
-		case strings.HasPrefix(line, "id: "):
-			ev.id, _ = strconv.ParseInt(strings.TrimPrefix(line, "id: "), 10, 64)
-		case strings.HasPrefix(line, "event: "):
-			ev.name = strings.TrimPrefix(line, "event: ")
-		case strings.HasPrefix(line, "data: "):
-			ev.data = []byte(strings.TrimPrefix(line, "data: "))
-		}
-	}
-	return sc.Err()
-}
-
-func collectIDEvents(t *testing.T, r io.Reader) []idEvent {
-	t.Helper()
-	var evs []idEvent
-	if err := readIDEvents(r, func(ev idEvent) bool { evs = append(evs, ev); return true }); err != nil {
-		t.Fatalf("reading SSE: %v", err)
-	}
-	return evs
-}
-
 // resumeEvents fetches GET /v1/jobs/{id}/events from a given position,
 // alternating between the Last-Event-ID header and the ?after= query so
 // both resume spellings stay exercised.
-func resumeEvents(t *testing.T, base, tenant, jobID string, after int64, viaHeader bool) []idEvent {
+func resumeEvents(t *testing.T, base, tenant, jobID string, after int64, viaHeader bool) []sseEvent {
 	t.Helper()
 	url := base + "/v1/jobs/" + jobID + "/events"
 	if !viaHeader {
@@ -129,7 +89,7 @@ func resumeEvents(t *testing.T, base, tenant, jobID string, after int64, viaHead
 		body, _ := io.ReadAll(resp.Body)
 		t.Fatalf("resume after %d: status %d: %s", after, resp.StatusCode, body)
 	}
-	return collectIDEvents(t, resp.Body)
+	return collectEvents(t, resp.Body)
 }
 
 func getJSON(t *testing.T, url string, v any) {
@@ -203,7 +163,7 @@ func TestChaosReportParityUnderStoreFaults(t *testing.T) {
 
 	// The streamed lifecycle holds its shape under faults too.
 	resp := streamJob(t, ts.URL, "chaos-sse", quickBatch)
-	evs := collectIDEvents(t, resp.Body)
+	evs := collectEvents(t, resp.Body)
 	resp.Body.Close()
 	starts, dones := 0, 0
 	for _, ev := range evs {
@@ -322,7 +282,7 @@ func TestChaosCircuitOpensAndRecovers(t *testing.T) {
 func TestChaosSSEResumeEveryIndex(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	resp := streamJob(t, ts.URL, "resume", quickBatch)
-	full := collectIDEvents(t, resp.Body)
+	full := collectEvents(t, resp.Body)
 	resp.Body.Close()
 	if len(full) < 3 {
 		t.Fatalf("only %d events", len(full))
@@ -361,13 +321,13 @@ func TestChaosSSEResumeEveryIndex(t *testing.T) {
 // job_done.
 func TestChaosLiveResumeMidSweep(t *testing.T) {
 	_, ts := newTestServer(t, Config{
-		ResumeWindow: 5 * time.Second,
-		EventBuffer:  1 << 15,
+		resumeWindow: 5 * time.Second,
+		eventBuffer:  1 << 15,
 	})
 	slow := []tooleval.ExperimentSpec{{Kind: tooleval.KindEvaluate, Scale: 0.07}}
 	resp := streamJob(t, ts.URL, "live", slow)
-	var seen []idEvent
-	if err := readIDEvents(resp.Body, func(ev idEvent) bool {
+	var seen []sseEvent
+	if err := readEvents(resp.Body, func(ev sseEvent) bool {
 		seen = append(seen, ev)
 		return len(seen) < 5 // hang up mid-sweep
 	}); err != nil {
@@ -407,9 +367,9 @@ func TestChaosLiveResumeMidSweep(t *testing.T) {
 // were lost with one "gap" frame, then replay the retained suffix.
 func TestChaosGapPastEvictedBuffer(t *testing.T) {
 	const buffer = 8
-	_, ts := newTestServer(t, Config{EventBuffer: buffer})
+	_, ts := newTestServer(t, Config{eventBuffer: buffer})
 	resp := streamJob(t, ts.URL, "gappy", quickBatch)
-	full := collectIDEvents(t, resp.Body)
+	full := collectEvents(t, resp.Body)
 	resp.Body.Close()
 	jobID := jobIDFrom(t, resp)
 	// The live stream may itself have fallen past the buffer (its first
@@ -486,8 +446,8 @@ func TestChaosDrainWhileCircuitOpen(t *testing.T) {
 	// One sweep provably in flight when the drain starts.
 	stream := streamJob(t, base, "straggler", []tooleval.ExperimentSpec{{Kind: tooleval.KindEvaluate, Scale: 0.06}})
 	defer stream.Body.Close()
-	var first []idEvent
-	if err := readIDEvents(stream.Body, func(ev idEvent) bool {
+	var first []sseEvent
+	if err := readEvents(stream.Body, func(ev sseEvent) bool {
 		first = append(first, ev)
 		return len(first) < 2
 	}); err != nil {
@@ -496,7 +456,7 @@ func TestChaosDrainWhileCircuitOpen(t *testing.T) {
 
 	start := time.Now()
 	drain()
-	rest := collectIDEvents(t, stream.Body)
+	rest := collectEvents(t, stream.Body)
 	if len(rest) == 0 || rest[len(rest)-1].name != "job_done" {
 		t.Fatalf("in-flight stream did not reach job_done through the drain")
 	}

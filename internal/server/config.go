@@ -17,12 +17,18 @@
 // virtual time keeps every cell deterministic, so a report served from
 // another tenant's cells is byte-identical to one simulated fresh.
 //
+// Each tenant owns its jobs: another tenant's job id is not found, and
+// a tenant keeps at most MaxJobsRetained finished jobs. Job ids are one
+// server-wide sequence (j-000001, j-000002, ...).
+//
 // Production behavior the package owns: typed 429s on quota refusal
-// (a *tooleval.QuotaError rides the error JSON), per-job context
-// cancellation when a streaming client disconnects (in-flight specs
-// abort; cancelled cells are retracted, never cached), graceful drain
-// (stop admitting, finish in-flight sweeps under a deadline), and
-// /healthz + /statsz observability.
+// (a *tooleval.QuotaError rides the error JSON), resumable streams
+// (each job replays its last 4096 events to a client reconnecting with
+// Last-Event-ID; one further behind gets a "gap" event), per-job
+// context cancellation when a streaming job has had no subscriber for
+// 15 s (in-flight specs abort; cancelled cells are retracted, never
+// cached), graceful drain (stop admitting, finish in-flight sweeps
+// under a deadline), and /healthz + /statsz observability.
 //
 // The package opens, listens on and closes nothing: cmd/toolbenchd
 // opens the durable store, attaches it with Server.Cache().SetTier, and
@@ -38,10 +44,9 @@ import (
 )
 
 // QuotaTier bounds what one tenant may consume. The zero value of any
-// field means unlimited for that resource.
+// field means unlimited for that resource. A tier has no name of its
+// own: its key in Config.Tiers names it in config and /statsz.
 type QuotaTier struct {
-	// Name identifies the tier in config and /statsz.
-	Name string
 	// MaxCells caps how many cells the tenant's session may simulate
 	// over its lifetime (cache hits are free).
 	MaxCells int64
@@ -77,32 +82,31 @@ type Config struct {
 	// non-default tier; like Tiers, it is read once, at New.
 	TenantTiers map[string]string
 	// MaxJobsRetained bounds how many finished jobs are kept per
-	// tenant for report fetching; the oldest finished job is evicted
-	// when a new one completes (0 = 64). In-flight jobs are never
-	// evicted.
+	// tenant for report fetching; the tenant's oldest finished job is
+	// evicted when it submits one more (0 = 64). In-flight jobs are
+	// never evicted.
 	MaxJobsRetained int
 	// MaxSpecsPerJob rejects batches larger than this up front
 	// (0 = 1024).
 	MaxSpecsPerJob int
-	// ResumeWindow is how long a streaming job survives with no
-	// attached subscriber before its sweep is cancelled — the grace
-	// period for a dropped SSE client to reconnect with Last-Event-ID
-	// (0 = 15s; negative = cancel immediately on disconnect, the
-	// pre-resume behavior).
-	ResumeWindow time.Duration
-	// EventBuffer bounds each job's event replay buffer; a subscriber
-	// further behind than this sees a "gap" event instead of the
-	// evicted entries (0 = 4096).
-	EventBuffer int
 	// Logf receives one line per lifecycle event (job admitted,
 	// drain started, ...); nil disables logging.
 	Logf func(format string, args ...any)
+
+	// resumeWindow is how long a streaming job survives with no
+	// attached subscriber before its sweep is cancelled: the grace
+	// period for a dropped SSE client to reconnect with Last-Event-ID
+	// (0 = 15s). eventBuffer bounds each job's event replay buffer; a
+	// subscriber further behind than this sees a "gap" event instead
+	// of the evicted entries (0 = 4096). Both are fixed in production;
+	// the package's tests shorten them.
+	resumeWindow time.Duration
+	eventBuffer  int
 }
 
 // normalize validates c and fills defaults in place. A negative size,
-// count or timeout is an error naming the field — zero selects the
-// default — except ResumeWindow, where negative means "cancel on
-// disconnect".
+// count or timeout is an error naming the field; zero selects the
+// default.
 func (c *Config) normalize() error {
 	for _, f := range []struct {
 		name     string
@@ -114,7 +118,6 @@ func (c *Config) normalize() error {
 		{"DrainTimeout", c.DrainTimeout < 0, c.DrainTimeout},
 		{"MaxJobsRetained", c.MaxJobsRetained < 0, c.MaxJobsRetained},
 		{"MaxSpecsPerJob", c.MaxSpecsPerJob < 0, c.MaxSpecsPerJob},
-		{"EventBuffer", c.EventBuffer < 0, c.EventBuffer},
 	} {
 		if f.negative {
 			return fmt.Errorf("server: %s is negative (%v); use 0 for the default", f.name, f.v)
@@ -129,11 +132,11 @@ func (c *Config) normalize() error {
 	if c.MaxSpecsPerJob == 0 {
 		c.MaxSpecsPerJob = 1024
 	}
-	if c.ResumeWindow == 0 {
-		c.ResumeWindow = 15 * time.Second
+	if c.resumeWindow == 0 {
+		c.resumeWindow = 15 * time.Second
 	}
-	if c.EventBuffer == 0 {
-		c.EventBuffer = 4096
+	if c.eventBuffer == 0 {
+		c.eventBuffer = 4096
 	}
 	if c.DefaultTier != "" {
 		if _, ok := c.Tiers[c.DefaultTier]; !ok {
@@ -148,16 +151,18 @@ func (c *Config) normalize() error {
 	return nil
 }
 
-// tierFor resolves the quota tier for a tenant id: its TenantTiers
-// entry, else the default tier, else unlimited.
-func (c *Config) tierFor(tenant string) QuotaTier {
-	if name, ok := c.TenantTiers[tenant]; ok {
-		return c.Tiers[name]
+// tierFor resolves the name and budgets of a tenant's quota tier: its
+// TenantTiers entry, else the default tier, else the built-in
+// "unlimited".
+func (c *Config) tierFor(tenant string) (string, QuotaTier) {
+	name, ok := c.TenantTiers[tenant]
+	if !ok {
+		name = c.DefaultTier
 	}
-	if c.DefaultTier != "" {
-		return c.Tiers[c.DefaultTier]
+	if name == "" {
+		return "unlimited", QuotaTier{}
 	}
-	return QuotaTier{Name: "unlimited"}
+	return name, c.Tiers[name]
 }
 
 // tenantIDPattern is the accepted shape of an X-Tenant header value.
@@ -172,45 +177,46 @@ func validTenantID(id string) bool { return tenantIDPattern.MatchString(id) }
 //	name=cells:<n>,vt:<duration>,jobs:<n>
 //
 // with any subset of the three budgets (omitted = unlimited), e.g.
-// "free=cells:500,jobs:2" or "batch=vt:10m".
-func ParseTier(s string) (QuotaTier, error) {
+// "free=cells:500,jobs:2" or "batch=vt:10m". It returns the tier's
+// name, its key in Config.Tiers, beside its budgets.
+func ParseTier(s string) (string, QuotaTier, error) {
 	name, budgets, ok := strings.Cut(s, "=")
 	if !ok || name == "" {
-		return QuotaTier{}, fmt.Errorf("tier %q: want name=budget[,budget...]", s)
+		return "", QuotaTier{}, fmt.Errorf("tier %q: want name=budget[,budget...]", s)
 	}
-	t := QuotaTier{Name: name}
+	var t QuotaTier
 	if budgets == "" {
-		return t, nil
+		return name, t, nil
 	}
 	for _, b := range strings.Split(budgets, ",") {
 		k, v, ok := strings.Cut(b, ":")
 		if !ok {
-			return QuotaTier{}, fmt.Errorf("tier %q: budget %q: want key:value", s, b)
+			return "", QuotaTier{}, fmt.Errorf("tier %q: budget %q: want key:value", s, b)
 		}
 		switch k {
 		case "cells":
 			n, err := strconv.ParseInt(v, 10, 64)
 			if err != nil || n < 0 {
-				return QuotaTier{}, fmt.Errorf("tier %q: cells %q: want a non-negative integer", s, v)
+				return "", QuotaTier{}, fmt.Errorf("tier %q: cells %q: want a non-negative integer", s, v)
 			}
 			t.MaxCells = n
 		case "vt":
 			d, err := time.ParseDuration(v)
 			if err != nil || d < 0 {
-				return QuotaTier{}, fmt.Errorf("tier %q: vt %q: want a non-negative duration", s, v)
+				return "", QuotaTier{}, fmt.Errorf("tier %q: vt %q: want a non-negative duration", s, v)
 			}
 			t.MaxVirtualTime = d
 		case "jobs":
 			n, err := strconv.Atoi(v)
 			if err != nil || n < 0 {
-				return QuotaTier{}, fmt.Errorf("tier %q: jobs %q: want a non-negative integer", s, v)
+				return "", QuotaTier{}, fmt.Errorf("tier %q: jobs %q: want a non-negative integer", s, v)
 			}
 			t.MaxConcurrentJobs = n
 		default:
-			return QuotaTier{}, fmt.Errorf("tier %q: unknown budget %q (want cells, vt, or jobs)", s, k)
+			return "", QuotaTier{}, fmt.Errorf("tier %q: unknown budget %q (want cells, vt, or jobs)", s, k)
 		}
 	}
-	return t, nil
+	return name, t, nil
 }
 
 // ParseTenantTier parses one -tenant-tier flag value "tenant=tier".

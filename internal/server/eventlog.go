@@ -53,8 +53,11 @@ func (l *eventLog) append(name string, data []byte) {
 	l.buf = append(l.buf, logEvent{id: l.next, name: name, data: data})
 	l.next++
 	if len(l.buf) > l.cap {
+		// Reslice rather than shift: the next append that outgrows the
+		// backing array copies only the cap retained events, so eviction
+		// costs O(1) amortized instead of O(cap) per event.
 		drop := len(l.buf) - l.cap
-		l.buf = append(l.buf[:0], l.buf[drop:]...)
+		l.buf = l.buf[drop:]
 		l.base += int64(drop)
 	}
 	close(l.updated)

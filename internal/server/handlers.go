@@ -64,7 +64,7 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 // status/report remain fetchable afterwards.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
-		writeError(w, http.StatusServiceUnavailable, errors.New("server: draining, not accepting jobs"))
+		writeError(w, http.StatusServiceUnavailable, errDraining)
 		return
 	}
 	id, err := tenantID(r)
@@ -88,7 +88,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			fmt.Errorf("server: %d specs exceeds per-job limit %d", len(req.Specs), s.cfg.MaxSpecsPerJob))
 		return
 	}
-	tn, release, err := s.tenants.admit(id)
+	tn, release, err := s.admit(id)
 	if err != nil {
 		if tn == nil {
 			writeError(w, http.StatusServiceUnavailable, err)
@@ -104,7 +104,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	s.activeJobs.Add(1)
 	defer s.activeJobs.Done()
 
-	j := s.jobs.create(id, req.Specs)
+	j := s.newJob(tn, req.Specs)
 	// Name the job before any header is written, so every client of an
 	// accepted job learns its id, whatever the stream later drops.
 	w.Header().Set("Location", "/v1/jobs/"+j.id)
@@ -112,13 +112,13 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 
 	// The job's context: the blocking path dies with the client
 	// connection, while a streaming submission survives disconnects for
-	// cfg.ResumeWindow (the watchdog in job.detach cancels it if no
+	// cfg.resumeWindow (the watchdog in job.detach cancels it if no
 	// subscriber reattaches). Both die with the drain deadline.
 	var ctx context.Context
 	var cancel context.CancelFunc
 	if streaming {
 		ctx, cancel = context.WithCancel(context.Background())
-		j.makeResumable(cancel, s.cfg.ResumeWindow)
+		j.makeResumable(cancel, s.cfg.resumeWindow)
 	} else {
 		ctx, cancel = context.WithCancel(r.Context())
 	}
@@ -326,7 +326,7 @@ func (s *Server) lookupJob(w http.ResponseWriter, r *http.Request) (*job, bool) 
 		return nil, false
 	}
 	id := r.PathValue("id")
-	j, ok := s.jobs.get(tenant, id)
+	j, ok := s.job(tenant, id)
 	if !ok {
 		writeError(w, http.StatusNotFound, fmt.Errorf("server: no job %q", id))
 		return nil, false
@@ -436,9 +436,10 @@ func (s *Server) handleStatsz(w http.ResponseWriter, r *http.Request) {
 			Error:   errString(sh.Err),
 		}
 	}
-	for _, t := range s.tenants.snapshot() {
-		out.Tenants[t.id] = tenantStatsWire{
-			Tier:        t.tier.Name,
+	s.mu.Lock()
+	for id, t := range s.tenants {
+		out.Tenants[id] = tenantStatsWire{
+			Tier:        t.tierName,
 			JobsActive:  t.jobsActive.Load(),
 			JobsStarted: t.jobsStarted.Load(),
 			JobsDone:    t.jobsDone.Load(),
@@ -449,5 +450,6 @@ func (s *Server) handleStatsz(w http.ResponseWriter, r *http.Request) {
 			CellsCached: t.cellsCached.Load(),
 		}
 	}
+	s.mu.Unlock()
 	writeJSON(w, http.StatusOK, out)
 }

@@ -2,7 +2,6 @@ package server
 
 import (
 	"context"
-	"fmt"
 	"sync"
 	"time"
 
@@ -132,6 +131,13 @@ func (j *job) complete(results []tooleval.Result, errs []error, cancelled bool) 
 	j.events.close()
 }
 
+// finished reports whether the job has left the running state.
+func (j *job) finished() bool {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.state != jobRunning
+}
+
 // reportBytes returns the rendered report — nil while the job still
 // runs — and any render error.
 func (j *job) reportBytes() ([]byte, error) {
@@ -169,78 +175,4 @@ func (j *job) statusLocked() jobStatusWire {
 		Cells:      j.cellEvents,
 		Failed:     j.failed,
 	}
-}
-
-// jobStore indexes jobs by id and bounds per-tenant retention: every
-// tenant keeps at most retain finished jobs (oldest evicted first), so
-// a long-lived daemon's memory does not grow with its request count.
-// Running jobs are never evicted.
-type jobStore struct {
-	mu       sync.Mutex
-	jobs     map[string]*job
-	byTenant map[string][]*job // insertion order, for eviction
-	retain   int
-	eventCap int // replay-buffer bound per job
-	seq      int64
-}
-
-func newJobStore(retain, eventCap int) *jobStore {
-	return &jobStore{
-		jobs:     make(map[string]*job),
-		byTenant: make(map[string][]*job),
-		retain:   retain,
-		eventCap: eventCap,
-	}
-}
-
-// create registers a new running job for tenant and evicts that
-// tenant's stale finished jobs beyond the retention bound. The job's
-// replay buffer opens with the initial "job" status snapshot, so every
-// subscriber — even one attaching after the sweep started — sees the
-// job header first.
-func (s *jobStore) create(tenant string, specs []tooleval.ExperimentSpec) *job {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.seq++
-	j := &job{
-		id:     fmt.Sprintf("j-%06d", s.seq),
-		tenant: tenant,
-		specs:  specs,
-		state:  jobRunning,
-		events: newEventLog(s.eventCap),
-	}
-	j.events.append("job", marshalEvent("job", j.status()))
-	s.jobs[j.id] = j
-	list := append(s.byTenant[tenant], j)
-	// Evict oldest finished jobs past the bound (finished only: a
-	// running job's handler still holds it).
-	kept := list[:0]
-	over := len(list) - s.retain
-	for _, old := range list {
-		if over > 0 && old != j {
-			old.mu.Lock()
-			finished := old.state != jobRunning
-			old.mu.Unlock()
-			if finished {
-				delete(s.jobs, old.id)
-				over--
-				continue
-			}
-		}
-		kept = append(kept, old)
-	}
-	s.byTenant[tenant] = kept
-	return j
-}
-
-// get looks a job up for the given tenant; jobs are namespaced by
-// tenant, so another tenant's id behaves as not-found.
-func (s *jobStore) get(tenant, id string) (*job, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	j, ok := s.jobs[id]
-	if !ok || j.tenant != tenant {
-		return nil, false
-	}
-	return j, true
 }

@@ -310,7 +310,7 @@ func TestDrainDeadlineCancelsStragglers(t *testing.T) {
 		t.Fatal("deadline-breaching drain returned nil, want the shutdown error")
 	}
 
-	j, ok := s.jobs.get("straggler", jobID)
+	j, ok := s.job("straggler", jobID)
 	if !ok {
 		t.Fatalf("job %s vanished", jobID)
 	}

@@ -12,22 +12,28 @@ import (
 	"tooleval"
 )
 
-// Server is the toolbenchd state: the shared cache, the tenant
-// registry, the job index, and the drain machinery. Build one with New,
-// optionally attach a durable tier with Cache().SetTier, and expose it
-// with Handler (tests) or run it on the caller's listener with Serve.
+// Server is the toolbenchd state: the shared cache, the tenant table
+// (each tenant owning its jobs), and the drain machinery. Build one
+// with New, optionally attach a durable tier with Cache().SetTier, and
+// expose it with Handler (tests) or run it on the caller's listener
+// with Serve.
 type Server struct {
-	cfg   Config
-	cache *tooleval.Cache
-	mux   *http.ServeMux
-
-	tenants *registry
-	jobs    *jobStore
+	cfg     Config
+	cache   *tooleval.Cache
+	mux     *http.ServeMux
 	started time.Time // for /statsz uptime
 
-	// draining refuses new jobs and tenants while in-flight sweeps
-	// finish; hardCtx is cancelled when the drain deadline passes, so
-	// the sweeps still running abort instead of holding the process.
+	// mu guards the tenant table, every tenant's job list, and the job
+	// sequence. A tenant is built on its first submission and lives
+	// until the server goes away; job ids are one server-wide
+	// sequence.
+	mu      sync.Mutex
+	tenants map[string]*tenant
+	jobSeq  int64
+
+	// draining refuses new jobs while in-flight sweeps finish; hardCtx
+	// is cancelled when the drain deadline passes, so the sweeps still
+	// running abort instead of holding the process.
 	draining   atomic.Bool
 	hardCtx    context.Context
 	hardCancel context.CancelFunc
@@ -45,10 +51,8 @@ func New(cfg Config) (*Server, error) {
 	cfg.Tiers, cfg.TenantTiers = maps.Clone(cfg.Tiers), maps.Clone(cfg.TenantTiers)
 	cache := tooleval.NewCache()
 	cache.SetCapacity(cfg.CacheCapacity)
-	s := &Server{cfg: cfg, cache: cache, started: time.Now()}
+	s := &Server{cfg: cfg, cache: cache, started: time.Now(), tenants: make(map[string]*tenant)}
 	s.hardCtx, s.hardCancel = context.WithCancel(context.Background())
-	s.tenants = newRegistry(s.buildTenant)
-	s.jobs = newJobStore(cfg.MaxJobsRetained, cfg.EventBuffer)
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("POST /v1/jobs", s.handleSubmit)
 	s.mux.HandleFunc("GET /v1/jobs/{id}", s.handleJobStatus)
@@ -57,29 +61,6 @@ func New(cfg Config) (*Server, error) {
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /statsz", s.handleStatsz)
 	return s, nil
-}
-
-// buildTenant materializes a tenant under its configured quota tier:
-// an isolated Session (own executor and budgets) memoizing into the
-// server's shared cache.
-func (s *Server) buildTenant(id string) *tenant {
-	tier := s.cfg.tierFor(id)
-	opts := []tooleval.Option{tooleval.WithCache(s.cache)}
-	if s.cfg.Parallelism > 0 {
-		opts = append(opts, tooleval.WithParallelism(s.cfg.Parallelism))
-	}
-	if tier.MaxCells > 0 {
-		opts = append(opts, tooleval.WithMaxCells(int(tier.MaxCells)))
-	}
-	if tier.MaxVirtualTime > 0 {
-		opts = append(opts, tooleval.WithMaxVirtualTime(tier.MaxVirtualTime))
-	}
-	t := &tenant{id: id, tier: tier, sess: tooleval.NewSession(opts...)}
-	if tier.MaxConcurrentJobs > 0 {
-		t.jobSlots = make(chan struct{}, tier.MaxConcurrentJobs)
-	}
-	s.logf("toolbenchd: tenant %q admitted (tier %q)", id, tier.Name)
-	return t
 }
 
 // Handler returns the server's HTTP surface (for httptest and for
@@ -142,14 +123,12 @@ func (s *Server) drain(srv *http.Server) error {
 	return err
 }
 
-// Close stops admitting jobs and tenants, cancels every sweep still
-// running, and returns nil. Idempotent and safe to call concurrently
-// with itself. Callers still streaming jobs should drain first (Serve
-// does).
+// Close stops admitting jobs, cancels every sweep still running, and
+// returns nil. Idempotent and safe to call concurrently with itself.
+// Callers still streaming jobs should drain first (Serve does).
 func (s *Server) Close() error {
 	s.draining.Store(true)
 	s.hardCancel()
-	s.tenants.close()
 	return nil
 }
 

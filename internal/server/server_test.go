@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -104,7 +105,10 @@ func streamJob(t *testing.T, base, tenant string, specs []tooleval.ExperimentSpe
 	return resp
 }
 
+// sseEvent is one SSE frame including its log id (0 when the frame
+// carried no id line, e.g. the synthetic "gap" event).
 type sseEvent struct {
+	id   int64
 	name string
 	data []byte
 }
@@ -122,6 +126,8 @@ func readEvents(r io.Reader, fn func(sseEvent) bool) error {
 				return nil
 			}
 			ev = sseEvent{}
+		case strings.HasPrefix(line, "id: "):
+			ev.id, _ = strconv.ParseInt(strings.TrimPrefix(line, "id: "), 10, 64)
 		case strings.HasPrefix(line, "event: "):
 			ev.name = strings.TrimPrefix(line, "event: ")
 		case strings.HasPrefix(line, "data: "):
@@ -383,7 +389,7 @@ func TestSSEPhaseEvents(t *testing.T) {
 // run poisons the shared cache, and an identical resubmission succeeds
 // byte-identical to a local run.
 func TestClientDisconnectCancelsJob(t *testing.T) {
-	_, ts := newTestServer(t, Config{ResumeWindow: 50 * time.Millisecond})
+	_, ts := newTestServer(t, Config{resumeWindow: 50 * time.Millisecond})
 	batch := []tooleval.ExperimentSpec{
 		{Kind: tooleval.KindEvaluate, Scale: 0.1},
 		{Kind: tooleval.KindApp, Platform: "sun-ethernet", Tool: "p4", App: "psrs", ProcsList: []int{1, 2, 4, 8}, Scale: 1},
@@ -459,7 +465,7 @@ func TestClientDisconnectCancelsJob(t *testing.T) {
 // and the slot frees when the running job ends.
 func TestConcurrentJobLimit429(t *testing.T) {
 	cfg := Config{
-		Tiers:       map[string]QuotaTier{"solo": {Name: "solo", MaxConcurrentJobs: 1}},
+		Tiers:       map[string]QuotaTier{"solo": {MaxConcurrentJobs: 1}},
 		DefaultTier: "solo",
 	}
 	_, ts := newTestServer(t, cfg)
@@ -505,7 +511,7 @@ func TestConcurrentJobLimit429(t *testing.T) {
 // a 429 on the blocking path, with the quota detail in the spec error.
 func TestCellBudget429(t *testing.T) {
 	cfg := Config{
-		Tiers:       map[string]QuotaTier{"tiny": {Name: "tiny", MaxCells: 2}},
+		Tiers:       map[string]QuotaTier{"tiny": {MaxCells: 2}},
 		DefaultTier: "tiny",
 	}
 	_, ts := newTestServer(t, cfg)
@@ -538,7 +544,7 @@ func TestCellBudget429(t *testing.T) {
 // /statsz reports both tenants under their tiers.
 func TestTenantNamespacing(t *testing.T) {
 	cfg := Config{
-		Tiers:       map[string]QuotaTier{"free": {Name: "free", MaxConcurrentJobs: 4}},
+		Tiers:       map[string]QuotaTier{"free": {MaxConcurrentJobs: 4}},
 		TenantTiers: map[string]string{"heidi": "free"},
 	}
 	_, ts := newTestServer(t, cfg)
@@ -575,6 +581,45 @@ func TestTenantNamespacing(t *testing.T) {
 	}
 	if h.Tier != "free" || h.JobsDone != 1 || h.SpecsDone != 1 || h.Cells == 0 {
 		t.Fatalf("heidi stats = %+v", h)
+	}
+}
+
+// TestJobRetentionPerTenant pins MaxJobsRetained: a tenant keeps only
+// its newest finished jobs, and another tenant's submissions do not
+// count against its bound or evict its jobs.
+func TestJobRetentionPerTenant(t *testing.T) {
+	_, ts := newTestServer(t, Config{MaxJobsRetained: 2})
+	batch := []tooleval.ExperimentSpec{{Kind: tooleval.KindPingPong, Platform: "sun-ethernet", Tool: "p4", Sizes: []int{64}}}
+	submit := func(tenant string) string {
+		resp := postJob(t, ts.URL, tenant, batch)
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: submit status %d", tenant, resp.StatusCode)
+		}
+		return jobIDFrom(t, resp)
+	}
+
+	var mine []string
+	mine = append(mine, submit("judy"))
+	other := submit("mallory")
+	for range 3 {
+		mine = append(mine, submit("judy"))
+	}
+	for i, id := range mine {
+		want := http.StatusOK
+		if i < 2 {
+			want = http.StatusNotFound
+		}
+		if code, _ := fetchStatus(t, ts.URL, "judy", id); code != want {
+			t.Fatalf("judy's job %d (%s): status %d, want %d", i+1, id, code, want)
+		}
+		if code, _ := fetchReport(t, ts.URL, "judy", id); code != want {
+			t.Fatalf("judy's job %d (%s) report: status %d, want %d", i+1, id, code, want)
+		}
+	}
+	if code, st := fetchStatus(t, ts.URL, "mallory", other); code != http.StatusOK || st.State != jobDone {
+		t.Fatalf("mallory's job %s: status %d %+v, want 200 and done", other, code, st)
 	}
 }
 
@@ -824,18 +869,18 @@ func TestSharedCacheBoundIsExact(t *testing.T) {
 // TestConfigParsing covers the tier flag grammar and normalize's
 // validation.
 func TestConfigParsing(t *testing.T) {
-	tier, err := ParseTier("free=cells:500,vt:10m,jobs:2")
+	name, tier, err := ParseTier("free=cells:500,vt:10m,jobs:2")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tier.Name != "free" || tier.MaxCells != 500 || tier.MaxVirtualTime != 10*time.Minute || tier.MaxConcurrentJobs != 2 {
+	if name != "free" || tier.MaxCells != 500 || tier.MaxVirtualTime != 10*time.Minute || tier.MaxConcurrentJobs != 2 {
 		t.Fatalf("tier = %+v", tier)
 	}
-	if tier, err := ParseTier("batch=vt:1h"); err != nil || tier.MaxCells != 0 || tier.MaxVirtualTime != time.Hour {
+	if _, tier, err := ParseTier("batch=vt:1h"); err != nil || tier.MaxCells != 0 || tier.MaxVirtualTime != time.Hour {
 		t.Fatalf("partial tier = %+v, %v", tier, err)
 	}
 	for _, bad := range []string{"", "=cells:1", "x=cells:-1", "x=vt:wat", "x=widgets:3", "x=cells"} {
-		if _, err := ParseTier(bad); err == nil {
+		if _, _, err := ParseTier(bad); err == nil {
 			t.Fatalf("ParseTier(%q) accepted", bad)
 		}
 	}
@@ -857,31 +902,24 @@ func TestConfigParsing(t *testing.T) {
 	}
 
 	// A negative size is a configuration error naming its field, not a
-	// silent default; ResumeWindow alone gives negative a meaning.
+	// silent default.
 	for field, bad := range map[string]Config{
 		"Parallelism":     {Parallelism: -4},
 		"CacheCapacity":   {CacheCapacity: -1},
 		"DrainTimeout":    {DrainTimeout: -time.Second},
 		"MaxJobsRetained": {MaxJobsRetained: -1},
 		"MaxSpecsPerJob":  {MaxSpecsPerJob: -1},
-		"EventBuffer":     {EventBuffer: -1},
 	} {
 		if _, err := New(bad); err == nil || !strings.Contains(err.Error(), field) {
 			t.Fatalf("New with negative %s = %v, want an error naming the field", field, err)
 		}
 	}
-	if s, err := New(Config{ResumeWindow: -1}); err != nil {
-		t.Fatalf("negative ResumeWindow (cancel on disconnect) rejected: %v", err)
-	} else {
-		s.Close()
+	cfg := Config{Tiers: map[string]QuotaTier{"free": {}}, TenantTiers: map[string]string{"a": "free"}}
+	if got, _ := cfg.tierFor("a"); got != "free" {
+		t.Fatalf("tierFor(a) = %q", got)
 	}
-
-	cfg := Config{Tiers: map[string]QuotaTier{"free": {Name: "free"}}, TenantTiers: map[string]string{"a": "free"}}
-	if got := cfg.tierFor("a"); got.Name != "free" {
-		t.Fatalf("tierFor(a) = %+v", got)
-	}
-	if got := cfg.tierFor("other"); got.Name != "unlimited" {
-		t.Fatalf("tierFor(other) = %+v", got)
+	if got, _ := cfg.tierFor("other"); got != "unlimited" {
+		t.Fatalf("tierFor(other) = %q", got)
 	}
 }
 
@@ -890,7 +928,7 @@ func TestConfigParsing(t *testing.T) {
 // tenant's tier.
 func TestTierCatalogFixedAtNew(t *testing.T) {
 	cfg := Config{
-		Tiers:       map[string]QuotaTier{"solo": {Name: "solo", MaxConcurrentJobs: 1}},
+		Tiers:       map[string]QuotaTier{"solo": {MaxConcurrentJobs: 1}},
 		TenantTiers: map[string]string{"erin": "solo"},
 	}
 	s, err := New(cfg)
@@ -898,18 +936,18 @@ func TestTierCatalogFixedAtNew(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	cfg.Tiers["solo"] = QuotaTier{Name: "solo"}
+	cfg.Tiers["solo"] = QuotaTier{}
 	cfg.TenantTiers["erin"] = "ghost"
 
-	tn, release, err := s.tenants.admit("erin")
+	tn, release, err := s.admit("erin")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer release()
-	if tn.tier.Name != "solo" || tn.tier.MaxConcurrentJobs != 1 {
+	if tn.tierName != "solo" || tn.tier.MaxConcurrentJobs != 1 {
 		t.Fatalf("erin's tier = %+v, want solo with one job slot", tn.tier)
 	}
-	if _, _, err := s.tenants.admit("erin"); err == nil {
+	if _, _, err := s.admit("erin"); err == nil {
 		t.Fatal("second concurrent job admitted past the one-slot tier")
 	}
 }

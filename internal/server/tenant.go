@@ -1,9 +1,8 @@
 package server
 
 import (
+	"errors"
 	"fmt"
-	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -14,9 +13,14 @@ import (
 // executor, budgets, stats) over the server's shared cache, plus the
 // admission state and counters the handlers maintain.
 type tenant struct {
-	id   string
-	tier QuotaTier
-	sess *tooleval.Session
+	id       string
+	tierName string
+	tier     QuotaTier
+	sess     *tooleval.Session
+
+	// jobs holds the tenant's running jobs and its newest finished
+	// ones, in submission order; the server's mu guards it.
+	jobs []*job
 
 	// jobSlots is the concurrent-job gate (nil = unlimited): acquire
 	// is non-blocking, because the tier's job limit is a refusal
@@ -96,55 +100,95 @@ func (t *tenant) retryAfter() time.Duration {
 	return est.Round(time.Second)
 }
 
-// registry owns the tenant set: a tenant is built under its quota
-// tier on first request and lives until the server drains. The tier
-// catalog is fixed when the server is built, so a tenant's tier never
-// changes. All sessions share the server's cache.
-type registry struct {
-	mu      sync.Mutex
-	tenants map[string]*tenant
-	build   func(id string) *tenant
-	closed  bool
-}
+// errDraining refuses a job once the server has begun to drain.
+var errDraining = errors.New("server: draining, not accepting jobs")
 
-func newRegistry(build func(id string) *tenant) *registry {
-	return &registry{tenants: make(map[string]*tenant), build: build}
-}
-
-// admit returns the tenant for id, creating it on first use, with a
-// job slot acquired. After the registry is closed (drain completed) no
-// new jobs are admitted.
-func (r *registry) admit(id string) (*tenant, func(), error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.closed {
-		return nil, nil, fmt.Errorf("server: draining, not admitting tenants")
+// admit returns the tenant for id, building it under its quota tier on
+// first use, with a job slot acquired. Once the server drains, no job
+// is admitted.
+func (s *Server) admit(id string) (*tenant, func(), error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.draining.Load() {
+		return nil, nil, errDraining
 	}
-	t, ok := r.tenants[id]
+	t, ok := s.tenants[id]
 	if !ok {
-		t = r.build(id)
-		r.tenants[id] = t
+		t = s.newTenant(id)
+		s.tenants[id] = t
 	}
 	release, err := t.acquireJob()
 	return t, release, err
 }
 
-// snapshot returns the tenants sorted by id (for deterministic
-// /statsz rendering).
-func (r *registry) snapshot() []*tenant {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]*tenant, 0, len(r.tenants))
-	for _, t := range r.tenants {
-		out = append(out, t)
+// newTenant materializes a tenant under its configured quota tier: an
+// isolated Session (own executor and budgets) memoizing into the
+// server's shared cache.
+func (s *Server) newTenant(id string) *tenant {
+	name, tier := s.cfg.tierFor(id)
+	opts := []tooleval.Option{tooleval.WithCache(s.cache)}
+	if s.cfg.Parallelism > 0 {
+		opts = append(opts, tooleval.WithParallelism(s.cfg.Parallelism))
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].id < out[j].id })
-	return out
+	if tier.MaxCells > 0 {
+		opts = append(opts, tooleval.WithMaxCells(int(tier.MaxCells)))
+	}
+	if tier.MaxVirtualTime > 0 {
+		opts = append(opts, tooleval.WithMaxVirtualTime(tier.MaxVirtualTime))
+	}
+	t := &tenant{id: id, tierName: name, tier: tier, sess: tooleval.NewSession(opts...)}
+	if tier.MaxConcurrentJobs > 0 {
+		t.jobSlots = make(chan struct{}, tier.MaxConcurrentJobs)
+	}
+	s.logf("toolbenchd: tenant %q admitted (tier %q)", id, name)
+	return t
 }
 
-// close stops admitting new tenants and jobs.
-func (r *registry) close() {
-	r.mu.Lock()
-	r.closed = true
-	r.mu.Unlock()
+// newJob registers a running job for t under the next id of the
+// server-wide sequence, then evicts t's oldest finished jobs beyond
+// the retention bound, so a long-lived daemon's memory does not grow
+// with its request count. Running jobs are never evicted: their
+// handlers still hold them. The job's replay buffer opens with the
+// initial "job" status snapshot, so every subscriber, even one
+// attaching after the sweep started, sees the job header first.
+func (s *Server) newJob(t *tenant, specs []tooleval.ExperimentSpec) *job {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.jobSeq++
+	j := &job{
+		id:     fmt.Sprintf("j-%06d", s.jobSeq),
+		tenant: t.id,
+		specs:  specs,
+		state:  jobRunning,
+		events: newEventLog(s.cfg.eventBuffer),
+	}
+	j.events.append("job", marshalEvent("job", j.status()))
+	t.jobs = append(t.jobs, j)
+	over := len(t.jobs) - s.cfg.MaxJobsRetained
+	kept := t.jobs[:0]
+	for _, old := range t.jobs {
+		if over > 0 && old != j && old.finished() {
+			over--
+			continue
+		}
+		kept = append(kept, old)
+	}
+	clear(t.jobs[len(kept):]) // the backing array must not pin evicted jobs
+	t.jobs = kept
+	return j
+}
+
+// job looks up the job id among tenant's jobs, so another tenant's id
+// is not found. A lookup never creates a tenant.
+func (s *Server) job(tenant, id string) (*job, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if t, ok := s.tenants[tenant]; ok {
+		for _, j := range t.jobs {
+			if j.id == id {
+				return j, true
+			}
+		}
+	}
+	return nil, false
 }
