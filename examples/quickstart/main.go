@@ -51,6 +51,8 @@ func main() {
 	fmt.Println("That delta is what the multi-level methodology quantifies.")
 }
 
+// sumAcross sums local across all ranks in place, as the tools' own
+// global operations do: on return local holds the sum on every rank.
 func sumAcross(c *tooleval.Ctx, local []float64) ([]float64, error) {
 	out, err := c.Comm.GlobalSumFloat64(local)
 	if err == nil {
@@ -83,7 +85,8 @@ func sumAcross(c *tooleval.Ctx, local []float64) ([]float64, error) {
 		if _, err := fmt.Sscan(string(res), &total); err != nil {
 			return nil, err
 		}
-		return []float64{total}, nil
+		local[0] = total
+		return local, nil
 	}
 	if err := c.Comm.Send(0, tag, []byte(fmt.Sprint(local[0]))); err != nil {
 		return nil, err
@@ -96,5 +99,6 @@ func sumAcross(c *tooleval.Ctx, local []float64) ([]float64, error) {
 	if _, err := fmt.Sscan(string(res), &total); err != nil {
 		return nil, err
 	}
-	return []float64{total}, nil
+	local[0] = total
+	return local, nil
 }

@@ -110,8 +110,8 @@ func Sequential(cfg Config) (*Result, error) { return SequentialP(cfg, 1) }
 func Parallel(ctx *mpt.Ctx, cfg Config) (*Result, error) {
 	sum, n := partial(cfg, ctx.Rank(), ctx.Size())
 	ctx.Charge(OpsPerSample * float64(n))
-	total, err := mpt.SumFloat64(ctx.Comm, []float64{sum})
-	if err != nil {
+	total := []float64{sum}
+	if _, err := mpt.SumFloat64(ctx.Comm, total); err != nil {
 		return nil, fmt.Errorf("montecarlo reduce: %w", err)
 	}
 	if ctx.Rank() != 0 {

@@ -116,7 +116,8 @@ func computeRing(pf platform.Platform, toolName string, factory mpt.Factory, pro
 }
 
 // computeGlobalSum is Figure 4's cell: the element-wise global sum of
-// an n-element integer vector across procs ranks.
+// an n-element integer vector across procs ranks. The sum arrives in
+// place, in each rank's vec; the returned slice is checked whole.
 func computeGlobalSum(pf platform.Platform, toolName string, factory mpt.Factory, procs, n int) (runner.CellResult, error) {
 	res, err := mpt.Run(pf, factory, mpt.RunConfig{Procs: procs}, func(c *mpt.Ctx) (any, error) {
 		vec := make([]int64, n)

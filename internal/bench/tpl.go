@@ -24,7 +24,8 @@ func StandardSizes() []int {
 }
 
 // VectorSizes are the global-sum vector lengths of Figure 4 (number of
-// 4-byte integers, 0..100K).
+// integers, 0..100K). The paper's axis counts 4-byte integers; the cell
+// sums int64s and puts 8 bytes per element on the simulated wire.
 func VectorSizes() []int {
 	return []int{1000, 10_000, 25_000, 50_000, 75_000, 100_000}
 }

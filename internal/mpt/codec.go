@@ -12,45 +12,94 @@ import (
 // because the paper charges PVM for its encode/decode pass.
 
 // EncodeInt64s encodes vec little-endian.
-func EncodeInt64s(vec []int64) []byte {
-	out := make([]byte, 8*len(vec))
-	for i, v := range vec {
-		binary.LittleEndian.PutUint64(out[8*i:], uint64(v))
-	}
-	return out
-}
+func EncodeInt64s(vec []int64) []byte { return encodeWords(vec) }
 
 // DecodeInt64s reverses EncodeInt64s.
-func DecodeInt64s(data []byte) ([]int64, error) {
-	if len(data)%8 != 0 {
-		return nil, fmt.Errorf("%w: int64 payload length %d not a multiple of 8", ErrMalformed, len(data))
-	}
-	out := make([]int64, len(data)/8)
-	for i := range out {
-		out[i] = int64(binary.LittleEndian.Uint64(data[8*i:]))
-	}
-	return out, nil
-}
+func DecodeInt64s(data []byte) ([]int64, error) { return decodeWords[int64](data) }
 
 // EncodeFloat64s encodes vec little-endian IEEE-754.
-func EncodeFloat64s(vec []float64) []byte {
+func EncodeFloat64s(vec []float64) []byte { return encodeWords(vec) }
+
+// DecodeFloat64s reverses EncodeFloat64s.
+func DecodeFloat64s(data []byte) ([]float64, error) { return decodeWords[float64](data) }
+
+// word is an element type the codecs move as one little-endian 8-byte
+// word. Each helper below switches on the slice type once, outside its
+// loop, so each loop runs on the concrete type.
+type word interface{ int64 | float64 }
+
+func encodeWords[T word](vec []T) []byte {
 	out := make([]byte, 8*len(vec))
-	for i, v := range vec {
-		binary.LittleEndian.PutUint64(out[8*i:], math.Float64bits(v))
+	switch v := any(vec).(type) {
+	case []int64:
+		for i, x := range v {
+			binary.LittleEndian.PutUint64(out[8*i:], uint64(x))
+		}
+	case []float64:
+		for i, x := range v {
+			binary.LittleEndian.PutUint64(out[8*i:], math.Float64bits(x))
+		}
 	}
 	return out
 }
 
-// DecodeFloat64s reverses EncodeFloat64s.
-func DecodeFloat64s(data []byte) ([]float64, error) {
+func decodeWords[T word](data []byte) ([]T, error) {
 	if len(data)%8 != 0 {
-		return nil, fmt.Errorf("%w: float64 payload length %d not a multiple of 8", ErrMalformed, len(data))
+		return nil, fmt.Errorf("%w: %T payload length %d not a multiple of 8", ErrMalformed, T(0), len(data))
 	}
-	out := make([]float64, len(data)/8)
-	for i := range out {
-		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[8*i:]))
+	out := make([]T, len(data)/8)
+	return out, decodeInto(out, data)
+}
+
+// decodeInto decodes data into vec, which must hold exactly its words:
+// the unpack into a buffer the caller already owns.
+func decodeInto[T word](vec []T, data []byte) error {
+	if err := checkWords(vec, data); err != nil {
+		return err
 	}
-	return out, nil
+	switch v := any(vec).(type) {
+	case []int64:
+		for i := range v {
+			v[i] = int64(binary.LittleEndian.Uint64(data[8*i:]))
+		}
+	case []float64:
+		for i := range v {
+			v[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[8*i:]))
+		}
+	}
+	return nil
+}
+
+// addEncoded adds the encoded peer into vec element by element, as
+// vec[i] += peer[i], without decoding peer into a vector of its own. It
+// never writes peer, and leaves vec unchanged when the lengths differ.
+func addEncoded[T word](vec []T, peer []byte) error {
+	if err := checkWords(vec, peer); err != nil {
+		return err
+	}
+	switch v := any(vec).(type) {
+	case []int64:
+		for i := range v {
+			v[i] += int64(binary.LittleEndian.Uint64(peer[8*i:]))
+		}
+	case []float64:
+		// a is loaded before the add, as in the decode-add reference, so
+		// that the two compile alike and agree even on which payload
+		// survives a NaN + NaN; FuzzCombineSum compares the bits.
+		for i, a := range v {
+			v[i] = a + math.Float64frombits(binary.LittleEndian.Uint64(peer[8*i:]))
+		}
+	}
+	return nil
+}
+
+// checkWords reports ErrMalformed unless data encodes exactly len(vec)
+// words.
+func checkWords[T word](vec []T, data []byte) error {
+	if len(data) != 8*len(vec) {
+		return fmt.Errorf("%w: %T vector of %d elements against a %d-byte payload", ErrMalformed, T(0), len(vec), len(data))
+	}
+	return nil
 }
 
 // AppendXDROpaque appends data to dst as an XDR opaque: 4-byte

@@ -1,10 +1,8 @@
 package mpt
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
 )
 
 // Reusable collective algorithms, parameterized over a tool's point-to-
@@ -86,47 +84,38 @@ func LinearBcast(c Comm, root, tag int, data []byte) ([]byte, error) {
 	return msg.Data, nil
 }
 
-// TreeReduce folds every rank's contribution to rank root over a binomial
-// tree. combine must be associative and commutative; it receives the
-// accumulated local value and a peer's encoded contribution, may write
-// the result into acc and return it, and must leave peer unchanged. The
-// reduction owns its accumulator, so local must be a buffer the caller
-// hands over (a fresh encoding), never one it still reads. A rank sends
-// its accumulator up the tree with send and never touches it again.
-func TreeReduce(c Comm, send SendFunc, root, tag int, local []byte, combine func(acc, peer []byte) ([]byte, error)) ([]byte, error) {
-	n := c.Size()
-	if err := validRank(n, root); err != nil {
-		return nil, err
-	}
-	me := (c.Rank() - root + n) % n
-	acc := local
+// treeReduce walks this rank's part of a binomial-tree reduction to rank
+// 0 on tag: it receives each child's message, in the tree's order, and
+// hands its data to fold, then hands its own contribution to its parent
+// with up. Rank 0 has no parent and never calls up.
+func treeReduce(c Comm, tag int, fold func(peer []byte) error, up func(parent int) error) error {
+	me, n := c.Rank(), c.Size()
 	for mask := 1; mask < n; mask <<= 1 {
 		if me&mask != 0 {
-			dst := ((me &^ mask) + root) % n
-			if err := send(dst, tag, acc); err != nil {
-				return nil, fmt.Errorf("tree reduce send to %d: %w", dst, err)
+			if err := up(me &^ mask); err != nil {
+				return fmt.Errorf("tree reduce send to %d: %w", me&^mask, err)
 			}
-			return nil, nil // contributed; only root returns data
+			return nil
 		}
 		if me|mask < n {
-			src := ((me | mask) + root) % n
-			msg, err := c.Recv(src, tag)
+			msg, err := c.Recv(me|mask, tag)
 			if err != nil {
-				return nil, fmt.Errorf("tree reduce recv from %d: %w", src, err)
+				return fmt.Errorf("tree reduce recv from %d: %w", me|mask, err)
 			}
-			acc, err = combine(acc, msg.Data)
-			if err != nil {
-				return nil, err
+			if err := fold(msg.Data); err != nil {
+				return err
 			}
 		}
 	}
-	return acc, nil
+	return nil
 }
 
 // TreeBarrier synchronizes all ranks with a reduce-then-broadcast of
 // empty messages.
 func TreeBarrier(c Comm, tag int) error {
-	_, err := TreeReduce(c, c.Send, 0, tag, nil, func(acc, _ []byte) ([]byte, error) { return acc, nil })
+	err := treeReduce(c, tag,
+		func([]byte) error { return nil },
+		func(parent int) error { return c.Send(parent, tag, nil) })
 	if err != nil {
 		return err
 	}
@@ -134,105 +123,84 @@ func TreeBarrier(c Comm, tag int) error {
 	return err
 }
 
-// CombineSumInt64 is the element-wise int64 vector sum used by the
-// global-summation primitive (Figure 4's benchmark). It adds peer into
-// acc in encoded form and returns acc: one pass, no allocation.
-func CombineSumInt64(acc, peer []byte) ([]byte, error) {
-	if err := checkCombine("int64", acc, peer); err != nil {
-		return nil, err
-	}
-	for i := 0; i < len(acc); i += 8 {
-		a := binary.LittleEndian.Uint64(acc[i:])
-		binary.LittleEndian.PutUint64(acc[i:], a+binary.LittleEndian.Uint64(peer[i:]))
-	}
-	return acc, nil
-}
-
-// CombineSumFloat64 is the float64 variant of CombineSumInt64.
-func CombineSumFloat64(acc, peer []byte) ([]byte, error) {
-	if err := checkCombine("float64", acc, peer); err != nil {
-		return nil, err
-	}
-	for i := 0; i < len(acc); i += 8 {
-		a := math.Float64frombits(binary.LittleEndian.Uint64(acc[i:]))
-		b := math.Float64frombits(binary.LittleEndian.Uint64(peer[i:]))
-		binary.LittleEndian.PutUint64(acc[i:], math.Float64bits(a+b))
-	}
-	return acc, nil
-}
-
-// checkCombine validates the operands of an element-wise 8-byte combine.
-func checkCombine(elem string, acc, peer []byte) error {
-	for _, b := range [2][]byte{acc, peer} {
-		if len(b)%8 != 0 {
-			return fmt.Errorf("%w: %s payload length %d not a multiple of 8", ErrMalformed, elem, len(b))
-		}
-	}
-	if len(acc) != len(peer) {
-		return fmt.Errorf("%w: global sum length mismatch: %d vs %d", ErrMalformed, len(acc)/8, len(peer)/8)
-	}
-	return nil
-}
-
-// GlobalSumViaTree implements the combine primitive (reduce to rank 0,
-// then a binomial broadcast of the result on TagBcast) used by p4's
-// p4_global_op and Express's excombine. Every buffer it sends is one it
-// owns — an accumulator it never touches again, then the reduced result,
-// which no rank writes — so send may hand them on by reference. The
-// returned slice is then shared by all ranks: the caller must decode it
-// into a buffer of its own and never write into it.
-func GlobalSumViaTree(c Comm, send SendFunc, local []byte, combine func(acc, peer []byte) ([]byte, error)) ([]byte, error) {
-	reduced, err := TreeReduce(c, send, 0, TagReduce, local, combine)
+// GlobalSumViaTree implements the combine primitive of p4's
+// p4_global_op and Express's excombine: a binomial-tree reduce to rank 0
+// on TagReduce, then a binomial broadcast of the sum on TagBcast. Like
+// those primitives it sums in place: on return every rank's vec holds
+// the element-wise sum, and the returned slice is vec itself; after an
+// error vec holds a partial sum. A rank encodes only what leaves it: a
+// child sends a fresh encoding of its partly reduced vec to its parent,
+// a parent adds each child's encoding straight into its vec, and rank 0
+// encodes the sum once for the broadcast, which every other rank
+// decodes into its own vec. No rank writes a buffer once it is sent, so
+// send may hand them on by reference, and the broadcast's one encoding
+// is shared, read only, by every rank.
+func GlobalSumViaTree[T word](c Comm, send SendFunc, vec []T) ([]T, error) {
+	err := treeReduce(c, TagReduce,
+		func(peer []byte) error { return addEncoded(vec, peer) },
+		func(parent int) error { return send(parent, TagReduce, encodeWords(vec)) })
 	if err != nil {
 		return nil, err
 	}
-	return BinomialBcast(c, send, 0, TagBcast, reduced)
+	var sum []byte
+	if c.Rank() == 0 && c.Size() > 1 {
+		sum = encodeWords(vec)
+	}
+	sum, err = BinomialBcast(c, send, 0, TagBcast, sum)
+	if err != nil {
+		return nil, err
+	}
+	if c.Rank() != 0 {
+		if err := decodeInto(vec, sum); err != nil {
+			return nil, err
+		}
+	}
+	return vec, nil
 }
 
 // ManualSumFloat64 is the application-level fallback a 1995 programmer
 // wrote when the tool lacked a global operation (PVM): gather every
 // contribution to rank 0 with point-to-point sends, add locally, and
-// broadcast the result back.
+// broadcast the result back. It sums in place, as GlobalSumViaTree
+// does: rank 0 adds each contribution into its vec in arrival order,
+// and every other rank decodes the broadcast sum into its own vec.
 func ManualSumFloat64(c Comm, vec []float64) ([]float64, error) {
-	n := c.Size()
-	if c.Rank() == 0 {
-		acc := make([]float64, len(vec))
-		copy(acc, vec)
-		for i := 1; i < n; i++ {
-			msg, err := c.Recv(AnySource, TagGatherOp)
-			if err != nil {
-				return nil, fmt.Errorf("manual sum gather: %w", err)
-			}
-			peer, err := DecodeFloat64s(msg.Data)
-			if err != nil {
-				return nil, err
-			}
-			if len(peer) != len(acc) {
-				return nil, fmt.Errorf("mpt: manual sum length mismatch: %d vs %d", len(peer), len(acc))
-			}
-			for k := range acc {
-				acc[k] += peer[k]
-			}
+	if c.Rank() != 0 {
+		if err := c.Send(0, TagGatherOp, EncodeFloat64s(vec)); err != nil {
+			return nil, fmt.Errorf("manual sum send: %w", err)
 		}
-		out, err := c.Bcast(0, TagBcast, EncodeFloat64s(acc))
+		sum, err := c.Bcast(0, TagBcast, nil)
 		if err != nil {
 			return nil, err
 		}
-		return DecodeFloat64s(out)
+		if err := decodeInto(vec, sum); err != nil {
+			return nil, err
+		}
+		return vec, nil
 	}
-	if err := c.Send(0, TagGatherOp, EncodeFloat64s(vec)); err != nil {
-		return nil, fmt.Errorf("manual sum send: %w", err)
+	for i := 1; i < c.Size(); i++ {
+		msg, err := c.Recv(AnySource, TagGatherOp)
+		if err != nil {
+			return nil, fmt.Errorf("manual sum gather: %w", err)
+		}
+		if err := addEncoded(vec, msg.Data); err != nil {
+			return nil, fmt.Errorf("manual sum: %w", err)
+		}
 	}
-	out, err := c.Bcast(0, TagBcast, nil)
-	if err != nil {
+	var sum []byte
+	if c.Size() > 1 {
+		sum = EncodeFloat64s(vec)
+	}
+	if _, err := c.Bcast(0, TagBcast, sum); err != nil {
 		return nil, err
 	}
-	return DecodeFloat64s(out)
+	return vec, nil
 }
 
 // SumFloat64 uses the tool's global operation when available and falls
 // back to the manual gather otherwise, exactly as the paper's application
-// suite had to.
+// suite had to. Either way it sums in place: on return vec holds the sum
+// on every rank, and the returned slice is vec.
 func SumFloat64(c Comm, vec []float64) ([]float64, error) {
 	out, err := c.GlobalSumFloat64(vec)
 	if err == nil {

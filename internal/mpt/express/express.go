@@ -169,13 +169,14 @@ func (c *comm) sendRef(dst, tag int, data []byte) error {
 	if npkts == 0 {
 		npkts = 1
 	}
-	// ackDue[i] is when packet i's acknowledgement lands back at the
-	// sender; with Window w the sender stalls until packet i-w is acked.
-	ackDue := make([]sim.Time, npkts)
-	var lastData sim.Time
+	// ackDue[i%w] is when packet i's acknowledgement lands back at the
+	// sender; with Window w the sender stalls until packet i-w is acked,
+	// so only the last w acknowledgements are kept.
+	ackDue := make([]sim.Time, min(par.Window, npkts))
+	var lastData, lastAck sim.Time
 	for i := 0; i < npkts; i++ {
 		if i >= par.Window {
-			c.p.SleepUntil(ackDue[i-par.Window])
+			c.p.SleepUntil(ackDue[i%par.Window])
 		}
 		lo := i * par.PacketBytes
 		hi := lo + par.PacketBytes
@@ -197,10 +198,11 @@ func (c *comm) sendRef(dst, tag int, data []byte) error {
 		if err != nil {
 			return fmt.Errorf("exsend: ack %d from %d: %w", i, dst, err)
 		}
-		ackDue[i] = ackArr
+		ackDue[i%len(ackDue)] = ackArr
+		lastAck = ackArr
 		c.t.stats.Acks++
 	}
-	c.p.SleepUntil(ackDue[npkts-1])
+	c.p.SleepUntil(lastAck)
 	env.DeliverAt(lastData.Add(turnaround), env.Boxes[dst], msg)
 	return nil
 }
@@ -225,27 +227,23 @@ func (c *comm) Bcast(root, tag int, data []byte) ([]byte, error) {
 	return mpt.LinearBcast(c, root, mixTag(tag), data)
 }
 
-// GlobalSumInt64 implements excombine(+) over a binomial tree: excombine
-// distributed its result over a tree even though exbroadcast did not.
-// The tree sends hand the combine's own buffers on by reference, and
-// every rank decodes the shared result into a fresh vector.
-func (c *comm) GlobalSumInt64(vec []int64) ([]int64, error) {
-	c.p.Sleep(c.t.env.Cost(2 * float64(len(vec))))
-	out, err := mpt.GlobalSumViaTree(c, c.sendRef, mpt.EncodeInt64s(vec), mpt.CombineSumInt64)
-	if err != nil {
-		return nil, fmt.Errorf("excombine: %w", err)
-	}
-	return mpt.DecodeInt64s(out)
-}
+// GlobalSumInt64 implements excombine(+), which leaves the sum in the
+// caller's vector, over a binomial tree: excombine distributed its
+// result over a tree even though exbroadcast did not. The tree sends
+// hand their fresh encodings on by reference (see mpt.GlobalSumViaTree),
+// and the returned slice is vec.
+func (c *comm) GlobalSumInt64(vec []int64) ([]int64, error) { return globalSum(c, vec) }
 
 // GlobalSumFloat64 is the float64 variant of GlobalSumInt64.
-func (c *comm) GlobalSumFloat64(vec []float64) ([]float64, error) {
+func (c *comm) GlobalSumFloat64(vec []float64) ([]float64, error) { return globalSum(c, vec) }
+
+func globalSum[T int64 | float64](c *comm, vec []T) ([]T, error) {
 	c.p.Sleep(c.t.env.Cost(2 * float64(len(vec))))
-	out, err := mpt.GlobalSumViaTree(c, c.sendRef, mpt.EncodeFloat64s(vec), mpt.CombineSumFloat64)
+	out, err := mpt.GlobalSumViaTree(c, c.sendRef, vec)
 	if err != nil {
 		return nil, fmt.Errorf("excombine: %w", err)
 	}
-	return mpt.DecodeFloat64s(out)
+	return out, nil
 }
 
 // Barrier implements exsync over the binomial tree.

@@ -79,9 +79,11 @@ func splitAt(b, cuts []byte) [][]byte {
 	return append(parts, b)
 }
 
-// FuzzCombineSum: the in-place combines equal the decode-add-encode
-// reference bit for bit, write only into acc, and reject malformed
-// operands with ErrMalformed exactly when the reference decode fails.
+// FuzzCombineSum: adding an encoded peer into a typed vector in place,
+// as the global sum's parents do, equals the decode-add reference bit
+// for bit, never writes the peer's bytes, and fails with ErrMalformed,
+// leaving the vector as it was, exactly when the lengths disagree. The
+// vector is acc's whole 8-byte words.
 func FuzzCombineSum(f *testing.F) {
 	f.Add(mpt.EncodeInt64s([]int64{1, 2, 3}), mpt.EncodeInt64s([]int64{10, 20, 30}))
 	f.Add(mpt.EncodeInt64s([]int64{math.MaxInt64, -1}), mpt.EncodeInt64s([]int64{1, math.MinInt64}))
@@ -90,75 +92,52 @@ func FuzzCombineSum(f *testing.F) {
 	f.Add(make([]byte, 16), make([]byte, 8))
 	f.Add([]byte{}, []byte{})
 	f.Fuzz(func(t *testing.T, acc, peer []byte) {
-		type combine struct {
-			name string
-			fn   func(acc, peer []byte) ([]byte, error)
-			ref  func(acc, peer []byte) ([]byte, error)
-		}
-		for _, c := range []combine{
-			{"int64", mpt.CombineSumInt64, refSumInt64},
-			{"float64", mpt.CombineSumFloat64, refSumFloat64},
-		} {
-			want, refErr := c.ref(acc, peer)
-			a, p := bytes.Clone(acc), bytes.Clone(peer)
-			got, err := c.fn(a, p)
-			if (err == nil) != (refErr == nil) {
-				t.Fatalf("%s: err %v, reference err %v", c.name, err, refErr)
-			}
-			if !bytes.Equal(p, peer) {
-				t.Fatalf("%s: combine wrote into peer", c.name)
-			}
-			if err != nil {
-				if !errors.Is(err, mpt.ErrMalformed) {
-					t.Fatalf("%s: untyped error %v", c.name, err)
-				}
-				continue
-			}
-			if !bytes.Equal(got, want) {
-				t.Fatalf("%s: in-place sum %v, reference %v", c.name, got, want)
-			}
-			if len(got) > 0 && &got[0] != &a[0] {
-				t.Fatalf("%s: combine did not return acc", c.name)
-			}
-		}
+		words := acc[:len(acc)&^7]
+		mismatch := len(peer) != len(words)
+		checkAddEncoded(t, "int64", words, peer, mismatch, mpt.DecodeInt64s, mpt.EncodeInt64s)
+		checkAddEncoded(t, "float64", words, peer, mismatch, mpt.DecodeFloat64s, mpt.EncodeFloat64s)
 	})
 }
 
-// refSumInt64 is the decode-add-encode combine the in-place one
-// replaced.
-func refSumInt64(acc, peer []byte) ([]byte, error) {
-	a, err := mpt.DecodeInt64s(acc)
+// checkAddEncoded runs mpt.AddEncoded on the vector that words encode
+// and checks it against the decode-add reference, comparing encodings
+// so that floats compare by their bits.
+func checkAddEncoded[T int64 | float64](t *testing.T, elem string, words, peer []byte, mismatch bool,
+	decode func([]byte) ([]T, error), encode func([]T) []byte) {
+	t.Helper()
+	vec, err := decode(words)
 	if err != nil {
-		return nil, err
+		t.Fatal(err)
 	}
-	b, err := mpt.DecodeInt64s(peer)
+	p := bytes.Clone(peer)
+	err = mpt.AddEncoded(vec, p)
+	if !bytes.Equal(p, peer) {
+		t.Fatalf("%s: the add wrote into peer", elem)
+	}
+	if mismatch {
+		if !errors.Is(err, mpt.ErrMalformed) {
+			t.Fatalf("%s: lengths %d and %d disagree, err = %v; want ErrMalformed", elem, len(words), len(peer), err)
+		}
+		if !bytes.Equal(encode(vec), words) {
+			t.Fatalf("%s: a refused add changed the vector", elem)
+		}
+		return
+	}
 	if err != nil {
-		return nil, err
+		t.Fatalf("%s: lengths agree, err = %v", elem, err)
 	}
-	if len(a) != len(b) {
-		return nil, mpt.ErrMalformed
-	}
-	for i := range a {
-		a[i] += b[i]
-	}
-	return mpt.EncodeInt64s(a), nil
-}
-
-// refSumFloat64 is refSumInt64 for float64.
-func refSumFloat64(acc, peer []byte) ([]byte, error) {
-	a, err := mpt.DecodeFloat64s(acc)
+	want, err := decode(words)
 	if err != nil {
-		return nil, err
+		t.Fatal(err)
 	}
-	b, err := mpt.DecodeFloat64s(peer)
+	other, err := decode(peer)
 	if err != nil {
-		return nil, err
+		t.Fatal(err)
 	}
-	if len(a) != len(b) {
-		return nil, mpt.ErrMalformed
+	for i := range want {
+		want[i] += other[i]
 	}
-	for i := range a {
-		a[i] += b[i]
+	if got, ref := encode(vec), encode(want); !bytes.Equal(got, ref) {
+		t.Fatalf("%s: in-place sum %x, reference %x", elem, got, ref)
 	}
-	return mpt.EncodeFloat64s(a), nil
 }

@@ -27,13 +27,17 @@
 //     reassembly buffer; the task's unpack decodes the list straight
 //     into the one fresh buffer the user gets, and TakeChunks detaches
 //     the list first, so a chunked message never reaches a user.
-//   - A reduction owns its accumulator: TreeReduce's combine adds into
-//     it in place.
+//   - The global sum reduces in place, as p4_global_op and excombine
+//     do: the caller's vector is the accumulator, and on return it holds
+//     the sum on every rank. A parent adds each child's encoding
+//     straight into it.
 //   - A collective hands the buffers it owns on by reference. The global
-//     sum's tree sends skip Send's copy (see GlobalSumViaTree): a reduce
-//     sender never touches its accumulator again, and every rank decodes
-//     the broadcast result into a fresh vector of its own. User-facing
-//     Send, Bcast and Barrier keep the one copy.
+//     sum's tree sends skip Send's copy (see GlobalSumViaTree): each is
+//     a fresh encoding of the sender's vector, made only because a
+//     message leaves the rank and never written again. Rank 0 encodes
+//     the sum once for the broadcast, all ranks share that encoding read
+//     only, and every other rank decodes it into its own vector.
+//     User-facing Send, Bcast and Barrier keep the one copy.
 //
 // The virtual cost of a hop is computed from payload lengths alone, so
 // the host copies a tool skips change no simulated time.
@@ -147,9 +151,12 @@ type Comm interface {
 	// Bcast is a collective broadcast: every rank calls it, the root's
 	// data is returned on all ranks.
 	Bcast(root, tag int, data []byte) ([]byte, error)
-	// GlobalSumInt64 is a collective reduction: every rank contributes a
-	// vector and all ranks receive the element-wise sum. Tools without a
-	// global operation return ErrNotSupported (PVM, per the paper).
+	// GlobalSumInt64 is a collective reduction in place, as p4's
+	// p4_global_op and Express's excombine are: every rank contributes
+	// vec, and on return every rank's vec holds the element-wise sum;
+	// the returned slice is vec itself. After an error vec holds a
+	// partial sum. Tools without a global operation return
+	// ErrNotSupported (PVM, per the paper) and leave vec as it was.
 	GlobalSumInt64(vec []int64) ([]int64, error)
 	// GlobalSumFloat64 is the float64 variant of GlobalSumInt64.
 	GlobalSumFloat64(vec []float64) ([]float64, error)

@@ -15,13 +15,16 @@ import (
 // copies; these tests pin the guarantees callers rely on, so a removed
 // copy can never become shared mutable state.
 
-// TestGlobalSumLeavesInputAndMatchesSerialSum is the metamorphic check
-// "the global-sum value equals the serial sum": every rank gets the
-// exact element-wise sum of all contributions, and no rank's input
-// vector is written, although the reduction combines in place. Tools
-// without a global operation (PVM) refuse it without touching the input
-// and reach the same float sum through the SumFloat64 fallback.
-func TestGlobalSumLeavesInputAndMatchesSerialSum(t *testing.T) {
+// TestGlobalSumInPlaceMatchesSerialSum is the metamorphic check "the
+// global-sum value equals the serial sum" under the in-place contract of
+// p4_global_op and excombine: every rank's vector receives the exact
+// element-wise sum of all contributions, the returned slice is that
+// vector, and no element past its length is written. Tools without a
+// global operation (PVM) refuse it without touching the input and reach
+// the same float sum, in place too, through the SumFloat64 fallback.
+// Procs 1–5 take in the single rank, which sends nothing, and trees
+// whose size is not a power of two.
+func TestGlobalSumInPlaceMatchesSerialSum(t *testing.T) {
 	pf := mustPlatform(t, "alpha-fddi")
 	const n = 257
 	intVec := func(rank int) []int64 {
@@ -42,45 +45,62 @@ func TestGlobalSumLeavesInputAndMatchesSerialSum(t *testing.T) {
 		}
 		return v
 	}
-	for _, procs := range []int{4, 5} {
-		wantInt := make([]int64, n)
-		wantFloat := make([]float64, n)
-		for r := 0; r < procs; r++ {
-			for i, x := range intVec(r) {
-				wantInt[i] += x
+	// Each vector is the head of a longer buffer whose tail must survive.
+	intTail, floatTail := []int64{-7, 7, math.MinInt64}, []float64{-7.5, 7.5, math.MaxFloat64}
+	forEachTool(t, func(t *testing.T, name string, f mpt.Factory) {
+		for procs := 1; procs <= 5; procs++ {
+			wantInt := make([]int64, n)
+			wantFloat := make([]float64, n)
+			for r := 0; r < procs; r++ {
+				for i, x := range intVec(r) {
+					wantInt[i] += x
+				}
+				for i, x := range floatVec(r) {
+					wantFloat[i] += x
+				}
 			}
-			for i, x := range floatVec(r) {
-				wantFloat[i] += x
-			}
-		}
-		forEachTool(t, func(t *testing.T, name string, f mpt.Factory) {
 			_, err := mpt.Run(pf, f, mpt.RunConfig{Procs: procs}, func(c *mpt.Ctx) (any, error) {
-				iv, fv := intVec(c.Rank()), floatVec(c.Rank())
+				ibuf := append(intVec(c.Rank()), intTail...)
+				fbuf := append(floatVec(c.Rank()), floatTail...)
+				iv, fv := ibuf[:n], fbuf[:n]
 				gotInt, err := c.Comm.GlobalSumInt64(iv)
 				switch {
 				case errors.Is(err, mpt.ErrNotSupported):
+					if !slices.Equal(iv, intVec(c.Rank())) {
+						return nil, fmt.Errorf("a refused int64 sum wrote into the caller's vector")
+					}
 				case err != nil:
 					return nil, err
 				case !slices.Equal(gotInt, wantInt):
 					return nil, fmt.Errorf("int64 sum differs from the serial sum")
+				case !sameSlice(gotInt, iv):
+					return nil, fmt.Errorf("int64 sum was not returned in the caller's vector")
 				}
 				gotFloat, err := mpt.SumFloat64(c.Comm, fv)
-				if err != nil {
+				switch {
+				case err != nil:
 					return nil, err
-				}
-				if !slices.Equal(gotFloat, wantFloat) {
+				case !slices.Equal(gotFloat, wantFloat):
 					return nil, fmt.Errorf("float64 sum differs from the serial sum")
+				case !sameSlice(gotFloat, fv):
+					return nil, fmt.Errorf("float64 sum was not returned in the caller's vector")
 				}
-				if !slices.Equal(iv, intVec(c.Rank())) || !slices.Equal(fv, floatVec(c.Rank())) {
-					return nil, fmt.Errorf("global sum wrote into the caller's vector")
+				if !slices.Equal(ibuf[n:], intTail) || !slices.Equal(fbuf[n:], floatTail) {
+					return nil, fmt.Errorf("global sum wrote past the end of the caller's vector")
 				}
 				return nil, nil
 			})
 			if err != nil {
 				t.Fatalf("%s procs=%d: %v", name, procs, err)
 			}
-		})
-	}
+		}
+	})
+}
+
+// sameSlice reports whether a and b are the same slice: the same
+// length and capacity over the same backing array.
+func sameSlice[T any](a, b []T) bool {
+	return len(a) == len(b) && cap(a) == cap(b) && (len(a) == 0 || &a[0] == &b[0])
 }
 
 // TestSendBufferReusableOnReturn overwrites the send buffer as soon as
@@ -166,10 +186,10 @@ func TestBcastResultsAreIndependent(t *testing.T) {
 }
 
 // TestGlobalSumResultsAreIndependent: every rank decodes the shared
-// broadcast of the reduced sum into a vector of its own, so rank 1
-// writing into its result leaves every other rank's result intact. PVM,
-// which has no global operation, reaches the float sum through the
-// SumFloat64 fallback.
+// broadcast of the reduced sum into its own vector, so rank 1 writing
+// into its result leaves every other rank's result intact. PVM, which
+// has no global operation, reaches the float sum through the SumFloat64
+// fallback.
 func TestGlobalSumResultsAreIndependent(t *testing.T) {
 	pf := mustPlatform(t, "sun-ethernet")
 	const procs, n = 4, 1_000

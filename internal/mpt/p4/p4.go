@@ -162,27 +162,22 @@ func (c *comm) Bcast(root, tag int, data []byte) ([]byte, error) {
 	return mpt.BinomialBcast(c, c.Send, root, mixTag(tag, mpt.TagBcast), data)
 }
 
-// GlobalSumInt64 implements p4_global_op(sum) as a tree reduce plus tree
-// broadcast, charging the element-wise additions. The tree sends hand
-// the combine's own buffers on by reference, and every rank decodes the
-// shared result into a fresh vector.
-func (c *comm) GlobalSumInt64(vec []int64) ([]int64, error) {
-	c.chargeCombine(len(vec))
-	out, err := mpt.GlobalSumViaTree(c, c.sendRef, mpt.EncodeInt64s(vec), mpt.CombineSumInt64)
-	if err != nil {
-		return nil, fmt.Errorf("p4_global_op: %w", err)
-	}
-	return mpt.DecodeInt64s(out)
-}
+// GlobalSumInt64 implements p4_global_op(sum), which leaves the sum in
+// the caller's vector: a tree reduce plus tree broadcast, charging the
+// element-wise additions. The tree sends hand their fresh encodings on
+// by reference (see mpt.GlobalSumViaTree), and the returned slice is vec.
+func (c *comm) GlobalSumInt64(vec []int64) ([]int64, error) { return globalSum(c, vec) }
 
 // GlobalSumFloat64 is the float64 variant of GlobalSumInt64.
-func (c *comm) GlobalSumFloat64(vec []float64) ([]float64, error) {
+func (c *comm) GlobalSumFloat64(vec []float64) ([]float64, error) { return globalSum(c, vec) }
+
+func globalSum[T int64 | float64](c *comm, vec []T) ([]T, error) {
 	c.chargeCombine(len(vec))
-	out, err := mpt.GlobalSumViaTree(c, c.sendRef, mpt.EncodeFloat64s(vec), mpt.CombineSumFloat64)
+	out, err := mpt.GlobalSumViaTree(c, c.sendRef, vec)
 	if err != nil {
 		return nil, fmt.Errorf("p4_global_op: %w", err)
 	}
-	return mpt.DecodeFloat64s(out)
+	return out, nil
 }
 
 // Barrier synchronizes all ranks over the binomial tree.

@@ -321,7 +321,9 @@ func (c *comm) Bcast(root, tag int, data []byte) ([]byte, error) {
 }
 
 // GlobalSumInt64 implements mpt.Comm. PVM provides no global operation
-// (Table 1: "Not Available").
+// (Table 1: "Not Available"), so it leaves vec as it was; an application
+// sums through mpt.SumFloat64's manual gather instead, which sums in
+// place as the other tools' global operations do.
 func (c *comm) GlobalSumInt64([]int64) ([]int64, error) { return nil, mpt.ErrNotSupported }
 
 // GlobalSumFloat64 implements mpt.Comm. See GlobalSumInt64.
