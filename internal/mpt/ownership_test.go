@@ -15,16 +15,17 @@ import (
 // copies; these tests pin the guarantees callers rely on, so a removed
 // copy can never become shared mutable state.
 
-// TestGlobalSumInPlaceMatchesSerialSum is the metamorphic check "the
-// global-sum value equals the serial sum" under the in-place contract of
-// p4_global_op and excombine: every rank's vector receives the exact
-// element-wise sum of all contributions, the returned slice is that
-// vector, and no element past its length is written. Tools without a
-// global operation (PVM) refuse it without touching the input and reach
-// the same float sum, in place too, through the SumFloat64 fallback.
-// Procs 1–5 take in the single rank, which sends nothing, and trees
-// whose size is not a power of two.
-func TestGlobalSumInPlaceMatchesSerialSum(t *testing.T) {
+// TestGlobalSumLeavesInputAndMatchesSerialSum is the metamorphic check
+// "the global-sum value equals the serial sum" under the in-place
+// contract of p4_global_op and excombine: every rank's vector receives
+// the exact element-wise sum of all contributions and the returned slice
+// is that vector, while the rest of the caller's input is left alone: no
+// element past the vector's length is written, and tools without a
+// global operation (PVM) refuse it without touching the vector, then
+// reach the same float sum, in place too, through the SumFloat64
+// fallback. Procs 1–5 take in the single rank, which sends nothing, and
+// trees whose size is not a power of two.
+func TestGlobalSumLeavesInputAndMatchesSerialSum(t *testing.T) {
 	pf := mustPlatform(t, "alpha-fddi")
 	const n = 257
 	intVec := func(rank int) []int64 {
@@ -47,18 +48,18 @@ func TestGlobalSumInPlaceMatchesSerialSum(t *testing.T) {
 	}
 	// Each vector is the head of a longer buffer whose tail must survive.
 	intTail, floatTail := []int64{-7, 7, math.MinInt64}, []float64{-7.5, 7.5, math.MaxFloat64}
-	forEachTool(t, func(t *testing.T, name string, f mpt.Factory) {
-		for procs := 1; procs <= 5; procs++ {
-			wantInt := make([]int64, n)
-			wantFloat := make([]float64, n)
-			for r := 0; r < procs; r++ {
-				for i, x := range intVec(r) {
-					wantInt[i] += x
-				}
-				for i, x := range floatVec(r) {
-					wantFloat[i] += x
-				}
+	for procs := 1; procs <= 5; procs++ {
+		wantInt := make([]int64, n)
+		wantFloat := make([]float64, n)
+		for r := 0; r < procs; r++ {
+			for i, x := range intVec(r) {
+				wantInt[i] += x
 			}
+			for i, x := range floatVec(r) {
+				wantFloat[i] += x
+			}
+		}
+		forEachTool(t, func(t *testing.T, name string, f mpt.Factory) {
 			_, err := mpt.Run(pf, f, mpt.RunConfig{Procs: procs}, func(c *mpt.Ctx) (any, error) {
 				ibuf := append(intVec(c.Rank()), intTail...)
 				fbuf := append(floatVec(c.Rank()), floatTail...)
@@ -93,8 +94,8 @@ func TestGlobalSumInPlaceMatchesSerialSum(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s procs=%d: %v", name, procs, err)
 			}
-		}
-	})
+		})
+	}
 }
 
 // sameSlice reports whether a and b are the same slice: the same

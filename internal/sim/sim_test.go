@@ -298,10 +298,12 @@ func TestNoGoroutineLeakAfterPanic(t *testing.T) {
 			t.Fatalf("Run = %v, want PanicError", err)
 		}
 	}
-	// The unwound goroutines exit just after their shutdown handshake;
-	// yield until they have.
-	for i := 0; i < 1000 && runtime.NumGoroutine() > before; i++ {
-		runtime.Gosched()
+	// The unwound goroutines exit just after their shutdown handshake,
+	// possibly on another thread the OS has not scheduled yet; wait for
+	// them. A goroutine stuck in the engine never exits and still fails.
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
 	}
 	if after := runtime.NumGoroutine(); after > before {
 		t.Fatalf("goroutines leaked: before=%d after=%d", before, after)
