@@ -63,7 +63,7 @@ toolbenchd-smoke:
 		fi; \
 	done; \
 	$(GO) build -o $$tmp/toolbench-worker ./cmd/toolbench-worker; \
-	n=0; for d in "toolbenchd" "toolbench-worker" "toolbench-worker -store $$tmp/store"; do \
+	n=0; for d in "toolbenchd" "toolbench-worker"; do \
 		n=$$((n+1)); log=$$tmp/daemon-$$n.log; \
 		timeout 20 $$tmp/$$d -addr 127.0.0.1:0 2> $$log & pid=$$!; \
 		for _ in $$(seq 100); do grep -q 'listening on' $$log 2>/dev/null && break; sleep 0.1; done; \
@@ -108,6 +108,7 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz='^FuzzDecodeRecords$$' -fuzztime=$(FUZZTIME) ./internal/apps/psrs
 	$(GO) test -run=NONE -fuzz='^FuzzStorePayload$$' -fuzztime=$(FUZZTIME) ./internal/store
 	$(GO) test -run=NONE -fuzz='^FuzzWorkerCellRequest$$' -fuzztime=$(FUZZTIME) ./internal/remote
+	$(GO) test -run=NONE -fuzz='^FuzzRemoteCellResponse$$' -fuzztime=$(FUZZTIME) ./internal/remote
 
 # bench-smoke compiles and runs every benchmark for exactly one
 # iteration — the CI guard against benchmark bit-rot — plus one

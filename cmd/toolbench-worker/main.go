@@ -3,22 +3,21 @@
 // protocol (POST /v1/cells) to a `toolbench -workers ...` coordinator.
 // Every cell is a pure function of its content key, so the worker
 // recomputes exactly what the coordinator would have computed locally
-// — results are byte-identical by construction — and memoizes by the
-// same key through a local worker pool, optionally backed by its own
-// durable -store tier.
+// — results are byte-identical by construction. The worker only bounds
+// how many cells it simulates at once (-j); it keeps no results, since
+// the coordinator memoizes every cell it is sent.
 //
 // A coordinator running a different simulation-engine or wire-protocol
 // version is refused with a typed 409 — never answered with a result
 // computed under the wrong engine. GET /healthz reports liveness; GET
-// /statsz reports the engine version, uptime, and cache counters.
+// /statsz reports the engine and protocol versions, uptime and -j.
 //
-// SIGTERM, SIGINT or SIGHUP drains gracefully: in-flight cells finish,
-// the store is flushed and closed, and the daemon exits 0. A second
-// signal kills it.
+// SIGTERM, SIGINT or SIGHUP drains gracefully: in-flight cells finish
+// and the daemon exits 0. A second signal kills it.
 //
 // Exit status: 0 after -h or a clean drain, 2 on a usage error (an
 // unknown flag, a malformed flag value), 1 when the flags are rejected
-// before listening, the server fails, or the store fails to close.
+// before listening or the server fails.
 package main
 
 import (
@@ -40,7 +39,6 @@ import (
 	"tooleval/internal/remote"
 	"tooleval/internal/runner"
 	"tooleval/internal/sim"
-	"tooleval/internal/store"
 )
 
 func main() {
@@ -58,11 +56,10 @@ func main() {
 }
 
 type config struct {
-	addr     string
-	jobs     int
-	storeDir string
-	drain    time.Duration
-	args     []string // positional arguments; the daemon takes none
+	addr  string
+	jobs  int
+	drain time.Duration
+	args  []string // positional arguments; the daemon takes none
 }
 
 // parseFlags reads the command line into a config. A usage error is
@@ -75,7 +72,6 @@ func parseFlags(args []string, w io.Writer) (config, error) {
 	var cfg config
 	fs.StringVar(&cfg.addr, "addr", ":8701", "listen address")
 	fs.IntVar(&cfg.jobs, "j", runtime.GOMAXPROCS(0), "max concurrent simulations")
-	fs.StringVar(&cfg.storeDir, "store", "", "durable result store directory (empty = memory only; each worker needs its own)")
 	fs.DurationVar(&cfg.drain, "drain-timeout", 30*time.Second, "graceful shutdown deadline for in-flight cells")
 	fs.Usage = func() {
 		fmt.Fprintf(w, "usage: toolbench-worker [flags]\n\n")
@@ -88,8 +84,7 @@ func parseFlags(args []string, w io.Writer) (config, error) {
 }
 
 // run serves cells until the first SIGTERM/SIGINT/SIGHUP, then drains.
-// The store closes after the drain; a close error fails run.
-func run(cfg config) (err error) {
+func run(cfg config) error {
 	if len(cfg.args) > 0 {
 		return fmt.Errorf("unexpected arguments: %v", cfg.args)
 	}
@@ -97,17 +92,7 @@ func run(cfg config) (err error) {
 		return fmt.Errorf("-j %d: need at least one worker", cfg.jobs)
 	}
 
-	x := runner.New(cfg.jobs)
-	if cfg.storeDir != "" {
-		st, openErr := store.Open(cfg.storeDir, sim.EngineVersion)
-		if openErr != nil {
-			return fmt.Errorf("-store %s: %w", cfg.storeDir, openErr)
-		}
-		defer func() { err = errors.Join(err, st.Close()) }()
-		x.Cache().SetTier(st)
-	}
-
-	w := remote.NewWorker(x, bench.ComputeCell)
+	w := remote.NewWorker(runner.New(cfg.jobs), bench.ComputeCell)
 	ln, err := net.Listen("tcp", cfg.addr)
 	if err != nil {
 		return err

@@ -18,8 +18,10 @@ import (
 // Level identifies one evaluation perspective.
 type Level string
 
-// The three levels of §2. Additional levels "can be added if necessary"
-// (§2); Methodology.ExtraLevels supports that.
+// The three levels of §2. The paper allows additional levels "if
+// necessary" (§2); this package measures only these three, and a
+// profile weight on any other level is redistributed by Evaluate like
+// the weight of a level without measurements.
 const (
 	TPL Level = "TPL" // Tool Performance Level
 	APL Level = "APL" // Application Performance Level

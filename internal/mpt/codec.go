@@ -83,11 +83,8 @@ func addEncoded[T word](vec []T, peer []byte) error {
 			v[i] += int64(binary.LittleEndian.Uint64(peer[8*i:]))
 		}
 	case []float64:
-		// a is loaded before the add, as in the decode-add reference, so
-		// that the two compile alike and agree even on which payload
-		// survives a NaN + NaN; FuzzCombineSum compares the bits.
-		for i, a := range v {
-			v[i] = a + math.Float64frombits(binary.LittleEndian.Uint64(peer[8*i:]))
+		for i := range v {
+			v[i] += math.Float64frombits(binary.LittleEndian.Uint64(peer[8*i:]))
 		}
 	}
 	return nil

@@ -1,7 +1,7 @@
 package mpt
 
 import (
-	"time"
+	"slices"
 
 	"tooleval/internal/sim"
 )
@@ -23,11 +23,9 @@ type Mailbox struct {
 }
 
 type mboxWaiter struct {
-	m        *Mailbox
 	src, tag int
 	p        *sim.Proc
 	got      *Message
-	done     bool // matched or timed out
 }
 
 // NewMailbox creates an empty mailbox bound to the engine.
@@ -52,12 +50,11 @@ func matches(wantSrc, wantTag int, msg *Message) bool {
 // receiver if there is one. It must be called from engine context (an
 // event handler or a running process).
 func (m *Mailbox) Put(msg *Message) {
-	for _, w := range m.waiters {
-		if !w.done && matches(w.src, w.tag, msg) {
+	for i, w := range m.waiters {
+		if matches(w.src, w.tag, msg) {
 			w.got = msg
-			w.done = true
+			m.waiters = slices.Delete(m.waiters, i, i+1)
 			m.eng.Unpark(w.p)
-			m.compactWaiters()
 			return
 		}
 	}
@@ -67,48 +64,19 @@ func (m *Mailbox) Put(msg *Message) {
 // Get blocks the calling process until a message matching (src, tag) is
 // available and returns it.
 func (m *Mailbox) Get(p *sim.Proc, src, tag int) *Message {
-	msg, _ := m.GetDeadline(p, src, tag, -1)
-	return msg
-}
-
-// GetDeadline is Get with a timeout. A negative timeout waits forever. It
-// returns (nil, false) if the timeout expired first; the boolean reports
-// whether a message was received.
-func (m *Mailbox) GetDeadline(p *sim.Proc, src, tag int, timeout time.Duration) (*Message, bool) {
 	for i, msg := range m.msgs {
 		if matches(src, tag, msg) {
-			copy(m.msgs[i:], m.msgs[i+1:])
-			m.msgs[len(m.msgs)-1] = nil
-			m.msgs = m.msgs[:len(m.msgs)-1]
-			return msg, true
+			m.msgs = slices.Delete(m.msgs, i, i+1)
+			return msg
 		}
 	}
 	w := m.newWaiter(p, src, tag)
 	m.waiters = append(m.waiters, w)
-	if timeout >= 0 {
-		m.eng.AtCall(m.eng.Now().Add(timeout), "mbox-timeout", expireWaiter, w)
-	}
 	p.ParkFor(w)
 	got := w.got
-	// Recycle the waiter unless a still-pending timeout event references
-	// it (message arrived first): reusing it then would let the stale
-	// timeout cancel an unrelated later receive.
-	if timeout < 0 || got == nil {
-		*w = mboxWaiter{}
-		m.freeW = append(m.freeW, w)
-	}
-	return got, got != nil
-}
-
-// expireWaiter is the dispatch target of mbox-timeout events.
-func expireWaiter(arg any) {
-	w := arg.(*mboxWaiter)
-	if w.done || w.m == nil {
-		return // already matched (or the waiter was recycled)
-	}
-	w.done = true
-	w.m.compactWaiters()
-	w.m.eng.Unpark(w.p)
+	*w = mboxWaiter{}
+	m.freeW = append(m.freeW, w)
+	return got
 }
 
 // newWaiter takes a waiter record off the free list or allocates one.
@@ -121,7 +89,7 @@ func (m *Mailbox) newWaiter(p *sim.Proc, src, tag int) *mboxWaiter {
 	} else {
 		w = new(mboxWaiter)
 	}
-	*w = mboxWaiter{m: m, src: src, tag: tag, p: p}
+	*w = mboxWaiter{src: src, tag: tag, p: p}
 	return w
 }
 
@@ -130,19 +98,6 @@ func (m *Mailbox) newWaiter(p *sim.Proc, src, tag int) *mboxWaiter {
 // report or a trace reads it, never on the receive path.
 func (w *mboxWaiter) String() string {
 	return "recv src=" + itoa(w.src) + " tag=" + itoa(w.tag)
-}
-
-func (m *Mailbox) compactWaiters() {
-	keep := m.waiters[:0]
-	for _, w := range m.waiters {
-		if !w.done {
-			keep = append(keep, w)
-		}
-	}
-	for i := len(keep); i < len(m.waiters); i++ {
-		m.waiters[i] = nil
-	}
-	m.waiters = keep
 }
 
 // itoa is a tiny strconv.Itoa for the two wildcard-friendly values we

@@ -49,48 +49,6 @@ func TestMailboxWaiterWokenByMatch(t *testing.T) {
 	}
 }
 
-func TestMailboxGetDeadlineTimesOut(t *testing.T) {
-	eng := sim.NewEngine()
-	box := NewMailbox(eng)
-	var ok bool
-	var woke sim.Time
-	eng.Spawn("r", func(p *sim.Proc) {
-		_, ok = box.GetDeadline(p, AnySource, AnyTag, 5*time.Millisecond)
-		woke = p.Now()
-	})
-	if err := eng.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if ok {
-		t.Fatal("timeout should report no message")
-	}
-	if woke != sim.Time(5*time.Millisecond) {
-		t.Fatalf("woke at %v, want 5ms", woke)
-	}
-}
-
-func TestMailboxGetDeadlineBeatsTimeout(t *testing.T) {
-	eng := sim.NewEngine()
-	box := NewMailbox(eng)
-	var got *Message
-	var ok bool
-	eng.Spawn("r", func(p *sim.Proc) {
-		got, ok = box.GetDeadline(p, AnySource, AnyTag, 50*time.Millisecond)
-	})
-	eng.Spawn("s", func(p *sim.Proc) {
-		p.Sleep(2 * time.Millisecond)
-		box.Put(&Message{Src: 0, Tag: 1, Data: []byte("in time")})
-	})
-	if err := eng.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if !ok || got == nil || string(got.Data) != "in time" {
-		t.Fatalf("got (%v, %v)", got, ok)
-	}
-	// The pending timeout event must be inert after the match (no panic,
-	// no double wake) — Run finishing cleanly covers that.
-}
-
 func TestMailboxMultipleWaitersFIFO(t *testing.T) {
 	eng := sim.NewEngine()
 	box := NewMailbox(eng)

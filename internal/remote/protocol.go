@@ -5,7 +5,9 @@
 // rendezvous-hashing its FNV content hash (runner.Key.Hash). The worker
 // recomputes the cell from its key alone — cells are pure functions of
 // their content key, so results are location-transparent and a
-// distributed sweep is byte-identical to a serial one.
+// distributed sweep is byte-identical to a serial one. A worker is a
+// bounded compute step and memoizes nothing; the one memo of a sweep
+// is the coordinator's.
 //
 // The wire protocol is deliberately small JSON-over-HTTP: one POST per
 // cell carrying the coordinator's engine/protocol version stamps and
@@ -33,8 +35,8 @@ const (
 	CellsPath = "/v1/cells"
 	// HealthPath answers 200 while the worker is serving.
 	HealthPath = "/healthz"
-	// StatsPath reports the worker's engine version, uptime, and cache
-	// counters as JSON.
+	// StatsPath reports the worker's engine and protocol versions,
+	// uptime and concurrency bound as JSON.
 	StatsPath = "/statsz"
 )
 
@@ -84,8 +86,8 @@ type refusal struct {
 const kindVersionMismatch = "version_mismatch"
 
 // VersionError is the typed refusal for a coordinator/worker version
-// disagreement: the worker would compute (or has cached) cells under a
-// different simulation engine or wire schema, and mixing those results
+// disagreement: the worker would compute cells under a different
+// simulation engine or wire schema, and mixing those results
 // into one sweep could be silently wrong. Match with errors.As; there
 // is no failover and no retry — fix the deployment.
 type VersionError struct {

@@ -17,9 +17,10 @@ import (
 type ComputeFunc func(runner.Key) (runner.CellResult, error)
 
 // Worker is the daemon-side half of remote execution: an HTTP
-// handler that resolves cell RPCs through a local Executor (a worker
-// pool, optionally store-backed), so a worker deduplicates repeated
-// keys through the same memoization every local sweep uses.
+// handler that computes each requested cell under one slot of a local
+// Executor and answers with its value and virtual cost. It memoizes
+// nothing: the coordinator's executor already sends each key once and
+// keeps the results, durable tier included.
 type Worker struct {
 	x       runner.Executor
 	compute ComputeFunc
@@ -44,9 +45,8 @@ func WithWorkerClock(now func() time.Time) WorkerOption {
 }
 
 // NewWorker wraps the local executor and compute dispatcher into a
-// worker. The executor bounds concurrent simulations and memoizes by
-// content key exactly as it would locally; compute is only invoked on
-// a cache (and store-tier) miss.
+// worker. The executor only bounds concurrent simulations (Do) and
+// reports that bound on /statsz; compute runs once per request.
 func NewWorker(x runner.Executor, compute ComputeFunc, opts ...WorkerOption) *Worker {
 	w := &Worker{x: x, compute: compute, engine: sim.EngineVersion, now: time.Now}
 	for _, opt := range opts {
@@ -102,25 +102,18 @@ func (w *Worker) handleCells(rw http.ResponseWriter, r *http.Request) {
 	}
 	key := req.Key
 
-	// The executor re-raises memoized panics (a cell that panicked once
-	// is cached as panicking); surface those as a 500 instead of killing
-	// the daemon's connection goroutine.
+	// A panicking cell answers 500 instead of killing the daemon's
+	// connection goroutine; Do has already released its slot.
 	defer func() {
 		if p := recover(); p != nil {
 			writeJSON(rw, http.StatusInternalServerError, refusal{Error: fmt.Sprintf("cell %s panicked: %v", key, p)})
 		}
 	}()
 
-	// computed captures the full CellResult when THIS request ran the
-	// simulation; on a warm or coalesced hit the cache peek below
-	// reconstructs it (the cache retains virtual cost for exactly this).
-	var computed *runner.CellResult
-	val, err := w.x.Memo(r.Context(), key, func() (runner.CellResult, error) {
-		res, cerr := w.compute(key)
-		if cerr == nil {
-			computed = &res
-		}
-		return res, cerr
+	var res runner.CellResult
+	err = w.x.Do(r.Context(), func() (err error) {
+		res, err = w.compute(key)
+		return err
 	})
 	if err != nil {
 		if errors.Is(err, r.Context().Err()) && r.Context().Err() != nil {
@@ -134,13 +127,7 @@ func (w *Worker) handleCells(rw http.ResponseWriter, r *http.Request) {
 		writeJSON(rw, http.StatusOK, CellResponse{Err: err.Error()})
 		return
 	}
-	resp := CellResponse{Value: val}
-	if computed != nil {
-		resp.VirtualNS = computed.Virtual.Nanoseconds()
-	} else if res, ok := w.x.Cache().Lookup(key); ok {
-		resp.VirtualNS = res.Virtual.Nanoseconds()
-	}
-	writeJSON(rw, http.StatusOK, resp)
+	writeJSON(rw, http.StatusOK, CellResponse{Value: res.Value, VirtualNS: res.Virtual.Nanoseconds()})
 }
 
 func (w *Worker) handleHealth(rw http.ResponseWriter, r *http.Request) {
@@ -153,20 +140,13 @@ type workerStats struct {
 	ProtocolVersion int     `json:"protocol_version"`
 	UptimeSeconds   float64 `json:"uptime_seconds"`
 	Workers         int     `json:"workers"`
-	Cache           struct {
-		Hits   int64 `json:"hits"`
-		Misses int64 `json:"misses"`
-	} `json:"cache"`
 }
 
 func (w *Worker) handleStats(rw http.ResponseWriter, r *http.Request) {
-	st := w.x.Stats()
-	out := workerStats{
+	writeJSON(rw, http.StatusOK, workerStats{
 		EngineVersion:   w.engine,
 		ProtocolVersion: ProtocolVersion,
 		UptimeSeconds:   w.now().Sub(w.started).Seconds(),
 		Workers:         w.x.Workers(),
-	}
-	out.Cache.Hits, out.Cache.Misses = st.Hits, st.Misses
-	writeJSON(rw, http.StatusOK, out)
+	})
 }

@@ -5,7 +5,6 @@ import (
 	"math"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // entry is one memoized cell. done is closed once val/err are final, so
@@ -13,21 +12,21 @@ import (
 // is the entry's node in the cache's recency list — always non-nil,
 // maintained even while the cache is unbounded so that SetCapacity can
 // start evicting in true LRU order at any point in the cache's life.
-// virtual is the cell's simulated wall-clock, retained so Lookup can
-// reconstruct the full CellResult (a remote worker re-serving a warm
-// cell must report the same virtual cost it would on a cold compute).
+// A hit reads only val and err; a cell's virtual cost is charged where
+// it is computed, so the entry does not keep it.
 type entry struct {
-	done    chan struct{}
-	val     float64
-	virtual time.Duration
-	err     error
-	el      *list.Element
+	done chan struct{}
+	val  float64
+	err  error
+	el   *list.Element
 }
 
 // Cache is the memoization store for experiment cells: one mutex, one
 // map and one exact LRU list. It is safe for concurrent use and may be
 // shared between executors (sessions that want to pool their
 // simulation results while keeping independent parallelism bounds).
+// A sweep over remote workers memoizes here too, on the coordinator:
+// a worker computes the cells it is sent and keeps none of them.
 // The zero value is not usable; call NewCache.
 //
 // By default a Cache grows without bound — the paper's evaluation
@@ -172,30 +171,6 @@ func (c *Cache) remove(key Key, e *entry) {
 		c.order.Remove(e.el)
 	}
 	c.mu.Unlock()
-}
-
-// Lookup peeks at the completed, successful cell memoized for key. It
-// reports false for absent, in-flight, and failed entries, and does not
-// touch the hit/miss counters — it is a read-side peek for callers (a
-// worker daemon answering a cell RPC) that already resolved the cell
-// through Memo and need the full CellResult back, not a scheduling
-// primitive.
-func (c *Cache) Lookup(key Key) (CellResult, bool) {
-	c.mu.Lock()
-	e, ok := c.lookupLocked(key)
-	c.mu.Unlock()
-	if !ok {
-		return CellResult{}, false
-	}
-	select {
-	case <-e.done:
-	default:
-		return CellResult{}, false
-	}
-	if e.err != nil {
-		return CellResult{}, false
-	}
-	return CellResult{Value: e.val, Virtual: e.virtual}, true
 }
 
 // Stats snapshots the cache counters.

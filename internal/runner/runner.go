@@ -272,7 +272,7 @@ func (r *Runner) fill(key Key, e *entry, compute func() (CellResult, error)) (fl
 	tier := c.Tier()
 	if tier != nil {
 		if res, ok := tier.Lookup(key); ok {
-			e.val, e.virtual = res.Value, res.Virtual
+			e.val = res.Value
 			c.hits.Add(1)
 			<-r.sem
 			close(e.done)
@@ -316,7 +316,7 @@ func (r *Runner) fill(key Key, e *entry, compute func() (CellResult, error)) (fl
 		close(e.done)
 	}()
 	res, e.err = compute()
-	e.val, e.virtual = res.Value, res.Virtual
+	e.val = res.Value
 	return e.val, e.err
 }
 

@@ -24,11 +24,11 @@ go build -o "$work/toolbench" ./cmd/toolbench
 go build -o "$work/toolbench-worker" ./cmd/toolbench-worker
 
 # Spawn the daemons on ephemeral ports (one at the default -j, one at
-# -j 2 with a store — the worker configuration mix must not matter) and
-# scrape the logged listen addresses.
+# -j 2 — the worker configuration mix must not matter) and scrape the
+# logged listen addresses.
 "$work/toolbench-worker" -addr 127.0.0.1:0 2>"$work/w1.log" &
 w1=$!
-"$work/toolbench-worker" -addr 127.0.0.1:0 -j 2 -store "$work/wstore" 2>"$work/w2.log" &
+"$work/toolbench-worker" -addr 127.0.0.1:0 -j 2 2>"$work/w2.log" &
 w2=$!
 
 addr_of() {
